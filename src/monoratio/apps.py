@@ -135,6 +135,41 @@ def validate_similarity(s: np.ndarray) -> np.ndarray:
     return s
 
 
+# Float bytes one kernel step may gather: bounds the (rows, L, n) block a
+# kernel builds for rows of set size L.
+_KERNEL_BLOCK_BYTES = 1 << 18
+
+
+def _size_groups(X: np.ndarray):
+    """Split the nonempty rows of a (B, n) boolean mask matrix by set size.
+
+    Yields (rows, ids): row indices into X and the (len(rows), L) array of
+    their sorted element ids, in blocks of at most _KERNEL_BLOCK_BYTES of
+    (len(rows), L, n) floats. Beyond one block, the split itself keeps two
+    int64 per row of X. Rows of one size reduce over equally long axes, so
+    numpy sums each row in the same order as the scalar objective and the
+    batched values equal the scalar ones bit for bit.
+    """
+    n = X.shape[1]
+    sizes = X.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    first = 0
+    for size, count in enumerate(np.bincount(sizes, minlength=n + 1).tolist()):
+        if size and count:
+            step = max(1, _KERNEL_BLOCK_BYTES // (8 * size * n))
+            for lo in range(first, first + count, step):
+                rows = order[lo:min(lo + step, first + count)]
+                yield rows, np.nonzero(X[rows])[1].reshape(len(rows), size)
+        first += count
+
+
+def _pair_sums(s_flat: np.ndarray, n: int, ids: np.ndarray) -> np.ndarray:
+    """sum_{u,v in S} s_{u,v} for each row S of ids, from the row-major
+    flattened n x n matrix s, summed like the scalar s[np.ix_(idx, idx)].sum()."""
+    block = s_flat.take((ids * n)[:, :, None] + ids[:, None, :])
+    return block.reshape(len(ids), -1).sum(axis=1)
+
+
 def movie_objective(s: np.ndarray, lam: float,
                     labels: tuple[str, ...] | None = None) -> SetFunctionOracle:
     """Coverage-minus-diversity recommendation objective
@@ -149,6 +184,7 @@ def movie_objective(s: np.ndarray, lam: float,
         raise ValueError("lambda must be in [0,1]")
     n = s.shape[0]
     colsum = s.sum(axis=0)
+    s_flat = s.ravel()
 
     def fn(mask: int) -> float:
         if mask == 0:
@@ -156,8 +192,15 @@ def movie_objective(s: np.ndarray, lam: float,
         idx = ids_of(mask)
         return float(colsum[idx].sum() - lam * s[np.ix_(idx, idx)].sum())
 
+    def batch_fn(X: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(X))
+        for rows, ids in _size_groups(X):
+            out[rows] = colsum[ids].sum(axis=1) - lam * _pair_sums(s_flat, n, ids)
+        return out
+
     ground = GroundSet(n, labels)
-    return SetFunctionOracle(ground, fn, memoize=n <= 20, name=f"movie(lam={lam})")
+    return SetFunctionOracle(ground, fn, memoize=n <= 20, name=f"movie(lam={lam})",
+                             batch_fn=batch_fn)
 
 
 def image_objective(s: np.ndarray,
@@ -171,6 +214,8 @@ def image_objective(s: np.ndarray,
     """
     s = validate_similarity(s)
     n = s.shape[0]
+    s_cols = np.ascontiguousarray(s.T)  # row v holds column v of s
+    s_flat = s.ravel()
 
     def fn(mask: int) -> float:
         if mask == 0:
@@ -179,8 +224,16 @@ def image_objective(s: np.ndarray,
         cover = s[:, idx].max(axis=1).sum()
         return float(cover - s[np.ix_(idx, idx)].sum() / n)
 
+    def batch_fn(X: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(X))
+        for rows, ids in _size_groups(X):
+            cover = s_cols[ids].max(axis=1).sum(axis=1)
+            out[rows] = cover - _pair_sums(s_flat, n, ids) / n
+        return out
+
     ground = GroundSet(n, labels)
-    return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image")
+    return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image",
+                             batch_fn=batch_fn)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from .constraints import (CardinalityConstraint, DownClosedPolytope, Matroid,
                           PartitionMatroid, UniformMatroid,
                           linear_maximize_matroid, linear_maximize_polytope)
-from .oracle import SetFunctionOracle, _pack_masks, ids_of, mask_from_indicator
+from .oracle import SetFunctionOracle, ids_of, mask_from_indicator
 
 __all__ = [
     "MCGConfig",
@@ -69,15 +69,19 @@ def mcg_trace_to_csv(trace) -> str:
 def _gain_estimates(f: SetFunctionOracle, y: np.ndarray, samples: int, rng):
     """Estimate w_u = F(y or 1_u) - F(y) for all u with common random numbers:
     the same sampled sets R(y) are reused with u forced in, which makes each
-    w_u a mean of correlated differences and slashes the variance."""
+    w_u a mean of correlated differences and slashes the variance.
+
+    The sampled sets go to the oracle as one batch, then the n * samples
+    forced sets as a second one with rows ordered by u, so the evaluation
+    order (and with it every count and memo entry) is that of a scalar loop
+    over u. The forced batch holds samples * n * n booleans."""
     n = y.size
     bits = rng.random((samples, n)) < y
-    masks = _pack_masks(bits)
-    base_vals = np.array([f.value(m) for m in masks])
-    w = np.empty(n)
-    for u in range(n):
-        bit = 1 << u
-        w[u] = np.mean(np.array([f.value(m | bit) for m in masks]) - base_vals)
+    base_vals = f.values(bits)
+    forced = np.repeat(bits[None], n, axis=0)
+    forced[np.arange(n), :, np.arange(n)] = True
+    vals = f.values(forced.reshape(-1, n)).reshape(n, samples)
+    w = (vals - base_vals).mean(axis=1)
     fmax = float(np.max(np.abs(base_vals))) if samples else 0.0
     est = float(base_vals.mean())
     se = float(base_vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

@@ -111,7 +111,8 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
             Y &= ~bit
         if rows is not None:
             rows.append(TraceRow(u + 1, u, a, take))
-    assert X == Y
+    if X != Y:
+        raise RuntimeError(f"double greedy ended with X={X} != Y={Y}")
     return _finish(f, X, start, seed, rows)
 
 
@@ -126,11 +127,17 @@ def best_of_with_ground(f: SetFunctionOracle, seed=None) -> RunResult:
     return _finish(f, solution, start, dg.seed, None)
 
 
+def _scan(f: SetFunctionOracle, A: int, candidates):
+    """Pairs (u, f(A + u)) for each candidate u outside A, in the given
+    order, evaluated as one batch."""
+    cands = [u for u in candidates if not (A >> u) & 1]
+    return zip(cands, f.values([A | (1 << u) for u in cands]).tolist())
+
+
 def _best_candidate(f, A, fA, candidates):
     """(value, marginal, element) maximizing the marginal, ties by smaller id."""
     best = None
-    for u in candidates:
-        val = f.value(A | (1 << u))
+    for u, val in _scan(f, A, candidates):
         marg = val - fA
         if best is None or marg > best[1]:
             best = (val, marg, u)
@@ -180,10 +187,7 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
     fA = f.value(0)
     for i in range(1, k + 1):
         scored = []
-        for u in range(n):
-            if (A >> u) & 1:
-                continue
-            val = f.value(A | (1 << u))
+        for u, val in _scan(f, A, range(n)):
             marg = val - fA
             if marg > 0.0:
                 scored.append((marg, u, val))
@@ -212,12 +216,14 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
     start = f.eval_count
     fA = f.value(0)
-    d = max(f.value(1 << u) - fA for u in range(n))
+    d = max(val - fA for _, val in _scan(f, 0, range(n)))
     A = 0
     if d > 0.0 and k > 0:
         w = d
         floor = eps * d / n
         while A.bit_count() < k and w >= floor:
+            # stays scalar: an accepted element changes the base set of
+            # every later evaluation in the same pass
             for u in range(n):
                 if A.bit_count() == k:
                     break
@@ -282,10 +288,7 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
     for _ in range(k):
         marg = {}
         vals = {}
-        for u in range(n):
-            if (A >> u) & 1:
-                continue
-            val = f.value(A | (1 << u))
+        for u, val in _scan(f, A, range(n)):
             if val - fA > 0.0:
                 marg[u] = val - fA
                 vals[u] = val
@@ -483,13 +486,11 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
     fS = f.value(S & real_mask)
-    w = np.zeros(n)
     for i in range(1, iterations + 1):
         s_real = S & real_mask
-        w[:] = 0.0
-        for u in range(n):
-            if not (S >> u) & 1:
-                w[u] = f.value(s_real | (1 << u)) - fS
+        w = [0.0] * n
+        for u, val in _scan(f, s_real, range(n)):
+            w[u] = val - fS
         B = aug.greedy_base_disjoint(w, S)
         g = aug.exchange(S, B, rng=rng)
         b_ids = ids_of(B)

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
+_EXACT_CHUNK = 1 << 12  # masks per batch of the exact multilinear enumeration
 
 
 class SizeLimitError(ValueError):
@@ -45,12 +46,10 @@ def mask_of(ids) -> int:
 def ids_of(mask: int) -> list[int]:
     """Sorted element ids of a bitmask."""
     out = []
-    u = 0
     while mask:
-        if mask & 1:
-            out.append(u)
-        mask >>= 1
-        u += 1
+        low = mask & -mask  # lowest set bit
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -103,12 +102,22 @@ class SetFunctionOracle:
     by one per logical evaluation; with memoize=True repeated masks skip the
     recomputation but the counter still advances, so counts stay comparable
     across cached and uncached oracles.
+
+    `batch_fn`, when given, is a vectorized form of `fn`: it receives a
+    (B, n) boolean matrix whose row i has column u set when element u is in
+    the i-th set, and returns B floats equal to `fn` on those sets. `values`
+    routes batches through it; without it `values` loops over `value`.
+
+    Every freshly computed value must be finite; a NaN or infinity raises
+    ValueError naming the oracle and the offending mask.
     """
 
-    def __init__(self, ground: GroundSet, fn, memoize: bool = False, name: str = "f"):
+    def __init__(self, ground: GroundSet, fn, memoize: bool = False, name: str = "f",
+                 batch_fn=None):
         self.ground = ground
         self.name = name
         self._fn = fn
+        self._batch_fn = batch_fn
         self._memo: dict | None = {} if memoize else None
         self.eval_count = 0
 
@@ -120,16 +129,73 @@ class SetFunctionOracle:
         self.eval_count += 1
         memo = self._memo
         if memo is None:
-            return float(self._fn(mask))
+            v = float(self._fn(mask))
+            if v - v:  # nonzero (NaN) only for NaN and +-inf
+                self._reject(v, mask)
+            return v
         v = memo.get(mask)
         if v is None:
             v = float(self._fn(mask))
+            if v - v:
+                self._reject(v, mask)
             memo[mask] = v
         return v
 
     def values(self, masks) -> np.ndarray:
-        """Evaluate a batch of masks (counts one evaluation per mask)."""
-        return np.array([self.value(m) for m in masks])
+        """Evaluate a batch of sets, counting one evaluation per set.
+
+        `masks` is a sequence of int masks or a (B, n) boolean matrix. With a
+        `batch_fn` the batch is one kernel call (memoized oracles send it only
+        the masks missing from the memo, then store them); otherwise each set
+        goes through `value`.
+        """
+        matrix = isinstance(masks, np.ndarray) and masks.ndim == 2
+        if matrix and masks.shape[1] != self.n:
+            raise ValueError(f"mask matrix needs {self.n} columns, got {masks.shape[1]}")
+        if self._batch_fn is None:
+            if matrix:
+                masks = _pack_masks(masks)
+            value = self.value
+            return np.array([value(m) for m in masks])  # float64: value() gives floats
+        if matrix:
+            X = masks.astype(bool, copy=False)
+            self.eval_count += len(X)
+        else:
+            masks = [int(m) for m in masks]
+            self.eval_count += len(masks)
+        memo = self._memo
+        if memo is None:
+            return self._batch(X if matrix else _unpack_masks(masks, self.n))
+        keys = _pack_masks(X) if matrix else masks
+        out = np.empty(len(keys))
+        missing: dict[int, list[int]] = {}
+        for i, key in enumerate(keys):
+            v = memo.get(key)
+            if v is None:
+                missing.setdefault(key, []).append(i)
+            else:
+                out[i] = v
+        if missing:
+            fresh = self._batch(_unpack_masks(list(missing), self.n))
+            for (key, pos), v in zip(missing.items(), fresh.tolist()):
+                memo[key] = v
+                out[pos] = v
+        return out
+
+    def _batch(self, X: np.ndarray) -> np.ndarray:
+        out = np.asarray(self._batch_fn(X), dtype=float)
+        if out.shape != (len(X),):
+            raise ValueError(f"batch_fn of oracle {self.name} returned shape "
+                             f"{out.shape} for {len(X)} sets")
+        bad = ~np.isfinite(out)
+        if bad.any():
+            i = int(np.argmax(bad))
+            self._reject(float(out[i]), _pack_masks(X[i:i + 1])[0])
+        return out
+
+    def _reject(self, v: float, mask: int):
+        raise ValueError(f"oracle {self.name} returned non-finite value {v} "
+                         f"for mask {mask} (elements {ids_of(mask)})")
 
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.n}, calls={self.eval_count})"
@@ -178,24 +244,36 @@ def multilinear_exact(f: SetFunctionOracle, x, limit: int = EXACT_MULTILINEAR_LI
     for u in range(n):
         w = np.concatenate([w * (1.0 - x[u]), w * x[u]])
     total = 0.0
-    for mask in range(1 << n):
-        total += w[mask] * f.value(mask)
+    for lo in range(0, 1 << n, _EXACT_CHUNK):
+        vals = f.values(range(lo, min(lo + _EXACT_CHUNK, 1 << n)))
+        for wm, v in zip(w[lo:lo + _EXACT_CHUNK].tolist(), vals.tolist()):
+            total += wm * v
     return total
 
 
 def _pack_masks(bits: np.ndarray) -> list[int]:
-    # bits: (samples, n) boolean
+    """Int masks of the rows of a (B, n) boolean matrix."""
     n = bits.shape[1]
     if n <= 62:
         weights = (1 << np.arange(n, dtype=np.int64))
-        return [int(v) for v in bits @ weights]
-    out = []
-    for row in bits:
-        m = 0
-        for u in np.nonzero(row)[0]:
-            m |= 1 << int(u)
-        out.append(m)
-    return out
+        return (bits @ weights).tolist()
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_masks(masks: list[int], n: int) -> np.ndarray:
+    """(B, n) boolean matrix of int masks over an n-element ground set."""
+    if n <= 62:
+        arr = np.array(masks, dtype=np.int64).reshape(-1, 1)
+        if np.any(arr >> n):
+            raise ValueError(f"mask outside the {n}-element ground set")
+        return (arr & (1 << np.arange(n, dtype=np.int64))) != 0
+    if any(m >> n for m in masks):
+        raise ValueError(f"mask outside the {n}-element ground set")
+    width = (n + 7) // 8
+    buf = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[float, float]:
@@ -211,7 +289,7 @@ def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[flo
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(cfg.seed)
     bits = rng.random((cfg.samples, n)) < x
-    vals = np.array([f.value(m) for m in _pack_masks(bits)])
+    vals = f.values(bits)
     if vals.min() == vals.max():  # degenerate sample: mean is exact
         return float(vals[0]), 0.0
     est = float(vals.mean())

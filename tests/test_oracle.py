@@ -1,12 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (directed_cut_edge, gap_oracle, mixture_oracle,
-                     modular_oracle, product_expectation, table_oracle)
-from monoratio import (GroundSet, SampleConfig, SetFunctionOracle,
-                       SizeLimitError, exact_monotonicity_ratio, ids_of,
-                       lovasz_extension, marginal, mask_of, multilinear_exact,
-                       multilinear_sampled)
+                     modular_oracle, product_expectation, psd_similarity,
+                     table_oracle)
+from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
+                       SetFunctionOracle, SizeLimitError, UniformMatroid,
+                       double_greedy, exact_monotonicity_ratio,
+                       greedy_cardinality, greedy_matroid, ids_of,
+                       image_objective, lovasz_extension, marginal, mask_of,
+                       measured_continuous_greedy, movie_objective,
+                       multilinear_exact, multilinear_sampled,
+                       random_greedy_cardinality, random_greedy_matroid,
+                       random_similarity, sample_greedy, threshold_greedy,
+                       threshold_random_greedy)
+from monoratio.apps import _KERNEL_BLOCK_BYTES, _size_groups
 
 
 def test_mask_helpers():
@@ -172,3 +184,220 @@ def test_union_with_random_set_lower_bound():
         lhs = product_expectation(table, O, probs)
         rhs = (1.0 - (1.0 - m) * probs.max()) * table[O]
         assert lhs >= rhs - 1e-9
+
+
+# ------------------------------------------------------------ batched oracle
+
+def scalar_twin(f: SetFunctionOracle) -> SetFunctionOracle:
+    """The same objective without its vectorized kernel (and without memo)."""
+    return SetFunctionOracle(f.ground, f._fn, name=f.name)
+
+
+def objectives(n: int, seed: int = 0):
+    s = psd_similarity(n, seed)
+    return [movie_objective(s, 0.7), image_objective(s)]
+
+
+def random_masks(n: int, count: int, seed: int) -> list[int]:
+    """Random masks at every density, plus the empty and the full set."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((count, n)) < rng.random((count, 1))
+    masks = [sum(1 << int(u) for u in np.flatnonzero(row)) for row in bits]
+    return [0, (1 << n) - 1] + masks
+
+
+def as_matrix(masks: list[int], n: int) -> np.ndarray:
+    return np.array([[(m >> u) & 1 for u in range(n)] for m in masks], dtype=bool)
+
+
+@pytest.mark.parametrize("n", [1, 12, 50, 70])
+def test_batched_values_equal_scalar(n):
+    for f in objectives(n, seed=n):
+        assert f._batch_fn is not None
+        # 30 full sets overflow one kernel block at n=70
+        masks = random_masks(n, 200, seed=n) + [(1 << n) - 1] * 30
+        scalar = np.array([f._fn(m) for m in masks])
+        memo = SetFunctionOracle(f.ground, f._fn, memoize=True,
+                                 batch_fn=f._batch_fn)
+        for batch in (masks, as_matrix(masks, n)):
+            got = f.values(batch)
+            # rows are grouped by set size, so every row sums in the scalar
+            # order and the values agree bit for bit
+            np.testing.assert_array_equal(got, scalar)
+            np.testing.assert_array_equal(memo.values(batch), scalar)
+            np.testing.assert_array_equal(scalar_twin(f).values(batch), scalar)
+
+
+def test_batched_values_count_one_evaluation_per_set():
+    for f in objectives(30):
+        masks = random_masks(30, 40, seed=1)
+        f.values(masks)
+        assert f.eval_count == len(masks)
+        f.values(as_matrix(masks, 30))
+        assert f.eval_count == 2 * len(masks)
+        assert f.values([]).shape == (0,)
+        assert f.eval_count == 2 * len(masks)
+
+
+def test_memoized_batch_computes_only_misses_and_stores_them():
+    computed = []
+
+    def batch_fn(X):
+        computed.extend(X.tolist())
+        return X.sum(axis=1) * 1.5
+
+    f = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() * 1.5,
+                          memoize=True, batch_fn=batch_fn)
+    ref = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() * 1.5,
+                            memoize=True)
+    f.value(0b0011)
+    ref.value(0b0011)
+    masks = [0b0011, 0b0101, 0b0101, 0b1111, 0b0000]
+    got = f.values(masks)
+    np.testing.assert_array_equal(got, ref.values(masks))
+    assert f.eval_count == ref.eval_count == 6
+    # the hit is served from the memo and the repeated miss is computed once
+    assert sorted(computed) == sorted([[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+    computed.clear()
+    f.values(as_matrix(masks, 4))
+    assert computed == []
+    assert f.eval_count == ref.eval_count + len(masks)
+    assert f.value(0b0101) == 3.0 and computed == []
+
+
+def test_oracle_without_kernel_returns_its_scalar_values():
+    f, table = mixture_oracle(5, seed=4)
+    assert f._batch_fn is None
+    masks = random_masks(5, 30, seed=2)
+    for batch in (masks, as_matrix(masks, 5)):
+        got = f.values(batch)
+        assert got.tolist() == [table[m] for m in masks]
+    assert f.eval_count == 2 * len(masks)
+
+
+def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
+    f = objectives(6)[0]
+    with pytest.raises(ValueError, match="6 columns"):
+        f.values(np.zeros((3, 5), dtype=bool))
+    for n, bad in ((6, 1 << 6), (6, -1), (70, 1 << 70), (70, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            objectives(n)[1].values([0, bad])
+    g = SetFunctionOracle(GroundSet(3), float, batch_fn=lambda X: np.zeros(1))
+    with pytest.raises(ValueError, match="shape"):
+        g.values([1, 2])
+
+
+def test_kernel_blocks_cover_every_nonempty_row_within_the_gather_bound():
+    n = 70
+    X = as_matrix(random_masks(n, 300, seed=5) + [(1 << n) - 1] * 30, n)
+    seen = []
+    for rows, ids in _size_groups(X):
+        size = ids.shape[1]
+        assert ids.shape == (len(rows), size)
+        assert len(rows) == 1 or len(rows) * size * n * 8 <= _KERNEL_BLOCK_BYTES
+        for r, row_ids in zip(rows.tolist(), ids.tolist()):
+            assert row_ids == np.flatnonzero(X[r]).tolist()
+        seen.extend(rows.tolist())
+    assert sorted(seen) == np.flatnonzero(X.any(axis=1)).tolist()
+
+
+def test_candidate_scans_evaluate_only_non_members():
+    # positive modular weights: every scan adds an element, so the i-th scan
+    # evaluates the n - i + 1 sets that grow the current set
+    f = modular_oracle([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    run = random_greedy_cardinality(f, 3, seed=0)
+    assert run.solution.bit_count() == 3
+    assert run.oracle_calls == 1 + 6 + 5 + 4 + 1
+    run = threshold_random_greedy(f, 3, 0.2, seed=0)
+    assert run.solution.bit_count() == 3
+    assert run.oracle_calls == 1 + 6 + 5 + 4 + 1
+
+
+def algorithm_runs(f, n):
+    k = 4
+    blocks = [list(range(0, n, 2)), list(range(1, n, 2))]
+    M = PartitionMatroid(n, blocks, [2, 2])
+    return {
+        "greedy_cardinality": greedy_cardinality(f, k),
+        "random_greedy_cardinality": random_greedy_cardinality(f, k, seed=5),
+        "threshold_greedy": threshold_greedy(f, k, 0.2),
+        "sample_greedy": sample_greedy(f, k, 0.2, seed=6),
+        "threshold_random_greedy": threshold_random_greedy(f, k, 0.2, seed=7),
+        "greedy_matroid": greedy_matroid(f, M),
+        "random_greedy_matroid": random_greedy_matroid(f, M, 0.25, seed=8),
+        "double_greedy": double_greedy(f, seed=9),
+    }
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_algorithms_agree_with_and_without_kernel(n):
+    for f in objectives(n, seed=3):
+        plain = scalar_twin(f)
+        batched_runs, scalar_runs = algorithm_runs(f, n), algorithm_runs(plain, n)
+        for alg, run in batched_runs.items():
+            ref = scalar_runs[alg]
+            assert (run.solution, run.value, run.oracle_calls) == \
+                (ref.solution, ref.value, ref.oracle_calls), (f.name, alg)
+        assert f.eval_count == plain.eval_count
+
+        cfg = MCGConfig(steps=6, samples=8, seed=11)
+        M = UniformMatroid(n, 3)
+        got = measured_continuous_greedy(f, M, cfg, trace=True)
+        ref = measured_continuous_greedy(plain, M, cfg, trace=True)
+        np.testing.assert_array_equal(got.y, ref.y)
+        assert got.trace == ref.trace
+        assert got.discretization_bound == ref.discretization_bound
+
+        x = np.random.default_rng(n).random(n)
+        cfg = SampleConfig(samples=50, seed=12)
+        assert multilinear_sampled(f, x, cfg) == multilinear_sampled(plain, x, cfg)
+        assert f.eval_count == plain.eval_count
+
+
+def test_multilinear_exact_batched_equals_scalar():
+    for f in objectives(9, seed=2):
+        x = np.random.default_rng(1).random(9)
+        plain = scalar_twin(f)
+        assert multilinear_exact(f, x) == multilinear_exact(plain, x)
+        assert f.eval_count == plain.eval_count == 1 << 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.0, 1.0), psd=st.booleans())
+def test_batched_equals_scalar_property(data, n, seed, lam, psd):
+    s = random_similarity(n, seed=seed, psd=psd)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    for f in (movie_objective(s, lam), image_objective(s)):
+        got = f.values(masks)
+        assert got.tolist() == [f._fn(m) for m in masks]
+        assert f.eval_count == len(masks)
+
+
+# ------------------------------------------------------- non-finite values
+
+def test_non_finite_values_raise_and_name_the_mask():
+    nan_table = [0.0, 1.0, float("nan"), 0.5]
+    with pytest.raises(ValueError, match=r"non-finite value nan for mask 2 \(elements \[1\]\)"):
+        exact_monotonicity_ratio(table_oracle(nan_table))
+    with pytest.raises(ValueError, match="mask 2"):
+        double_greedy(table_oracle(nan_table), seed=0)
+    inf = SetFunctionOracle(GroundSet(3), lambda m: math.inf if m == 5 else 1.0,
+                            memoize=True, name="inf")
+    assert inf.value(4) == 1.0
+    with pytest.raises(ValueError, match="oracle inf .* mask 5"):
+        inf.value(5)
+
+
+def test_batched_non_finite_values_raise_and_name_the_mask():
+    def batch_fn(X):
+        out = X.sum(axis=1).astype(float)
+        out[X[:, 0] & X[:, 2]] = np.nan
+        return out
+
+    for memoize in (False, True):
+        f = SetFunctionOracle(GroundSet(3), lambda m: float(m.bit_count()),
+                              memoize=memoize, batch_fn=batch_fn, name="holey")
+        assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
+            f.values([0, 7, 5])
