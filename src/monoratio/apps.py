@@ -177,7 +177,10 @@ def movie_objective(s: np.ndarray, lam: float,
         f(S) = sum_{u in N} sum_{v in S} s_{u,v} - lam * sum_{u,v in S} s_{u,v},
 
     non-negative and submodular for non-negative symmetric s and lam in
-    [0,1]; monotone for lam <= 1/2.
+    [0,1]; monotone for lam <= 1/2. Computed values are clamped at 0: f(S)
+    equals sum_{v in S} (sum_{u not in S} s_{u,v} + (1 - lam) sum_{u in S}
+    s_{u,v}) >= 0, so a negative result is rounding (at lam = 1 the two sums
+    of f(N) cancel to about -1e-13).
     """
     s = validate_similarity(s)
     if not 0.0 <= lam <= 1.0:
@@ -190,13 +193,13 @@ def movie_objective(s: np.ndarray, lam: float,
         if mask == 0:
             return 0.0
         idx = ids_of(mask)
-        return float(colsum[idx].sum() - lam * s[np.ix_(idx, idx)].sum())
+        return max(float(colsum[idx].sum() - lam * s[np.ix_(idx, idx)].sum()), 0.0)
 
     def batch_fn(X: np.ndarray) -> np.ndarray:
         out = np.zeros(len(X))
         for rows, ids in _size_groups(X):
             out[rows] = colsum[ids].sum(axis=1) - lam * _pair_sums(s_flat, n, ids)
-        return out
+        return np.maximum(out, 0.0)
 
     ground = GroundSet(n, labels)
     return SetFunctionOracle(ground, fn, memoize=n <= 20, name=f"movie(lam={lam})",
@@ -210,7 +213,9 @@ def image_objective(s: np.ndarray,
         f(S) = sum_{u in N} max_{v in S} s_{u,v} - (1/n) sum_{u,v in S} s_{u,v}
 
     with max over the empty set taken as 0 (so f(empty) = 0); non-negative
-    and submodular for non-negative s.
+    and submodular for non-negative s. Computed values are clamped at 0: each
+    max is at least the mean of its row over S, so f >= 0 exactly and a
+    negative result is rounding (rows constant over S cancel).
     """
     s = validate_similarity(s)
     n = s.shape[0]
@@ -222,14 +227,14 @@ def image_objective(s: np.ndarray,
             return 0.0
         idx = ids_of(mask)
         cover = s[:, idx].max(axis=1).sum()
-        return float(cover - s[np.ix_(idx, idx)].sum() / n)
+        return max(float(cover - s[np.ix_(idx, idx)].sum() / n), 0.0)
 
     def batch_fn(X: np.ndarray) -> np.ndarray:
         out = np.zeros(len(X))
         for rows, ids in _size_groups(X):
             cover = s_cols[ids].max(axis=1).sum(axis=1)
             out[rows] = cover - _pair_sums(s_flat, n, ids) / n
-        return out
+        return np.maximum(out, 0.0)
 
     ground = GroundSet(n, labels)
     return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image",

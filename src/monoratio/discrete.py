@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CardinalityConstraint, Matroid, PartitionMatroid,
-                          UniformMatroid)
+                          UniformMatroid, _matching_exchange)
 from .oracle import SetFunctionOracle, ids_of
 
 __all__ = [
@@ -349,6 +349,12 @@ class _AugmentedMatroid(Matroid):
     applies), which guarantees a base disjoint from any current base always
     exists. Mirrors the dummy construction used by random greedy for
     matroids: the objective ignores dummies.
+
+    For the built-in kinds, `key[u]` is the class element u pairs within
+    and `cap[c]` the number of reals class c admits: partition matroids key
+    reals by block and dummies by -1; uniform matroids key every element 0,
+    since any bijection between two bases is an exchange. Oracle matroids
+    have `key = None` and use independence tests instead.
     """
 
     def __init__(self, base: Matroid, extra: int):
@@ -357,6 +363,14 @@ class _AugmentedMatroid(Matroid):
         self.n = base.n + extra
         self.rank = base.rank
         self.real_mask = (1 << base.n) - 1
+        if isinstance(base, PartitionMatroid):
+            self.key = [base.block_of(u) for u in range(base.n)] + [-1] * extra
+            self.cap = base.capacities
+        elif isinstance(base, UniformMatroid):
+            self.key = [0] * self.n
+            self.cap = [base.k]
+        else:
+            self.key = self.cap = None
 
     def is_independent(self, mask: int) -> bool:
         if mask.bit_count() > self.rank:
@@ -364,97 +378,81 @@ class _AugmentedMatroid(Matroid):
         return self.base.is_independent(mask & self.real_mask)
 
     def greedy_base_disjoint(self, w, exclude: int) -> int:
-        """Max-weight base avoiding `exclude`; w indexes real elements only
-        (dummies weigh 0). Uses incremental feasibility counters for the
-        built-in matroid kinds."""
-        base = self.base
-        reals = sorted(range(base.n), key=lambda u: (-w[u], u))
-        # non-increasing weights; dummies (weight 0) fill slack ahead of the
-        # non-positive reals, which keeps greedy optimality (only the order
-        # across distinct weights matters)
-        order = ([u for u in reals if w[u] > 0]
-                 + list(range(base.n, self.n))
-                 + [u for u in reals if w[u] <= 0])
-        out = 0
-        size = 0
-        if isinstance(base, PartitionMatroid):
-            left = list(base.capacities)
-            for u in order:
-                if (exclude >> u) & 1:
-                    continue
-                if u >= base.n:
-                    out |= 1 << u
-                    size += 1
-                else:
-                    j = base.block_of(u)
-                    if left[j] > 0:
-                        out |= 1 << u
-                        size += 1
-                        left[j] -= 1
-                if size == self.rank:
-                    return out
-        elif isinstance(base, UniformMatroid):
-            real_left = base.k
-            for u in order:
-                if (exclude >> u) & 1:
-                    continue
-                if u >= base.n:
-                    out |= 1 << u
-                    size += 1
-                elif real_left > 0:
-                    out |= 1 << u
-                    size += 1
-                    real_left -= 1
-                if size == self.rank:
-                    return out
-        else:
-            for u in order:
-                if (exclude >> u) & 1:
-                    continue
-                cand = out | (1 << u)
-                if self.is_independent(cand):
-                    out = cand
-                    size += 1
-                    if size == self.rank:
-                        return out
-        raise AssertionError("dummy augmentation guarantees a disjoint base")
+        """Max-weight base avoiding the base `exclude`; w indexes real
+        elements only (dummies weigh 0).
 
-    def exchange(self, S: int, B: int, rng=None) -> dict[int, int]:
-        """Bijection g: B -> S with S - g(u) + u independent. Pairs within
-        real blocks first; leftovers (including dummies) may pair freely.
-
-        With an rng the bijection is drawn uniformly among the valid
-        pairings instead of id-sorted; a fixed deterministic pairing can
-        trap the swap process in sub-optimal absorbing states, while a
-        random one matches any improving pair with probability >= 1/k.
+        Greedy over non-increasing weights, ties by smaller id: the positive
+        reals, then the dummies. `exclude` holds at most rank of the 2*rank
+        dummies, so the free dummies always complete the base and the greedy
+        never reaches a non-positive real.
         """
-        base = self.base
-        s_ids, b_ids = ids_of(S), ids_of(B)
-        if rng is not None:
-            s_ids = [s_ids[j] for j in rng.permutation(len(s_ids))]
-            b_ids = [b_ids[j] for j in rng.permutation(len(b_ids))]
-        if isinstance(base, PartitionMatroid):
-            key = lambda u: base.block_of(u) if u < base.n else -1
-        elif isinstance(base, UniformMatroid):
-            key = lambda u: 0  # any bijection is valid
+        n = self.base.n
+        reals = sorted((u for u in range(n) if w[u] > 0 and not (exclude >> u) & 1),
+                       key=w.__getitem__, reverse=True)  # stable: ties by id
+        out = 0
+        key = self.key
+        if key is None:
+            for u in reals:
+                if self.is_independent(out | (1 << u)):
+                    out |= 1 << u
         else:
-            from .constraints import _matching_exchange
-            return _matching_exchange(self, S, s_ids, b_ids)
+            left = list(self.cap)
+            for u in reals:
+                c = key[u]
+                if left[c]:
+                    left[c] -= 1
+                    out |= 1 << u
+        free = ((1 << self.n) - 1) & ~self.real_mask & ~exclude
+        for _ in range(self.rank - out.bit_count()):
+            low = free & -free  # lowest free dummy
+            out |= low
+            free ^= low
+        return out
+
+    def partner(self, S: int, B: int, rng) -> tuple[int, int]:
+        """Draw u uniformly from the base B and return (u, g(u)), where g is
+        a random exchange bijection B -> S, so S - g(u) + u is independent.
+
+        Makes the draws of permutation(|S|), permutation(|B|) and
+        integers(|B|), in that order, and returns the partner the full
+        bijection gives u: S and B are shuffled; each element of B, in
+        shuffled order, takes the next element of S in its own class while
+        one is left; the leftovers then pair, in shuffled order, with the
+        unused elements of S grouped by class in order of first appearance
+        in shuffled S. A random pairing, unlike a fixed one, cannot trap the
+        swap process in a sub-optimal absorbing state: it matches any
+        improving pair with probability >= 1/k.
+        """
+        s_order, b_ids = ids_of(S), ids_of(B)
+        b_order = b_ids[:]
+        # shuffling a list makes exactly the draws of permutation(len(list))
+        # and permutes it alike, at a fraction of the cost
+        rng.shuffle(s_order)
+        rng.shuffle(b_order)
+        u = b_ids[rng.integers(len(b_ids))]
+        key = self.key
+        if key is None:
+            return u, _matching_exchange(self, S, s_order, b_order)[u]
         pool: dict[int, list[int]] = {}
-        for s in s_ids:
-            pool.setdefault(key(s), []).append(s)
-        g: dict[int, int] = {}
-        leftover = []
-        for u in b_ids:
-            j = key(u)
-            if pool.get(j):
-                g[u] = pool[j].pop(0)
+        for s in s_order:
+            pool.setdefault(key[s], []).append(s)
+        used = dict.fromkeys(pool, 0)
+        slot = leftovers = 0
+        for b in b_order:
+            c = key[b]
+            t = used.get(c)
+            if t is not None and t < len(pool[c]):
+                if b == u:
+                    return u, pool[c][t]
+                used[c] = t + 1
             else:
-                leftover.append(u)
-        spare = [s for lst in pool.values() for s in lst]
-        for u, s in zip(leftover, spare):
-            g[u] = s
-        return g
+                if b == u:
+                    slot = leftovers
+                leftovers += 1
+        # u is a leftover: the spare list exists only once every element of
+        # B has taken its partner from its own class
+        spare = [s for c, lst in pool.items() for s in lst[used[c]:]]
+        return u, spare[slot]
 
 
 def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
@@ -465,9 +463,16 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     The ground set is augmented with 2k dummies the objective ignores; the
     run starts from an all-dummy base and performs ceil(k/eps) iterations of:
     pick the max-weight disjoint base M_i on current marginals, map it onto
-    the solution with an exchange bijection, draw a uniform u in M_i, and
-    swap u in only when the swap strictly improves f. Dummies are stripped
-    from the returned solution.
+    the solution with a random exchange bijection, draw a uniform u in M_i,
+    and swap u in only when the swap strictly improves f. Dummies are
+    stripped from the returned solution.
+
+    Seeded outputs depend on the draw order. Each iteration makes exactly
+    three draws from the generator: permutation(k) of the solution,
+    permutation(k) of M_i (the two shuffles of the bijection), then
+    integers(k) for the position of u in M_i sorted by id. Only the partner
+    of u is computed (`_AugmentedMatroid.partner`), never the whole
+    bijection.
     """
     if f.n != M.n:
         raise ValueError("oracle and matroid ground sets differ")
@@ -492,10 +497,8 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
         for u, val in _scan(f, s_real, range(n)):
             w[u] = val - fS
         B = aug.greedy_base_disjoint(w, S)
-        g = aug.exchange(S, B, rng=rng)
-        b_ids = ids_of(B)
-        u = b_ids[int(rng.integers(len(b_ids)))]
-        cand = (S & ~(1 << g[u])) | (1 << u)
+        u, out = aug.partner(S, B, rng)
+        cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real_mask)
         delta = cand_val - fS
         improved = cand_val > fS

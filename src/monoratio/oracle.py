@@ -167,20 +167,11 @@ class SetFunctionOracle:
         if memo is None:
             return self._batch(X if matrix else _unpack_masks(masks, self.n))
         keys = _pack_masks(X) if matrix else masks
-        out = np.empty(len(keys))
-        missing: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            v = memo.get(key)
-            if v is None:
-                missing.setdefault(key, []).append(i)
-            else:
-                out[i] = v
+        missing = [key for key in dict.fromkeys(keys) if key not in memo]
         if missing:
-            fresh = self._batch(_unpack_masks(list(missing), self.n))
-            for (key, pos), v in zip(missing.items(), fresh.tolist()):
-                memo[key] = v
-                out[pos] = v
-        return out
+            fresh = self._batch(_unpack_masks(missing, self.n))
+            memo.update(zip(missing, fresh.tolist()))
+        return np.array([memo[key] for key in keys])  # float64: memo holds floats
 
     def _batch(self, X: np.ndarray) -> np.ndarray:
         out = np.asarray(self._batch_fn(X), dtype=float)

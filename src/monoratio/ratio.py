@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import SetFunctionOracle, SizeLimitError
+from .oracle import _EXACT_CHUNK, SetFunctionOracle, SizeLimitError, ids_of
 
 __all__ = [
     "RatioReport",
@@ -56,7 +56,25 @@ class RatioReport:
 
 
 def _f_table(f: SetFunctionOracle) -> np.ndarray:
-    return np.array([f.value(m) for m in range(1 << f.n)])
+    """Values of f on all 2^n masks, in mask order, evaluated through
+    `f.values` in chunks so that a `batch_fn` serves them and the unpacked
+    mask matrix stays bounded."""
+    full = 1 << f.n
+    return np.concatenate([f.values(range(lo, min(lo + _EXACT_CHUNK, full)))
+                           for lo in range(0, full, _EXACT_CHUNK)])
+
+
+def _nonnegative_table(f: SetFunctionOracle) -> np.ndarray:
+    """`_f_table`, rejecting a negative value: the ratio is defined for
+    non-negative functions only, and the zero convention would turn a
+    negative f(S) into a ratio outside [0, 1]."""
+    fv = _f_table(f)
+    neg = fv < 0.0
+    if neg.any():
+        mask = int(np.argmax(neg))
+        raise ValueError(f"ratio of oracle {f.name} needs a non-negative function; "
+                         f"f = {float(fv[mask])!r} at mask {mask} (elements {ids_of(mask)})")
+    return fv
 
 
 def exact_monotonicity_ratio(f: SetFunctionOracle, limit: int = MONOTONICITY_DP_LIMIT) -> RatioReport:
@@ -65,13 +83,14 @@ def exact_monotonicity_ratio(f: SetFunctionOracle, limit: int = MONOTONICITY_DP_
     Computes g(S) = min over supersets T of f(T) via the superset-min
     transform, then minimizes g(S)/f(S) with the f(S)=0 -> 1 convention.
     Witnesses break ties toward lexicographically smaller masks (S first,
-    then T), matching a naive ascending all-pairs scan.
+    then T), matching a naive ascending all-pairs scan. Raises ValueError
+    when f is negative anywhere.
     """
     n = f.n
     if n > limit:
         raise SizeLimitError(f"exact ratio DP capped at n={limit}, got n={n}")
     start_calls = f.eval_count
-    fv = _f_table(f)
+    fv = _nonnegative_table(f)
     full = 1 << n
 
     g = fv.copy()
@@ -87,17 +106,12 @@ def exact_monotonicity_ratio(f: SetFunctionOracle, limit: int = MONOTONICITY_DP_
         g[lo] = np.where(better, g_hi, g_lo)
         tptr[lo] = np.where(better, t_hi, t_lo)
 
-    best = math.inf
-    wS = wT = 0
-    for S in range(full):
-        fS = fv[S]
-        if fS <= 0.0:
-            r, T = 1.0, S
-        else:
-            r, T = g[S] / fS, int(tptr[S])
-        if r < best:
-            best, wS, wT = r, S, T
-    return RatioReport(ratio=float(best), witness_S=wS, witness_T=wT,
+    pos = fv > 0.0
+    r = np.divide(g, fv, out=np.ones(full), where=pos)  # 1 where f(S) = 0
+    wS = int(np.argmin(r))  # first minimum: the smallest S
+    # f >= 0, so where f(S) = 0 the superset minimum is S itself
+    wT = int(tptr[wS])
+    return RatioReport(ratio=float(r[wS]), witness_S=wS, witness_T=wT,
                        eval_count=f.eval_count - start_calls)
 
 
@@ -107,13 +121,14 @@ def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible,
 
     `feasible` is a predicate over masks (or an iterable of feasible masks).
     With everything feasible this equals the monotonicity ratio, since every
-    superset of S is S|T for some T.
+    superset of S is S|T for some T. Raises ValueError when f is negative
+    anywhere.
     """
     n = f.n
     if n > limit:
         raise SizeLimitError(f"weak ratio scan capped at n={limit}, got n={n}")
     start_calls = f.eval_count
-    fv = _f_table(f)
+    fv = _nonnegative_table(f)
     if callable(feasible):
         fam = np.array([m for m in range(1 << n) if feasible(m)], dtype=np.int64)
     else:
@@ -144,9 +159,9 @@ def is_submodular(f: SetFunctionOracle, tol: float = 1e-9, witness: bool = False
 
     Uses the local characterization f(T+u)+f(T+v) >= f(T+u+v)+f(T) for all T
     and u,v not in T, which is equivalent to the diminishing-returns
-    inequality over all nested pairs. With witness=True returns
-    (ok, (S, T, u)) where f(u|S) < f(u|T) for S = T' and T = T'+v exhibits
-    the violation (witness is None when submodular).
+    inequality over all nested pairs; f may take either sign. With
+    witness=True returns (ok, (S, T, u)) where f(u|S) < f(u|T) for S = T'
+    and T = T'+v exhibits the violation (witness is None when submodular).
     """
     n = f.n
     if n > limit:

@@ -90,6 +90,22 @@ def test_movie_objective_nonneg_submodular():
             assert all(f.value(m) >= -1e-9 for m in range(1 << 6))
 
 
+def test_objectives_clamp_rounding_negatives():
+    # both objectives are >= 0 exactly; these inputs cancel to about -1e-13
+    # (movie, lam = 1, full set) and -6e-17 (image, constant rows) unclamped
+    full10 = (1 << 10) - 1
+    for seed in (1, 4):
+        sim = inner_product_similarity(random_feature_matrix(10, 25, seed=seed))
+        assert sim.sum(axis=0).sum() - sim.sum() < 0.0
+        f = movie_objective(sim, 1.0)
+        assert f.value(full10) == 0.0 and f.values([full10]).tolist() == [0.0]
+        assert exact_monotonicity_ratio(f).ratio == movie_ratio_bound(1.0) == 0.0
+    s = np.full((3, 3), 0.12)
+    assert s.max(axis=1).sum() - s.sum() / 3 < 0.0
+    f = image_objective(s)
+    assert f.value(0b111) == 0.0 and f.values([0b111]).tolist() == [0.0]
+
+
 def test_movie_monotonicity_certificate():
     for seed in range(6):
         s = psd_similarity(6, seed=40 + seed)

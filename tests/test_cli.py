@@ -18,6 +18,15 @@ def test_ratio_movie_monotone(capsys):
     assert float(row.split(",")[0]) == 1.0
 
 
+def test_ratio_movie_full_penalty_certifies(capsys):
+    # at lam = 1 the sums of f(N) cancel; rounding must not make f negative
+    for seed in (1, 4):
+        code, out, err = run_cli(capsys, "ratio", "--objective", "movie",
+                                 "--n", "10", "--lambda", "1.0", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines()[1] == "0.0,1,1023,1024"
+
+
 def test_ratio_synthetic_cut(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--objective", "synthetic-cut",
                            "--n", "2")
@@ -30,6 +39,16 @@ def test_ratio_weak_needs_k(capsys):
                            "--weak")
     assert code == 2
     assert "--k" in err
+
+
+def test_ratio_size_limits_come_from_the_certifiers(capsys):
+    code, out, err = run_cli(capsys, "ratio", "--objective", "movie", "--n", "17")
+    assert code == 2 and out == ""
+    assert "exact ratio DP capped at n=16, got n=17" in err
+    code, out, err = run_cli(capsys, "ratio", "--objective", "image", "--n", "14",
+                             "--weak", "--k", "2")
+    assert code == 2 and out == ""
+    assert "weak ratio scan capped at n=13, got n=14" in err
 
 
 def test_bad_flag_usage_error(capsys):

@@ -5,14 +5,18 @@ import pytest
 
 from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectation,
                      gap_oracle, mixture_oracle, modular_oracle,
-                     naive_greedy_trajectory, psd_similarity, table_oracle)
-from monoratio import (PartitionMatroid, UniformMatroid, best_of_with_ground,
-                       double_greedy, exact_monotonicity_ratio,
-                       greedy_cardinality, greedy_matroid, ids_of, mask_of,
+                     naive_greedy_trajectory, psd_similarity, table_oracle,
+                     union_find_forest_indep)
+from monoratio import (OracleMatroid, PartitionMatroid, UniformMatroid,
+                       best_of_with_ground, double_greedy,
+                       exact_monotonicity_ratio, greedy_cardinality,
+                       greedy_matroid, ids_of, image_objective, mask_of,
                        movie_objective, random_baseline,
                        random_greedy_cardinality, random_greedy_matroid,
                        sample_greedy, threshold_greedy, threshold_random_greedy,
                        trace_to_csv)
+from monoratio.constraints import _matching_exchange
+from monoratio.discrete import _AugmentedMatroid
 
 INV_E = math.exp(-1.0)
 
@@ -285,6 +289,122 @@ def test_random_greedy_matroid_constant():
     f = table_oracle([3.0] * 16)
     r = random_greedy_matroid(f, UniformMatroid(4, 2), 0.25, seed=0)
     assert r.value == 3.0
+
+
+def full_bijection_partner(aug, S, B, rng):
+    """Reference for `_AugmentedMatroid.partner`: the random exchange
+    bijection B -> S built whole (shuffle both bases, pair within classes,
+    then pair the leftovers), followed by the draw of u."""
+    base = aug.base
+    s_ids, b_ids = ids_of(S), ids_of(B)
+    s_ids = [s_ids[j] for j in rng.permutation(len(s_ids))]
+    b_ids = [b_ids[j] for j in rng.permutation(len(b_ids))]
+    if isinstance(base, PartitionMatroid):
+        key = lambda u: base.block_of(u) if u < base.n else -1
+    elif isinstance(base, UniformMatroid):
+        key = lambda u: 0
+    else:
+        key = None
+    if key is None:
+        g = _matching_exchange(aug, S, s_ids, b_ids)
+    else:
+        pool = {}
+        for s in s_ids:
+            pool.setdefault(key(s), []).append(s)
+        g = {}
+        leftover = []
+        for u in b_ids:
+            if pool.get(key(u)):
+                g[u] = pool[key(u)].pop(0)
+            else:
+                leftover.append(u)
+        spare = [s for lst in pool.values() for s in lst]
+        g.update(zip(leftover, spare))
+    sorted_b = ids_of(B)
+    u = sorted_b[int(rng.integers(len(sorted_b)))]
+    return u, g[u]
+
+
+def full_order_greedy(aug, w, exclude):
+    """Reference for `_AugmentedMatroid.greedy_base_disjoint`: independence
+    tests along all elements by non-increasing weight, ties by smaller id,
+    with the zero-weight dummies ahead of the non-positive reals."""
+    n = aug.base.n
+    reals = sorted(range(n), key=lambda u: (-w[u], u))
+    order = ([u for u in reals if w[u] > 0] + list(range(n, aug.n))
+             + [u for u in reals if w[u] <= 0])
+    out = 0
+    for u in order:
+        if not (exclude >> u) & 1 and aug.is_independent(out | (1 << u)):
+            out |= 1 << u
+    return out
+
+
+def random_base(aug, exclude, rng):
+    """A base of `aug` avoiding `exclude`, grown in a random element order."""
+    out = 0
+    for u in rng.permutation(aug.n).tolist():
+        if not (exclude >> u) & 1 and aug.is_independent(out | (1 << u)):
+            out |= 1 << u
+    assert out.bit_count() == aug.rank
+    return out
+
+
+@pytest.mark.parametrize("M", [
+    UniformMatroid(7, 3),
+    PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1]),
+    PartitionMatroid(9, [[0, 1, 2], [3, 4], [5, 6, 7, 8]], [1, 2, 2]),
+    OracleMatroid(6, union_find_forest_indep([(0, 1), (0, 2), (0, 3),
+                                              (1, 2), (1, 3), (2, 3)])),
+], ids=["uniform", "partition2", "partition3", "graphic"])
+def test_partner_matches_full_bijection(M):
+    aug = _AugmentedMatroid(M, 2 * M.rank)
+    rng = np.random.default_rng(12)
+    cross = 0
+    for seed in range(300):
+        S = random_base(aug, 0, rng)
+        B = random_base(aug, S, rng)
+        ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        u, s = aug.partner(S, B, rng_)
+        assert (u, s) == full_bijection_partner(aug, S, B, ref_rng)
+        # same draws, so the stream continues identically
+        assert rng_.bit_generator.state == ref_rng.bit_generator.state
+        assert (B >> u) & 1 and (S >> s) & 1
+        assert aug.is_independent((S & ~(1 << s)) | (1 << u))
+        if aug.key is not None and aug.key[u] != aug.key[s]:
+            cross += 1
+        # integer weights make ties, which must break toward smaller ids
+        w = (rng.normal(size=M.n) if seed % 2 else
+             rng.integers(-1, 3, size=M.n).astype(float)).tolist()
+        greedy = aug.greedy_base_disjoint(w, S)
+        assert greedy == full_order_greedy(aug, w, S)
+        assert not greedy & S and greedy.bit_count() == aug.rank
+    if isinstance(M, PartitionMatroid):
+        assert cross > 0  # leftovers paired across blocks were exercised
+
+
+def test_random_greedy_matroid_golden():
+    """Seeded runs pinned to outputs computed with the full-bijection
+    exchange that `partner` replaced."""
+    f, _ = mixture_oracle(7, seed=8)
+    M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
+    got = [(r.solution, r.value, r.oracle_calls)
+           for r in (random_greedy_matroid(f, M, 0.1, seed=s) for s in range(6))]
+    assert got == [(67, 8.772044191282124, 162), (70, 8.816112893706094, 168),
+                   (20, 9.256046344562186, 185), (20, 9.256046344562186, 185),
+                   (21, 10.531033574483407, 158), (21, 10.531033574483407, 162)]
+
+    img = image_objective(psd_similarity(30, seed=2, d=10))
+    P = PartitionMatroid(30, [range(0, 10), range(10, 20), range(20, 30)], [2, 2, 1])
+    got = [(r.solution, r.value, r.oracle_calls)
+           for r in (random_greedy_matroid(img, P, 0.2, seed=s) for s in range(4))]
+    assert got == [(8352, 97.01004593767361, 708), (10280, 96.11774526246582, 692),
+                   (8352, 97.01004593767361, 706), (160, 96.60012950088941, 730)]
+    U = UniformMatroid(30, 4)
+    got = [(r.solution, r.value, r.oracle_calls)
+           for r in (random_greedy_matroid(img, U, 0.2, seed=s) for s in range(4))]
+    assert got == [(270376, 96.4151893784956, 552), (270376, 96.4151893784956, 552),
+                   (2208, 96.74681935424461, 569), (8352, 97.01004593767361, 570)]
 
 
 # ---------------------------------------------------------------------- baseline

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (directed_cut_edge, gap_oracle, mixture_oracle,
                      mixture_table, modular_oracle, naive_monotonicity_ratio,
                      naive_weak_ratio, psd_similarity, table_oracle)
-from monoratio import (SizeLimitError, continuous_ratio_grid_bound,
-                       exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
-                       image_objective, image_weak_ratio_bound, is_submodular,
-                       movie_objective, movie_ratio_bound, quadratic_ratio_bound)
+from monoratio import (SetFunctionOracle, SizeLimitError,
+                       continuous_ratio_grid_bound, exact_monotonicity_ratio,
+                       exact_weak_monotonicity_ratio, image_objective,
+                       image_weak_ratio_bound, is_submodular, movie_objective,
+                       movie_ratio_bound, quadratic_ratio_bound)
 
 
 def test_ratio_examples():
@@ -55,6 +58,77 @@ def test_dp_zero_convention():
 
     zero = table_oracle([0.0, 0.0, 0.0, 0.0])
     assert exact_monotonicity_ratio(zero).ratio == 1.0
+
+
+def test_certifiers_reject_negative_values():
+    # f(empty) = 1 and f({0}) = -1.5 used to certify ratio -1.5
+    f = table_oracle([1.0, -1.5], name="signed")
+    with pytest.raises(ValueError, match=r"oracle signed .* -1\.5 at mask 1 \(elements \[0\]\)"):
+        exact_monotonicity_ratio(f)
+    # the first negative mask is named
+    f = table_oracle([1.0, 0.5, -2.0, -1.5], name="signed")
+    for certify in (exact_monotonicity_ratio,
+                    lambda g: exact_weak_monotonicity_ratio(g, lambda m: True)):
+        with pytest.raises(ValueError, match=r"at mask 2 \(elements \[1\]\)"):
+            certify(f)
+    # submodularity is a property of signed functions too
+    assert is_submodular(table_oracle([0.0, -1.0, -2.0, -3.0])) is True
+
+
+def _random_table(n: int, seed: int, levels: int) -> np.ndarray:
+    """Non-negative table: uniform values with some zeros, or, with levels
+    > 0, integers in [0, levels] so that ties and the zero convention
+    decide the witnesses."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        return rng.integers(0, levels + 1, 1 << n).astype(float)
+    return rng.random(1 << n) * (rng.random(1 << n) > 0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 1, 3]))
+def test_ratio_dp_equals_naive_scan_property(n, seed, levels):
+    table = _random_table(n, seed, levels)
+    rep = exact_monotonicity_ratio(table_oracle(table))
+    assert (rep.ratio, rep.witness_S, rep.witness_T) == naive_monotonicity_ratio(table)
+    assert rep.eval_count == 1 << n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 1, 3]))
+def test_weak_ratio_equals_strong_when_everything_feasible_property(n, seed, levels):
+    table = _random_table(n, seed, levels)
+    weak = exact_weak_monotonicity_ratio(table_oracle(table), lambda m: True)
+    assert weak.ratio == exact_monotonicity_ratio(table_oracle(table)).ratio
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.0, 1.0), k=st.integers(1, 10))
+def test_certifier_reports_same_with_and_without_kernel_property(n, seed, lam, k):
+    s = psd_similarity(n, seed)
+    for f in (movie_objective(s, lam), image_objective(s)):
+        reports = set()
+        for batch_fn in (f._batch_fn, None):
+            for memoize in (False, True):
+                g = SetFunctionOracle(f.ground, f._fn, memoize=memoize,
+                                      batch_fn=batch_fn, name=f.name)
+                reports.add((
+                    exact_monotonicity_ratio(g),
+                    exact_weak_monotonicity_ratio(g, lambda m: m.bit_count() <= k),
+                    is_submodular(g, witness=True)))
+                assert g.eval_count == 3 << n
+        assert len(reports) == 1
+
+
+def test_certifier_table_spans_several_chunks():
+    # 2^13 masks make two chunks of the batched truth table
+    f = movie_objective(psd_similarity(13, seed=4), 0.8)
+    plain = SetFunctionOracle(f.ground, f._fn, name=f.name)
+    assert exact_monotonicity_ratio(f) == exact_monotonicity_ratio(plain)
+    assert f.eval_count == plain.eval_count == 1 << 13
 
 
 def test_weak_ratio_identity_when_everything_feasible():
