@@ -200,10 +200,15 @@ class FWConfig:
 
 @dataclass
 class FWResult:
+    """Final point and value, plus the per-iteration trace of the Frank-Wolfe
+    gap <s - z, w> of the LP weights w = (1-z) * g (box-normalized
+    coordinates): the gain the linear model promises from z towards s."""
+
     y: np.ndarray
     value: float
     steps: int
     additive_loss_bound: float | None
+    trace: list[float] | None = None
 
 
 def frank_wolfe_nonmonotone(grad, value, P: DownClosedPolytope,
@@ -215,18 +220,23 @@ def frank_wolfe_nonmonotone(grad, value, P: DownClosedPolytope,
     [0,1]^n and are coordinatewise nondecreasing), then maps back to the
     original box. Guarantee target:
     F(y) >= [m(1-1/e) + (1-m)/e] F(opt) - eps L D^2.
+    The trace lists each iteration's gap <s - z, w>, computed from the LP
+    weights w and solution s the iteration already has.
     """
     steps = math.ceil(1.0 / cfg.eps)
     eps = 1.0 / steps
     Pn, scale = P.normalized()
     z = np.zeros(P.n)
+    gaps = []
     for _ in range(steps):
         g = np.asarray(grad(scale * z), dtype=float)
-        s = linear_maximize_polytope(Pn, (1.0 - z) * (scale * g))
+        w = (1.0 - z) * (scale * g)
+        s = linear_maximize_polytope(Pn, w)
+        gaps.append(float((s - z) @ w))
         z = z + eps * (1.0 - z) * s
     y = scale * z
     loss = None
     if cfg.L is not None and cfg.D is not None:
         loss = eps * cfg.L * cfg.D ** 2
     return FWResult(y=y, value=float(value(y)), steps=steps,
-                    additive_loss_bound=loss)
+                    additive_loss_bound=loss, trace=gaps)

@@ -210,11 +210,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     spec = validate_spec(spec)
     points = list(spec.grid)
 
-    # data fixed across the sweep (movie/image); quadratic draws per point
+    # data fixed across the sweep (movie/image); quadratic draws one instance
+    # per point, shared by its trials and its m bound
     sim = None
     if spec.objective in ("movie", "image"):
         feats = random_feature_matrix(spec.n, spec.feature_dim, seed=spec.seed)
         sim = inner_product_similarity(feats)
+    instances = [None] * len(points)
+    if spec.objective == "quadratic":
+        instances = [_quadratic_instance(spec, value, p)
+                     for p, value in enumerate(points)]
 
     tasks = []  # (point_idx, alg, trial) in deterministic order
     for p in range(len(points)):
@@ -238,11 +243,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             make = lambda: image_objective(sim)
             return _run_discrete(alg, make, matroid, k, spec.eps, spec, trial_seed)
         if spec.objective == "quadratic":
-            n = int(value) if spec.sweep == "n" else spec.n
-            alpha = value if spec.sweep == "alpha" else spec.alpha
-            beta = value if spec.sweep == "beta" else spec.beta
-            inst = generate_quadratic_instance(n, beta=beta, alpha=alpha,
-                                               seed=spec.seed + 10007 * p)
+            inst = instances[p]
             cfg = FWConfig(eps=spec.fw_eps, L=inst.L, D=inst.D)
             res = frank_wolfe_nonmonotone(inst.grad, inst.value,
                                           inst.polytope(), cfg)
@@ -269,7 +270,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             row[f"{alg}_mean"] = float(vals.mean())
             row[f"{alg}_stderr"] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
                                     if len(vals) > 1 else 0.0)
-        row["m_bound"] = _m_bound(spec, value, p)
+        row["m_bound"] = _m_bound(spec, value, instances[p])
         ub_prev = math.inf
         ub_new = math.inf
         for alg in spec.algorithms:
@@ -289,7 +290,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, columns=columns, rows=rows)
 
 
-def _m_bound(spec: ExperimentSpec, value, point_idx: int) -> float:
+def _quadratic_instance(spec: ExperimentSpec, value, point_idx: int):
+    n = int(value) if spec.sweep == "n" else spec.n
+    alpha = value if spec.sweep == "alpha" else spec.alpha
+    beta = value if spec.sweep == "beta" else spec.beta
+    return generate_quadratic_instance(n, beta=beta, alpha=alpha,
+                                       seed=spec.seed + 10007 * point_idx)
+
+
+def _m_bound(spec: ExperimentSpec, value, inst) -> float:
     if spec.objective == "movie":
         lam = value if spec.sweep == "lambda" else spec.lam
         return movie_ratio_bound(lam)
@@ -299,10 +308,5 @@ def _m_bound(spec: ExperimentSpec, value, point_idx: int) -> float:
         total = min(spec.n, k * spec.categories)
         return image_weak_ratio_bound(total, spec.n)
     if spec.objective == "quadratic":
-        alpha = value if spec.sweep == "alpha" else spec.alpha
-        beta = value if spec.sweep == "beta" else spec.beta
-        n = int(value) if spec.sweep == "n" else spec.n
-        inst = generate_quadratic_instance(n, beta=beta, alpha=alpha,
-                                           seed=spec.seed + 10007 * point_idx)
-        return quadratic_ratio_bound(alpha, beta, inst.M >= 0.0)
+        return quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
     raise AssertionError(spec.objective)

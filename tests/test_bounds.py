@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoratio import (cardinality_hardness, evaluate_curve,
+from monoratio import (bounds, cardinality_hardness, evaluate_curve,
                        guarantee, matroid_hardness, smallest_grid_crossing,
                        symmetry_gap_unconstrained, upper_bound_from_output)
 
 INV_E = math.exp(-1.0)
 M_GRID = np.linspace(0.0, 1.0, 101)
+HARDNESS = {fn.__name__: fn for fn in (cardinality_hardness, matroid_hardness,
+                                       symmetry_gap_unconstrained)}
 
 
 def test_guarantee_closed_forms():
@@ -45,6 +49,13 @@ def test_hardness_endpoints():
     assert 0.473 <= matroid_hardness(0.0) <= 0.483
     assert cardinality_hardness(1.0) == pytest.approx(1 - INV_E, abs=1e-9)
     assert matroid_hardness(1.0) == pytest.approx(0.75, abs=1e-6)
+
+
+def test_hardness_rejects_degenerate_resolution():
+    for fn in HARDNESS.values():
+        for resolution in (0, 1):
+            with pytest.raises(ValueError, match="resolution"):
+                fn(0.5, resolution=resolution)
 
 
 def test_matroid_hardness_alpha_one_slice():
@@ -122,3 +133,92 @@ def test_smallest_grid_crossing():
     assert smallest_grid_crossing(fn, 0.0, step=0.001) == 0.0
     with pytest.raises(ValueError):
         smallest_grid_crossing(lambda m: 0.0, 1.0, step=0.01)
+
+
+# float.hex of the numeric curves at default resolution and rounds, as the
+# evaluator gave them with one-element-array golden-section steps and the
+# full (alpha, x) grid matrix
+GOLDEN_HEX = {
+    "cardinality_hardness": {
+        0.0: "0x1.f6c464c293032p-2", 0.25: "0x1.1918b631f9a33p-1",
+        0.361872: "0x1.27bacf0d973e3p-1", 0.5: "0x1.3ade3cc00f486p-1",
+        0.75: "0x1.43a54e4e98863p-1", 1.0: "0x1.43a54e4e98863p-1"},
+    "matroid_hardness": {
+        0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe230p-1",
+        0.361872: "0x1.2105dbed0ec5ap-1", 0.5: "0x1.3593303ab5a14p-1",
+        0.75: "0x1.6000000000000p-1", 1.0: "0x1.8000000000000p-1"},
+    "symmetry_gap_unconstrained": {
+        0.0: "0x1.0000000000000p-1", 0.25: "0x1.2492492492492p-1",
+        0.361872: "0x1.388d489086246p-1", 0.5: "0x1.5555555555555p-1",
+        0.75: "0x1.999999999999ap-1", 1.0: "0x1.0000000000000p+0"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HEX))
+def test_hardness_golden_values(name):
+    for m, expected in GOLDEN_HEX[name].items():
+        assert HARDNESS[name](m).hex() == expected, (name, m)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
+    # 61 is not a multiple of 7, and 1000 rows hold the whole grid in one block
+    resolution = 61
+    seen = []
+    blocked = bounds._grid_row_max
+
+    def spy(A, B, alphas):
+        out = blocked(A, B, alphas)
+        seen.append((A, B, alphas, out))
+        return out
+
+    monkeypatch.setattr(bounds, "_GRID_BLOCK_BYTES", 8 * resolution * rows)
+    monkeypatch.setattr(bounds, "_grid_row_max", spy)
+    denoms = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a)),
+              "matroid_hardness": np.ones_like}
+    for m in (0.0, 0.2, 0.361872, 0.75, 1.0):
+        for name, denom in denoms.items():
+            seen.clear()
+            HARDNESS[name](m, resolution=resolution, rounds=1)
+            (A, B, alphas, got), = seen
+            full = (alphas[:, None] * A[None, :]
+                    + (1.0 - alphas)[:, None] * B[None, :]).max(axis=1)
+            assert np.array_equal(got, full), (name, m)
+            assert np.argmin(got / denom(alphas)) == np.argmin(full / denom(alphas))
+
+
+@pytest.mark.parametrize("fn", [cardinality_hardness, matroid_hardness])
+def test_hardness_accuracy_against_finer_run(fn):
+    for m in (0.0, 0.5, 1.0):
+        coarse = fn(m)
+        fine = fn(m, resolution=6001, rounds=4)
+        assert abs(coarse - fine) <= 1e-4, (fn.__name__, m, coarse, fine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(bounds.GUARANTEE_KINDS)),
+       a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_guarantees_nondecreasing_property(kind, a, b):
+    lo, hi = sorted((a, b))
+    assert guarantee(kind, lo) <= guarantee(kind, hi) + 1e-12, (kind, lo, hi)
+
+
+# An algorithm for matroids also runs under a cardinality constraint, so both
+# constrained hardness curves cap its guarantee.
+CAPPED_BY = {
+    "unconstrained_alg": ("symmetry_gap_unconstrained",),
+    "greedy_card": ("cardinality_hardness",),
+    "random_greedy_card": ("cardinality_hardness",),
+    "greedy_matroid": ("cardinality_hardness", "matroid_hardness"),
+    "mcg": ("cardinality_hardness", "matroid_hardness"),
+    "rgm": ("cardinality_hardness", "matroid_hardness"),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.floats(0.0, 1.0))
+def test_guarantees_below_hardness_property(m):
+    curves = {name: fn(m) for name, fn in HARDNESS.items()}
+    for kind, caps in CAPPED_BY.items():
+        for name in caps:
+            assert guarantee(kind, m) <= curves[name] + 1e-12, (kind, name, m)

@@ -181,6 +181,29 @@ def test_fw_quadratic_instance_feasible_and_monotone_iterates():
     assert res.steps == 20
 
 
+def test_fw_trace_gaps_cost_no_extra_calls(monkeypatch):
+    import monoratio.continuous as continuous
+    inst = generate_quadratic_instance(4, beta=0.2, alpha=0.3, seed=11)
+    calls = {"grad": 0, "value": 0, "lp": 0}
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(continuous, "linear_maximize_polytope",
+                        count("lp", continuous.linear_maximize_polytope))
+    res = frank_wolfe_nonmonotone(count("grad", inst.grad),
+                                  count("value", inst.value), inst.polytope(),
+                                  FWConfig(eps=0.05))
+    assert calls == {"grad": 20, "value": 1, "lp": 20}
+    assert len(res.trace) == res.steps == 20
+    assert all(math.isfinite(g) for g in res.trace)
+    # z stays in the normalized polytope and s maximizes <., w> over it
+    assert min(res.trace) >= -1e-9
+
+
 def test_fw_config_validation():
     with pytest.raises(ValueError):
         FWConfig(eps=0.0)
