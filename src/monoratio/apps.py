@@ -1,6 +1,6 @@
 """Application objectives: coverage-diversity movie recommendation,
-max-similarity image summarization, and randomly generated non-negative
-DR-submodular box quadratics.
+max-similarity image summarization, randomly generated non-negative
+DR-submodular box quadratics, and a random coverage+cut mixture.
 
 Real datasets are replaced by CSV feature ingestion and seeded synthetic
 generators; the objective formulas and instance distributions are otherwise
@@ -27,6 +27,7 @@ __all__ = [
     "validate_similarity",
     "movie_objective",
     "image_objective",
+    "mixture_objective",
     "QuadraticInstance",
     "generate_quadratic_instance",
     "min_box_quadratic",
@@ -239,6 +240,40 @@ def image_objective(s: np.ndarray,
     ground = GroundSet(n, labels)
     return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image",
                              batch_fn=batch_fn)
+
+
+def mixture_objective(n: int, seed: int) -> SetFunctionOracle:
+    """Random non-negative submodular coverage+cut mixture.
+
+    Coverage part: each element covers a random subset of a 2n-point
+    weighted universe. Cut part: weighted directed cut. A style draw skews
+    the mixture so the monotonicity ratio spreads over [0, 1].
+    """
+    rng = np.random.default_rng(seed)
+    style = int(rng.integers(3))  # 0: coverage-heavy, 1: cut-heavy, 2: mixed
+    universe = 2 * n
+    covers = [int(rng.integers(1, 1 << universe)) for _ in range(n)]
+    pt_w = rng.random(universe) * (0.25 if style == 1 else 1.0)
+    cut_w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(cut_w, 0.0)
+    cut_w *= 0.15 if style == 0 else 1.25
+
+    def fn(mask: int) -> float:
+        cov = 0
+        ins, outs = [], []
+        for u in range(n):
+            if (mask >> u) & 1:
+                cov |= covers[u]
+                ins.append(u)
+            else:
+                outs.append(u)
+        val = sum(pt_w[p] for p in range(universe) if (cov >> p) & 1)
+        if ins and outs:
+            val += float(cut_w[np.ix_(ins, outs)].sum())
+        return val
+
+    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20,
+                             name=f"mixture(seed={seed})")
 
 
 @dataclass(frozen=True)

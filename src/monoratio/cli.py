@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -18,16 +17,12 @@ import numpy as np
 
 from . import _svg
 from .apps import (image_objective, inner_product_similarity, load_features_csv,
-                   movie_objective, random_feature_matrix, random_similarity)
+                   mixture_objective, movie_objective, random_feature_matrix,
+                   random_similarity)
 from .bounds import CURVE_IDS, evaluate_curve
-from .constraints import (CardinalityConstraint, PartitionMatroid,
-                          UniformMatroid, partition_matroid_from_text)
-from .discrete import (double_greedy, greedy_cardinality, greedy_matroid,
-                       random_baseline, random_greedy_cardinality,
-                       random_greedy_matroid, sample_greedy, threshold_greedy,
-                       threshold_random_greedy)
-from .experiments import (ExperimentSpec, SpecValidationError, run_experiment,
-                          validate_spec)
+from .constraints import UniformMatroid, partition_matroid_from_text
+from .experiments import (ALGORITHMS, ExperimentSpec, SpecValidationError,
+                          algorithm, run_experiment, trial_values, validate_spec)
 from .oracle import GroundSet, SetFunctionOracle
 from .ratio import RatioReport, exact_monotonicity_ratio, exact_weak_monotonicity_ratio
 
@@ -45,39 +40,12 @@ def _directed_cut_chain(n: int) -> SetFunctionOracle:
     return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name="cut-chain")
 
 
-def _synthetic_mixture(n: int, seed: int) -> SetFunctionOracle:
-    """Random coverage + directed-cut mixture; non-negative submodular with a
-    monotonicity ratio spread over (0, 1)."""
-    rng = np.random.default_rng(seed)
-    universe = 2 * n
-    covers = [int(rng.integers(1, 1 << universe)) for _ in range(n)]
-    pt_w = rng.random(universe)
-    cut_w = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
-    np.fill_diagonal(cut_w, 0.0)
-    scale_cov = float(rng.random())
-    scale_cut = float(rng.random()) * 2.0
-
-    def fn(mask: int) -> float:
-        cov = 0
-        for u in range(n):
-            if (mask >> u) & 1:
-                cov |= covers[u]
-        total = scale_cov * sum(pt_w[p] for p in range(universe) if (cov >> p) & 1)
-        ins = [u for u in range(n) if (mask >> u) & 1]
-        outs = [u for u in range(n) if not (mask >> u) & 1]
-        if ins and outs:
-            total += scale_cut * float(cut_w[np.ix_(ins, outs)].sum())
-        return total
-
-    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name="mixture")
-
-
 def _build_objective(args) -> SetFunctionOracle:
     name = args.objective
     if name == "synthetic-cut":
         return _directed_cut_chain(args.n)
     if name == "synthetic-mix":
-        return _synthetic_mixture(args.n, args.seed)
+        return mixture_objective(args.n, args.seed)
     if getattr(args, "features_csv", None):
         feats = load_features_csv(args.features_csv)
         sim = inner_product_similarity(feats, clip_negative=True)
@@ -139,64 +107,57 @@ def _parse_matroid(text: str, n: int):
     raise ValueError(f"bad --matroid {text!r}; use uniform:K or partition:FILE")
 
 
+def _check_run_flags(args, alg) -> None:
+    """Raise ValueError naming a flag `run` would ignore for `alg`, lacks,
+    or cannot use."""
+    if alg.experiment_only:
+        raise ValueError(f"algorithm {args.alg!r} runs only in experiment sweeps")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.eps is not None and not alg.takes_eps:
+        raise ValueError(f"--alg {args.alg} does not take --eps")
+    if alg.constraint == "none":
+        for flag, given in (("--k", args.k), ("--matroid", args.matroid)):
+            if given is not None:
+                raise ValueError(f"--alg {args.alg} does not take {flag}")
+    elif alg.constraint == "cardinality":
+        if args.matroid is not None:
+            raise ValueError(f"--alg {args.alg} does not take --matroid")
+        if args.k is None:
+            raise ValueError("this algorithm needs --k")
+    elif args.k is not None and args.matroid is not None:
+        raise ValueError("give --k or --matroid, not both")
+    elif args.k is None and args.matroid is None:
+        raise ValueError("this algorithm needs --k or --matroid")
+
+
 def cmd_run(args) -> int:
+    alg = algorithm(args.alg)
+    _check_run_flags(args, alg)
     f = _build_objective(args)
     n = f.n
-    alg = args.alg
-    needs_matroid = alg in ("greedy-matroid", "random-greedy-matroid")
-    constraint = None
+    if args.k is not None and args.k > n:
+        raise ValueError(f"k={args.k} exceeds the ground set size n={n}")
     if args.matroid:
         constraint = _parse_matroid(args.matroid, n)
-    elif args.k is not None:
-        if args.k > n:
-            print(f"error: k={args.k} exceeds the ground set size n={n}",
-                  file=sys.stderr)
-            return 2
-        constraint = (UniformMatroid(n, args.k) if needs_matroid
-                      else CardinalityConstraint(n, args.k))
-    if needs_matroid and not isinstance(constraint, (UniformMatroid, PartitionMatroid)):
-        print("error: this algorithm needs --matroid (or --k)", file=sys.stderr)
-        return 2
-
-    def one(seed):
-        if alg == "greedy":
-            return greedy_cardinality(f, args.k)
-        if alg == "random-greedy":
-            return random_greedy_cardinality(f, args.k, seed=seed)
-        if alg == "threshold-greedy":
-            return threshold_greedy(f, args.k, args.eps)
-        if alg == "sample-greedy":
-            return sample_greedy(f, args.k, args.eps, seed=seed)
-        if alg == "threshold-random-greedy":
-            return threshold_random_greedy(f, args.k, args.eps, seed=seed)
-        if alg == "double-greedy":
-            return double_greedy(f, seed=seed)
-        if alg == "greedy-matroid":
-            return greedy_matroid(f, constraint)
-        if alg == "random-greedy-matroid":
-            return random_greedy_matroid(f, constraint, args.eps, seed=seed)
-        if alg == "random":
-            return random_baseline(f, constraint, seed=seed)
-        raise ValueError(f"unknown algorithm {alg!r}")
-
-    if alg in ("greedy", "random-greedy", "threshold-greedy", "sample-greedy",
-               "threshold-random-greedy") and args.k is None:
-        print("error: this algorithm needs --k", file=sys.stderr)
-        return 2
-    if alg == "random" and constraint is None:
-        print("error: random baseline needs --k or --matroid", file=sys.stderr)
-        return 2
+    elif alg.constraint == "matroid":
+        constraint = UniformMatroid(n, args.k)
+    else:
+        constraint = args.k
+    if args.eps is None:
+        args.eps = 0.1
+    run_one = lambda seed: alg.call(f, constraint, seed, args)
 
     if args.trials == 1:
-        r = one(args.seed)
+        r = run_one(args.seed)
         print("alg,value,size,oracle_calls,seed,solution")
         ids = "|".join(str(u) for u in r.solution_ids)
-        print(f"{alg},{r.value:.10g},{r.size},{r.oracle_calls},{args.seed},{ids}")
+        print(f"{args.alg},{r.value:.10g},{r.size},{r.oracle_calls},{args.seed},{ids}")
     else:
-        vals = np.array([one(args.seed + t).value for t in range(args.trials)])
+        vals = np.array(trial_values(alg, run_one, args.trials, args.seed))
         stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
         print("alg,trials,mean_value,stderr,min_value,max_value")
-        print(f"{alg},{args.trials},{vals.mean():.10g},{stderr:.10g},"
+        print(f"{args.alg},{args.trials},{vals.mean():.10g},{stderr:.10g},"
               f"{vals.min():.10g},{vals.max():.10g}")
     return 0
 
@@ -223,7 +184,7 @@ def cmd_experiment(args) -> int:
             n=args.n, k=args.k if args.k is not None else 10, lam=args.lam,
             categories=args.categories, alpha=args.alpha, beta=args.beta,
             algorithms=args.alg or [], trials=args.trials, seed=args.seed,
-            eps=args.eps, jobs=args.jobs)
+            eps=args.eps)
     try:
         spec = validate_spec(spec)
     except SpecValidationError as exc:
@@ -253,6 +214,10 @@ def _add_objective_flags(p, default_n):
                    help="load item features from CSV instead of the synthetic generator")
 
 
+_RUN_ALGS = [name.replace("_", "-") for name, alg in ALGORITHMS.items()
+             if not alg.experiment_only]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monoratio",
@@ -276,13 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="one algorithm on one instance")
     _add_objective_flags(p, default_n=20)
     p.add_argument("--alg", required=True,
-                   choices=["greedy", "random-greedy", "threshold-greedy",
-                            "sample-greedy", "threshold-random-greedy",
-                            "double-greedy", "greedy-matroid",
-                            "random-greedy-matroid", "random"])
+                   help="one of " + ", ".join(_RUN_ALGS)
+                   + " (hyphens or underscores)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--matroid", default=None, help="uniform:K or partition:FILE")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=float, default=None,
+                   help="accuracy of the algorithms that take one (default 0.1)")
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
@@ -298,12 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--alg", action="append", default=None,
-                   help="algorithm list (repeatable); defaults per objective")
+                   help="algorithm list (repeatable); defaults per objective; "
+                   "one of " + ", ".join(sorted(ALGORITHMS)))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("MONORATIO_JOBS", "1")))
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_experiment)

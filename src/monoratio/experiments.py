@@ -11,8 +11,8 @@ bought by the monotonicity ratio.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -24,40 +24,107 @@ from .bounds import guarantee
 from .constraints import PartitionMatroid
 from .continuous import FWConfig, MCGConfig, frank_wolfe_nonmonotone, \
     measured_continuous_greedy, swap_rounding
-from .discrete import (greedy_cardinality, greedy_matroid,
-                       random_baseline, random_greedy_cardinality,
-                       random_greedy_matroid, sample_greedy, threshold_greedy,
-                       threshold_random_greedy)
+from .discrete import (RunResult, double_greedy, greedy_cardinality,
+                       greedy_matroid, random_baseline,
+                       random_greedy_cardinality, random_greedy_matroid,
+                       sample_greedy, threshold_greedy, threshold_random_greedy)
 from .ratio import image_weak_ratio_bound, movie_ratio_bound, quadratic_ratio_bound
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "run_experiment",
-           "validate_spec", "SpecValidationError", "ALG_GUARANTEE_KIND"]
+           "validate_spec", "SpecValidationError", "Algorithm", "ALGORITHMS",
+           "algorithm", "trial_values"]
 
-# scarecrow algorithms carry no guarantee and are excluded from the bounds
-ALG_GUARANTEE_KIND = {
-    "greedy": "greedy_card",
-    "threshold_greedy": "greedy_card",
-    "sample_greedy": "greedy_card",
-    "random_greedy": "random_greedy_card",
-    "threshold_random_greedy": "random_greedy_card",
-    "greedy_matroid": "greedy_matroid",
-    "random_greedy_matroid": "rgm",
-    "mcg_rounding": "mcg",
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm as the `run` and `experiment` commands see it.
+
+    `call(f, c, seed, opts)` runs it once and returns a result with a
+    `.value`. `c` is the constraint: an int k for "cardinality", a Matroid
+    for "matroid", either for "any", None for "none"; for "polytope", `f` is
+    a QuadraticInstance and `c` its polytope. `opts.eps` is the accuracy of
+    the algorithms that take one; experiment-only algorithms also read their
+    budget (MCG steps and samples, Frank-Wolfe eps) from the ExperimentSpec
+    `opts`. `guarantee` is the `bounds.GUARANTEE_KINDS` entry its output is
+    divided by to bound OPT, None when it bounds nothing.
+    """
+
+    call: Callable
+    constraint: str
+    guarantee: str | None
+    seeded: bool
+    takes_eps: bool = False
+    experiment_only: bool = False
+
+
+def _mcg_rounding(f, M, seed, spec) -> RunResult:
+    start = f.eval_count
+    cfg = MCGConfig(T=1.0, steps=spec.mcg_steps, samples=spec.mcg_samples,
+                    seed=seed)
+    sol = swap_rounding(measured_continuous_greedy(f, M, cfg).y, M, seed=seed + 1)
+    return RunResult(sol, f.value(sol), f.eval_count - start, seed)
+
+
+# Every entry reaches its function through a module-global name at call
+# time, so a wrapper rebound on this module's attribute sees every run.
+ALGORITHMS = {
+    "greedy": Algorithm(lambda f, k, seed, o: greedy_cardinality(f, k),
+                        "cardinality", "greedy_card", seeded=False),
+    "random_greedy": Algorithm(
+        lambda f, k, seed, o: random_greedy_cardinality(f, k, seed=seed),
+        "cardinality", "random_greedy_card", seeded=True),
+    "threshold_greedy": Algorithm(
+        lambda f, k, seed, o: threshold_greedy(f, k, o.eps),
+        "cardinality", "greedy_card", seeded=False, takes_eps=True),
+    "sample_greedy": Algorithm(
+        lambda f, k, seed, o: sample_greedy(f, k, o.eps, seed=seed),
+        "cardinality", "greedy_card", seeded=True, takes_eps=True),
+    "threshold_random_greedy": Algorithm(
+        lambda f, k, seed, o: threshold_random_greedy(f, k, o.eps, seed=seed),
+        "cardinality", "random_greedy_card", seeded=True, takes_eps=True),
+    # its (2+m)/4 has no GUARANTEE_KINDS entry, and no sweep is unconstrained
+    "double_greedy": Algorithm(lambda f, c, seed, o: double_greedy(f, seed=seed),
+                               "none", None, seeded=True),
+    "greedy_matroid": Algorithm(lambda f, M, seed, o: greedy_matroid(f, M),
+                                "matroid", "greedy_matroid", seeded=False),
+    "random_greedy_matroid": Algorithm(
+        lambda f, M, seed, o: random_greedy_matroid(f, M, o.eps, seed=seed),
+        "matroid", "rgm", seeded=True, takes_eps=True),
+    # the scarecrow baseline carries no guarantee
+    "random": Algorithm(lambda f, c, seed, o: random_baseline(f, c, seed=seed),
+                        "any", None, seeded=True),
+    "mcg_rounding": Algorithm(lambda f, M, seed, o: _mcg_rounding(f, M, seed, o),
+                              "matroid", "mcg", seeded=True, experiment_only=True),
     # the Frank-Wolfe ratio has the same closed form as random greedy's
-    "frank_wolfe": "random_greedy_card",
-    "random": None,
+    "frank_wolfe": Algorithm(
+        lambda inst, P, seed, o: frank_wolfe_nonmonotone(
+            inst.grad, inst.value, P, FWConfig(eps=o.fw_eps, L=inst.L, D=inst.D)),
+        "polytope", "random_greedy_card", seeded=False, experiment_only=True),
 }
 
-_DEFAULT_ALGS = {
-    "movie": ["threshold_random_greedy", "random"],
-    "image": ["random_greedy_matroid", "mcg_rounding", "random"],
-    "quadratic": ["frank_wolfe"],
-}
 
-_SWEEPS = {
-    "movie": {"lambda", "k"},
-    "image": {"k"},
-    "quadratic": {"alpha", "beta", "n"},
+def algorithm(name: str) -> Algorithm:
+    """Table entry for `name`; hyphens and underscores are interchangeable."""
+    try:
+        return ALGORITHMS[name.replace("-", "_")]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}") from None
+
+
+def trial_values(alg: Algorithm, run_one, trials: int, seed: int) -> list[float]:
+    """Values of `trials` runs, trial t seeded with seed + t. A seedless
+    algorithm repeats the same run, so it runs once and fills every trial."""
+    if not alg.seeded:
+        return [run_one(seed).value] * trials
+    return [run_one(seed + t).value for t in range(trials)]
+
+
+# objective -> (the constraint its sweeps run algorithms under, its sweep
+# parameters, its default algorithms)
+_OBJECTIVES = {
+    "movie": ("cardinality", {"lambda", "k"}, ["threshold_random_greedy", "random"]),
+    "image": ("matroid", {"k"}, ["random_greedy_matroid", "mcg_rounding", "random"]),
+    "quadratic": ("polytope", {"alpha", "beta", "n"}, ["frank_wolfe"]),
 }
 
 
@@ -87,7 +154,6 @@ class ExperimentSpec:
     fw_eps: float = 0.02
     mcg_steps: int = 40
     mcg_samples: int = 32
-    jobs: int = 1
     feature_dim: int = 25
 
 
@@ -95,14 +161,13 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Return a normalized copy; raises SpecValidationError listing every
     problem at once."""
     problems = []
-    if spec.objective not in _DEFAULT_ALGS:
+    need, sweeps, defaults = _OBJECTIVES.get(spec.objective, (None, set(), []))
+    if need is None:
         problems.append(f"unknown objective {spec.objective!r} "
-                        f"(choose from {sorted(_DEFAULT_ALGS)})")
-    else:
-        if spec.sweep not in _SWEEPS[spec.objective]:
-            problems.append(f"sweep {spec.sweep!r} unsupported for "
-                            f"{spec.objective} (choose from "
-                            f"{sorted(_SWEEPS[spec.objective])})")
+                        f"(choose from {sorted(_OBJECTIVES)})")
+    elif spec.sweep not in sweeps:
+        problems.append(f"sweep {spec.sweep!r} unsupported for "
+                        f"{spec.objective} (choose from {sorted(sweeps)})")
     if not spec.grid:
         problems.append("sweep grid is empty")
     if spec.trials < 1:
@@ -113,12 +178,16 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         problems.append("eps must be in (0,1)")
     if not 0 < spec.fw_eps < 1:
         problems.append("fw_eps must be in (0,1)")
-    if spec.jobs < 1:
-        problems.append("jobs must be >= 1")
-    algs = list(spec.algorithms) or list(_DEFAULT_ALGS.get(spec.objective, []))
+    algs = [str(a).replace("-", "_") for a in spec.algorithms] or list(defaults)
     for a in algs:
-        if a not in ALG_GUARANTEE_KIND:
-            problems.append(f"unknown algorithm {a!r}")
+        alg = ALGORITHMS.get(a)
+        if alg is None:
+            problems.append(f"unknown algorithm {a!r} (choose from {sorted(ALGORITHMS)})")
+        elif need is not None and alg.constraint != need and not (
+                alg.constraint == "any" and need != "polytope"):
+            problems.append(f"algorithm {a!r} ({alg.constraint} constraint) "
+                            f"does not fit the {need} constraint of "
+                            f"{spec.objective} sweeps")
     if spec.objective == "movie" and not 0 <= spec.lam <= 1:
         problems.append("lambda must be in [0,1]")
     if spec.objective == "quadratic":
@@ -177,136 +246,58 @@ def _partition_blocks(n: int, categories: int):
     return blocks
 
 
-def _run_discrete(alg: str, make_oracle, constraint, k: int, eps: float,
-                  spec: ExperimentSpec, seed: int) -> float:
-    f = make_oracle()
-    if alg == "greedy":
-        return greedy_cardinality(f, k).value
-    if alg == "random_greedy":
-        return random_greedy_cardinality(f, k, seed=seed).value
-    if alg == "threshold_greedy":
-        return threshold_greedy(f, k, eps).value
-    if alg == "sample_greedy":
-        return sample_greedy(f, k, eps, seed=seed).value
-    if alg == "threshold_random_greedy":
-        return threshold_random_greedy(f, k, eps, seed=seed).value
-    if alg == "random":
-        return random_baseline(f, constraint, seed=seed).value
-    if alg == "greedy_matroid":
-        return greedy_matroid(f, constraint).value
-    if alg == "random_greedy_matroid":
-        return random_greedy_matroid(f, constraint, eps, seed=seed).value
-    if alg == "mcg_rounding":
-        cfg = MCGConfig(T=1.0, steps=spec.mcg_steps, samples=spec.mcg_samples,
-                        seed=seed)
-        res = measured_continuous_greedy(f, constraint, cfg)
-        sol = swap_rounding(res.y, constraint, seed=seed + 1)
-        return f.value(sol)
-    raise ValueError(f"unsupported algorithm {alg!r}")
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep described by `spec` (validated first)."""
     spec = validate_spec(spec)
-    points = list(spec.grid)
-
-    # data fixed across the sweep (movie/image); quadratic draws one instance
-    # per point, shared by its trials and its m bound
-    sim = None
-    if spec.objective in ("movie", "image"):
+    if spec.objective in ("movie", "image"):  # data fixed across the sweep
         feats = random_feature_matrix(spec.n, spec.feature_dim, seed=spec.seed)
         sim = inner_product_similarity(feats)
-    instances = [None] * len(points)
-    if spec.objective == "quadratic":
-        instances = [_quadratic_instance(spec, value, p)
-                     for p, value in enumerate(points)]
-
-    tasks = []  # (point_idx, alg, trial) in deterministic order
-    for p in range(len(points)):
-        for alg in spec.algorithms:
-            for t in range(spec.trials):
-                tasks.append((p, alg, t))
-
-    def run_task(task):
-        p, alg, t = task
-        value = points[p]
-        trial_seed = spec.seed + t  # each trial owns base_seed + trial index
-        if spec.objective == "movie":
-            lam = value if spec.sweep == "lambda" else spec.lam
-            k = int(value) if spec.sweep == "k" else spec.k
-            make = lambda: movie_objective(sim, lam)
-            return _run_discrete(alg, make, k, k, spec.eps, spec, trial_seed)
-        if spec.objective == "image":
-            k = int(value) if spec.sweep == "k" else spec.k
-            blocks = _partition_blocks(spec.n, spec.categories)
-            matroid = PartitionMatroid(spec.n, blocks, [k] * len(blocks))
-            make = lambda: image_objective(sim)
-            return _run_discrete(alg, make, matroid, k, spec.eps, spec, trial_seed)
-        if spec.objective == "quadratic":
-            inst = instances[p]
-            cfg = FWConfig(eps=spec.fw_eps, L=inst.L, D=inst.D)
-            res = frank_wolfe_nonmonotone(inst.grad, inst.value,
-                                          inst.polytope(), cfg)
-            return res.value
-        raise AssertionError(spec.objective)
-
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            values = list(pool.map(run_task, tasks))
-    else:
-        values = [run_task(t) for t in tasks]
-    by_key = {task: v for task, v in zip(tasks, values)}
-
-    columns = ["sweep", "sweep_value"]
-    for alg in spec.algorithms:
-        columns += [f"{alg}_mean", f"{alg}_stderr"]
-    columns += ["m_bound", "ub_prev", "ub_new"]
 
     rows = []
-    for p, value in enumerate(points):
-        row = {"sweep": spec.sweep, "sweep_value": value}
-        for alg in spec.algorithms:
-            vals = np.array([by_key[(p, alg, t)] for t in range(spec.trials)])
-            row[f"{alg}_mean"] = float(vals.mean())
-            row[f"{alg}_stderr"] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                                    if len(vals) > 1 else 0.0)
-        row["m_bound"] = _m_bound(spec, value, instances[p])
-        ub_prev = math.inf
-        ub_new = math.inf
-        for alg in spec.algorithms:
-            kind = ALG_GUARANTEE_KIND[alg]
-            if kind is None:
+    for p, value in enumerate(spec.grid):
+        if spec.objective == "movie":
+            lam = value if spec.sweep == "lambda" else spec.lam
+            constraint = int(value) if spec.sweep == "k" else spec.k
+            make = lambda: movie_objective(sim, lam)
+            m_bound = movie_ratio_bound(lam)
+        elif spec.objective == "image":
+            k = int(value) if spec.sweep == "k" else spec.k
+            blocks = _partition_blocks(spec.n, spec.categories)
+            constraint = PartitionMatroid(spec.n, blocks, [k] * len(blocks))
+            make = lambda: image_objective(sim)
+            # feasible sets hold up to k elements from each of the categories
+            m_bound = image_weak_ratio_bound(min(spec.n, k * spec.categories), spec.n)
+        else:  # one instance per point, shared by its trials and its m bound
+            inst = generate_quadratic_instance(
+                int(value) if spec.sweep == "n" else spec.n,
+                beta=value if spec.sweep == "beta" else spec.beta,
+                alpha=value if spec.sweep == "alpha" else spec.alpha,
+                seed=spec.seed + 10007 * p)
+            constraint = inst.polytope()
+            make = lambda: inst
+            m_bound = quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
+        row = {"sweep": spec.sweep, "sweep_value": value, "m_bound": m_bound,
+               "ub_prev": math.inf, "ub_new": math.inf}
+        for name in spec.algorithms:
+            alg = ALGORITHMS[name]
+            # each trial gets a fresh oracle and owns base_seed + trial index
+            run_one = lambda seed: alg.call(make(), constraint, seed, spec)
+            vals = np.array(trial_values(alg, run_one, spec.trials, spec.seed))
+            mean = row[f"{name}_mean"] = float(vals.mean())
+            row[f"{name}_stderr"] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                                     if len(vals) > 1 else 0.0)
+            if alg.guarantee is None:
                 continue
-            mean = row[f"{alg}_mean"]
-            g0 = guarantee(kind, 0.0)
-            gm = guarantee(kind, row["m_bound"])
+            g0 = guarantee(alg.guarantee, 0.0)
+            gm = guarantee(alg.guarantee, m_bound)
             if g0 > 0:
-                ub_prev = min(ub_prev, mean / g0)
+                row["ub_prev"] = min(row["ub_prev"], mean / g0)
             if gm > 0:
-                ub_new = min(ub_new, mean / gm)
-        row["ub_prev"] = ub_prev
-        row["ub_new"] = ub_new
+                row["ub_new"] = min(row["ub_new"], mean / gm)
         rows.append(row)
+
+    columns = ["sweep", "sweep_value"]
+    for name in spec.algorithms:
+        columns += [f"{name}_mean", f"{name}_stderr"]
+    columns += ["m_bound", "ub_prev", "ub_new"]
     return ExperimentResult(spec=spec, columns=columns, rows=rows)
-
-
-def _quadratic_instance(spec: ExperimentSpec, value, point_idx: int):
-    n = int(value) if spec.sweep == "n" else spec.n
-    alpha = value if spec.sweep == "alpha" else spec.alpha
-    beta = value if spec.sweep == "beta" else spec.beta
-    return generate_quadratic_instance(n, beta=beta, alpha=alpha,
-                                       seed=spec.seed + 10007 * point_idx)
-
-
-def _m_bound(spec: ExperimentSpec, value, inst) -> float:
-    if spec.objective == "movie":
-        lam = value if spec.sweep == "lambda" else spec.lam
-        return movie_ratio_bound(lam)
-    if spec.objective == "image":
-        k = int(value) if spec.sweep == "k" else spec.k
-        # feasible sets hold up to k elements from each of the categories
-        total = min(spec.n, k * spec.categories)
-        return image_weak_ratio_bound(total, spec.n)
-    if spec.objective == "quadratic":
-        return quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
-    raise AssertionError(spec.objective)

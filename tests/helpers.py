@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from monoratio import GroundSet, SetFunctionOracle, ids_of
+from monoratio import GroundSet, SetFunctionOracle, ids_of, mixture_objective
 
 
 def table_oracle(table, name="table", count_offset=False) -> SetFunctionOracle:
@@ -41,35 +41,9 @@ def directed_cut_edge() -> SetFunctionOracle:
 
 
 def mixture_table(n: int, seed: int) -> np.ndarray:
-    """Value table of a random non-negative submodular coverage+cut mixture.
-
-    Coverage part: each element covers a random subset of a 2n-point
-    weighted universe. Cut part: weighted directed cut. A style draw skews
-    the mixture so the monotonicity ratio spreads over [0, 1].
-    """
-    rng = np.random.default_rng(seed)
-    style = int(rng.integers(3))  # 0: coverage-heavy, 1: cut-heavy, 2: mixed
-    universe = 2 * n
-    covers = [int(rng.integers(1, 1 << universe)) for _ in range(n)]
-    pt_w = rng.random(universe) * (0.25 if style == 1 else 1.0)
-    cut_w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
-    np.fill_diagonal(cut_w, 0.0)
-    cut_w *= 0.15 if style == 0 else 1.25
-    table = np.zeros(1 << n)
-    for mask in range(1 << n):
-        cov = 0
-        ins, outs = [], []
-        for u in range(n):
-            if (mask >> u) & 1:
-                cov |= covers[u]
-                ins.append(u)
-            else:
-                outs.append(u)
-        val = sum(pt_w[p] for p in range(universe) if (cov >> p) & 1)
-        if ins and outs:
-            val += float(cut_w[np.ix_(ins, outs)].sum())
-        table[mask] = val
-    return table
+    """Value table of `apps.mixture_objective(n, seed)`, indexed by mask."""
+    f = mixture_objective(n, seed)
+    return np.array([f.value(mask) for mask in range(1 << n)])
 
 
 def mixture_oracle(n: int, seed: int):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from monoratio.cli import main
 
 
@@ -137,6 +139,115 @@ def test_run_matroid_algorithms(capsys, tmp_path):
     assert out.splitlines()[1].split(",")[0] == "random-greedy-matroid"
 
 
+# `run` output (value,size,oracle_calls,seed,solution) of every algorithm on
+# seeded n=12 instances, computed at the parent commit of the algorithm table
+RUN_GOLDEN = {
+    ("movie", "greedy"): "253.0502968,4,44,3,2|4|7|11",
+    ("movie", "random-greedy"): "253.0502968,4,44,3,2|4|7|11",
+    ("movie", "threshold-greedy"): "251.0780155,4,80,3,1|2|4|7",
+    ("movie", "sample-greedy"): "252.4578471,4,30,3,2|4|7|9",
+    ("movie", "threshold-random-greedy"): "253.0502968,4,44,3,2|4|7|11",
+    ("movie", "double-greedy"): "319.9382859,8,49,3,0|1|3|4|5|6|7|9",
+    ("movie", "greedy-matroid"): "253.0502968,4,35,3,2|4|7|11",
+    ("movie", "random-greedy-matroid"): "253.0502968,4,372,3,2|4|7|11",
+    ("movie", "random"): "241.7235199,4,1,3,3|4|7|8",
+    ("image", "greedy"): "26.83983395,2,45,3,7|11",
+    ("image", "random-greedy"): "26.83983395,2,47,3,7|11",
+    ("image", "threshold-greedy"): "26.78094841,1,521,3,11",
+    ("image", "sample-greedy"): "26.14420268,2,30,3,2|11",
+    ("image", "threshold-random-greedy"): "26.83983395,2,47,3,7|11",
+    ("image", "double-greedy"): "24.08145692,5,49,3,0|1|4|7|11",
+    ("image", "greedy-matroid"): "26.83983395,2,29,3,7|11",
+    ("image", "random-greedy-matroid"): "26.78094841,1,480,3,11",
+    ("image", "random"): "22.04780134,4,1,3,3|4|7|8",
+}
+CARDINALITY_ALGS = {"greedy", "random-greedy", "threshold-greedy",
+                    "sample-greedy", "threshold-random-greedy"}
+
+
+@pytest.mark.parametrize("objective,alg", sorted(RUN_GOLDEN))
+def test_run_golden_outputs(capsys, tmp_path, objective, alg):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("block: 0,1,2,3 capacity=1\nblock: 4,5,6,7 capacity=2\n"
+                      "block: 8,9,10,11 capacity=1\n")
+    args = ["run", "--alg", alg, "--objective", objective, "--n", "12",
+            "--seed", "3"]
+    if alg in CARDINALITY_ALGS:
+        args += ["--k", "4"]
+    elif alg != "double-greedy":
+        args += ["--matroid", f"partition:{blocks}"]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert out == ("alg,value,size,oracle_calls,seed,solution\n"
+                   f"{alg},{RUN_GOLDEN[objective, alg]}\n")
+    # the underscored spelling runs the same algorithm and is echoed as typed
+    under = alg.replace("-", "_")
+    code, out, _ = run_cli(capsys, *[under if a == alg else a for a in args])
+    assert code == 0
+    assert out.splitlines()[1] == f"{under},{RUN_GOLDEN[objective, alg]}"
+
+
+def test_run_trials_golden(capsys):
+    # a seedless algorithm runs once and fills its trials; stderr is that of
+    # five equal floats, as when every trial ran
+    code, out, _ = run_cli(capsys, "run", "--alg", "threshold-greedy",
+                           "--objective", "image", "--n", "12", "--k", "4",
+                           "--seed", "3", "--trials", "5")
+    assert code == 0
+    assert out.splitlines()[1] == ("threshold-greedy,5,26.78094841,"
+                                   "1.776356839e-15,26.78094841,26.78094841")
+    code, out, _ = run_cli(capsys, "run", "--alg", "random-greedy",
+                           "--objective", "movie", "--n", "12", "--k", "4",
+                           "--seed", "3", "--trials", "5")
+    assert code == 0
+    assert out.splitlines()[1] == ("random-greedy,5,251.4183404,0.536767903,"
+                                   "249.9475349,253.0502968")
+
+
+@pytest.mark.parametrize("alg,flags,named", [
+    ("double-greedy", ["--k", "2"], "--k"),
+    ("double-greedy", ["--matroid", "uniform:2"], "--matroid"),
+    ("greedy", ["--k", "5", "--matroid", "uniform:1"], "--matroid"),
+    ("greedy", ["--k", "5", "--eps", "0.2"], "--eps"),
+    ("greedy-matroid", ["--k", "2", "--matroid", "uniform:3"], "--k"),
+    ("random", ["--k", "2", "--matroid", "uniform:3"], "--k"),
+])
+def test_run_rejects_ignored_flags(capsys, alg, flags, named):
+    code, out, err = run_cli(capsys, "run", "--alg", alg, "--objective",
+                             "synthetic-mix", "--n", "10", *flags)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_run_rejects_partition_flag_with_cardinality_alg(capsys, tmp_path):
+    # greedy ignored the partition and broke block 0's capacity of 1
+    spec = tmp_path / "blocks.txt"
+    spec.write_text("".join(f"block: {2 * j},{2 * j + 1} capacity=1\n"
+                            for j in range(5)))
+    code, out, err = run_cli(capsys, "run", "--alg", "greedy", "--objective",
+                             "movie", "--n", "10", "--k", "5",
+                             "--matroid", f"partition:{spec}")
+    assert code == 2 and out == ""
+    assert "--matroid" in err
+
+
+@pytest.mark.parametrize("alg,flags,message", [
+    ("greedy", [], "needs --k"),
+    ("random-greedy-matroid", [], "needs --k or --matroid"),
+    ("random", [], "needs --k or --matroid"),
+    ("mcg-rounding", ["--matroid", "uniform:2"], "only in experiment"),
+    ("frank_wolfe", [], "only in experiment"),
+    ("bogus", ["--k", "2"], "unknown algorithm 'bogus'"),
+    ("greedy", ["--k", "2", "--trials", "0"], "--trials must be >= 1"),
+])
+def test_run_rejects_bad_flags_and_unknown_algorithms(capsys, alg, flags,
+                                                      message):
+    code, out, err = run_cli(capsys, "run", "--alg", alg, "--objective",
+                             "synthetic-mix", "--n", "6", *flags)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_experiment_validation_lists_all_errors(capsys):
     code, _, err = run_cli(capsys, "experiment", "--objective", "movie",
                            "--sweep", "alpha", "--grid", "0.5",
@@ -197,12 +308,30 @@ def test_experiment_image_matroid_small(capsys):
     assert "mcg_rounding_mean" in header
 
 
-def test_experiment_jobs_parallel_deterministic(capsys, tmp_path):
+def test_experiment_rejects_algorithms_under_the_wrong_constraint(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--objective", "quadratic",
+                             "--sweep", "beta", "--grid", "0.1", "--n", "3",
+                             "--alg", "greedy", "--alg", "random")
+    assert code == 2 and out == ""
+    assert ("'greedy' (cardinality constraint) does not fit the polytope "
+            "constraint of quadratic sweeps") in err
+    assert "'random' (any constraint)" in err
+    code, out, err = run_cli(capsys, "experiment", "--objective", "image",
+                             "--sweep", "k", "--grid", "1", "--n", "9",
+                             "--alg", "greedy")
+    assert code == 2 and "'greedy'" in err and "matroid" in err
+    code, out, err = run_cli(capsys, "experiment", "--objective", "movie",
+                             "--sweep", "k", "--grid", "2", "--n", "9",
+                             "--alg", "greedy-matroid", "--alg", "double-greedy")
+    assert code == 2 and out == ""
+    assert "'greedy_matroid'" in err and "'double_greedy'" in err
+
+
+def test_experiment_accepts_both_spellings(capsys):
     base = ["experiment", "--objective", "movie", "--sweep", "lambda",
-            "--grid", "0.6,0.8", "--n", "10", "--k", "3", "--trials", "4",
-            "--seed", "5"]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert main(base + ["--jobs", "3", "--out", str(b)]) == 0
-    assert a.read_text() == b.read_text()
+            "--grid", "0.6", "--n", "10", "--k", "3", "--trials", "2"]
+    code, hyphen, _ = run_cli(capsys, *base, "--alg", "threshold-random-greedy")
+    assert code == 0
+    code, under, _ = run_cli(capsys, *base, "--alg", "threshold_random_greedy")
+    assert code == 0 and hyphen == under
+    assert hyphen.startswith("sweep,sweep_value,threshold_random_greedy_mean,")
