@@ -247,8 +247,12 @@ def mixture_objective(n: int, seed: int) -> SetFunctionOracle:
 
     Coverage part: each element covers a random subset of a 2n-point
     weighted universe. Cut part: weighted directed cut. A style draw skews
-    the mixture so the monotonicity ratio spreads over [0, 1].
+    the mixture so the monotonicity ratio spreads over [0, 1]. Each cover
+    set is drawn as one int64 below 2^(2n), which caps n at 31.
     """
+    if n > 31:
+        raise ValueError(f"mixture objective needs n <= 31 (its cover sets are "
+                         f"int64 masks over 2n points), got n={n}")
     rng = np.random.default_rng(seed)
     style = int(rng.integers(3))  # 0: coverage-heavy, 1: cut-heavy, 2: mixed
     universe = 2 * n

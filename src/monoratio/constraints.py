@@ -9,6 +9,9 @@ return subsets as bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.optimize import linprog
@@ -251,27 +254,46 @@ def _matching_exchange(M: Matroid, S: int, s_ids, b_ids) -> dict[int, int]:
     return {u: s for s, u in match_of_s.items()}
 
 
+# Feasibility tolerance of an enumerated vertex (that of DownClosedPolytope.contains).
+_VERTEX_TOL = 1e-9
+# Largest number of candidate bases sum_k C(n,k) 2^(n-k) C(rows,k) that
+# DownClosedPolytope._vertices enumerates; larger polytopes solve each LP by HiGHS.
+_VERTEX_BUDGET = 20_000
+
+
+def _vertex_candidates(n: int, rows: int) -> int:
+    return sum(comb(n, k) * 2 ** (n - k) * comb(rows, k)
+               for k in range(min(n, rows) + 1))
+
+
 @dataclass(frozen=True)
 class DownClosedPolytope:
-    """P = {x >= 0 : Ax <= b, x <= u} with A, b, u non-negative (so 0 in P
-    and P is down-closed)."""
+    """P = {x >= 0 : Ax <= b, x <= u} with A, b, u finite and non-negative
+    (so 0 in P and P is down-closed). The arrays are read-only copies, so the
+    vertex list cached on first use stays valid."""
 
     A: np.ndarray
     b: np.ndarray
     u: np.ndarray
 
     def __init__(self, A, b, u):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
+        A = np.array(A, dtype=float, ndmin=2)
+        b = np.array(b, dtype=float).ravel()
+        u = np.array(u, dtype=float).ravel()
         if A.shape != (b.size, u.size):
             raise ValueError("A must be (len(b), len(u))")
+        for name, arr in (("A", A), ("b", b), ("u", u)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                idx = tuple(int(i) for i in bad[0])
+                raise ValueError(f"{name}[{', '.join(map(str, idx))}] = "
+                                 f"{arr[idx]} is not finite")
         if np.any(A < 0) or np.any(b < 0) or np.any(u <= 0):
             raise ValueError("A, b must be non-negative and u positive "
                              "(down-closedness)")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
+        for name, arr in (("A", A), ("b", b), ("u", u)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -287,6 +309,45 @@ class DownClosedPolytope:
         x = scale * z mapping P' back to P."""
         scale = self.u.copy()
         return DownClosedPolytope(self.A * scale, self.b, np.ones_like(scale)), scale
+
+    @cached_property
+    def _vertices(self) -> np.ndarray | None:
+        """All vertices of P, lexicographically sorted, or None when P has
+        more candidate bases than _VERTEX_BUDGET.
+
+        A vertex fixes each coordinate outside a free set F at 0 or u_j and
+        solves k = |F| tight rows R of A for x_F, with A[R, F] nonsingular.
+        The solves are batched over every (F, R, fixed pattern) of one k;
+        points within _VERTEX_TOL of P are clipped to the box and kept when
+        Ax <= b + _VERTEX_TOL still holds."""
+        n, rows = self.n, self.b.size
+        if _vertex_candidates(n, rows) > _VERTEX_BUDGET:
+            return None
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        corners = bits * self.u
+        points = [corners]
+        for k in range(1, min(n, rows) + 1):
+            Fs = np.array(list(combinations(range(n), k)))
+            Rs = np.array(list(combinations(range(rows), k)))
+            # fixed patterns of each F: the corners with every F bit zero
+            fmask = (1 << Fs).sum(axis=1)
+            pat = np.nonzero((np.arange(1 << n) & fmask[:, None]) == 0)[1]
+            fixed = corners[pat.reshape(len(Fs), -1)]                # (nF, nP, n)
+            slack = self.b - fixed @ self.A.T                        # (nF, nP, rows)
+            M = self.A[Rs[None, :, :, None], Fs[:, None, None, :]]   # (nF, nR, k, k)
+            sv = np.linalg.svd(M, compute_uv=False)
+            f_i, r_i = np.nonzero(sv[..., -1] > 1e-12 * sv[..., 0])
+            rhs = np.take_along_axis(slack[f_i], Rs[r_i][:, None, :], axis=2)
+            sol = np.linalg.solve(M[f_i, r_i], rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            x = fixed[f_i]                                           # (m, nP, n)
+            cols = np.broadcast_to(Fs[f_i][:, None, :], sol.shape)
+            np.put_along_axis(x, cols, sol, axis=2)
+            points.append(x.reshape(-1, n))
+        X = np.concatenate(points)
+        X = X[np.all((X >= -_VERTEX_TOL) & (X <= self.u + _VERTEX_TOL), axis=1)]
+        X = np.clip(X, 0.0, self.u)
+        X = X[np.all(X @ self.A.T <= self.b + _VERTEX_TOL, axis=1)]
+        return np.unique(X, axis=0)
 
 
 def matroid_polytope(M: Matroid) -> DownClosedPolytope:
@@ -308,11 +369,24 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     """Optimal vertex of max{w.x : x in P}.
 
     Negative-weight coordinates are pinned to 0 first (valid because P is
-    down-closed), then the remaining LP is handed to the HiGHS solver.
+    down-closed). A small P answers from its cached vertex list: among the
+    vertices that are 0 on every pinned coordinate, the lexicographically
+    smallest one whose value w+.x is within a relative 1e-12 of the maximum.
+    A P above the vertex budget hands the LP to the HiGHS solver instead.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (P.n,):
         raise ValueError(f"w must have shape ({P.n},)")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"LP weight w[{j}] = {w[j]} is not finite")
+    V = P._vertices
+    if V is not None:
+        V = V[np.all(V[:, w < 0] == 0.0, axis=1)]
+        vals = V @ np.maximum(w, 0.0)
+        best = vals.max()
+        return V[np.argmax(vals >= best - 1e-12 * best)].copy()
     bounds = [(0.0, 0.0) if w[j] < 0 else (0.0, float(P.u[j])) for j in range(P.n)]
     res = linprog(-w, A_ub=P.A, b_ub=P.b, bounds=bounds, method="highs")
     if not res.success:

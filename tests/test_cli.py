@@ -129,6 +129,14 @@ def test_run_infeasible_k(capsys):
     assert "exceeds" in err
 
 
+def test_run_synthetic_mix_above_its_size_limit(capsys):
+    code, out, err = run_cli(capsys, "run", "--alg", "greedy", "--objective",
+                             "synthetic-mix", "--n", "40", "--k", "2")
+    assert code == 2 and out == ""
+    assert "n <= 31" in err and "got n=40" in err
+    assert "out of bounds" not in err
+
+
 def test_run_matroid_algorithms(capsys, tmp_path):
     spec = tmp_path / "matroid.txt"
     spec.write_text("block: 0,1,2,3 capacity=1\nblock: 4,5,6,7 capacity=2\n")

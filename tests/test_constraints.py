@@ -1,8 +1,12 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import monoratio.constraints as constraints
 from helpers import union_find_forest_indep
 from monoratio import (CardinalityConstraint, DownClosedPolytope,
                        InfeasibleError, OracleMatroid, PartitionMatroid,
@@ -195,6 +199,150 @@ def test_linear_maximize_polytope_negative_weights_and_dominance():
         if np.any(over):
             cand = cand * min(1.0, float((b[over] / scalebound[over]).min()))
         assert w @ cand <= best + 1e-9
+
+
+@pytest.mark.parametrize("A, b, u, message", [
+    ([[1.0, np.nan]], [1.0], [1.0, 1.0], r"A\[0, 1\] = nan"),
+    ([[1.0], [2.0]], [1.0, np.inf], [1.0], r"b\[1\] = inf"),
+    ([[1.0, 1.0]], [1.0], [-np.inf, 1.0], r"u\[0\] = -inf"),
+])
+def test_polytope_rejects_non_finite_data(A, b, u, message):
+    with pytest.raises(ValueError, match=message + " is not finite"):
+        DownClosedPolytope(A, b, u)
+
+
+def test_polytope_arrays_are_read_only_copies():
+    A = np.ones((1, 2))
+    P = DownClosedPolytope(A, [1.0], [1.0, 1.0])
+    A[0, 0] = 5.0
+    assert P.A[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        P.b[0] = 2.0
+
+
+def test_linear_maximize_polytope_rejects_non_finite_weights():
+    P = DownClosedPolytope([[1.0, 1.0, 1.0]], [1.0], [1.0, 1.0, 1.0])
+    for w, message in (([1.0, np.nan, np.inf], r"w\[1\] = nan"),
+                       ([1.0, 0.0, -np.inf], r"w\[2\] = -inf")):
+        with pytest.raises(ValueError, match=message + " is not finite"):
+            linear_maximize_polytope(P, w)
+
+
+def test_linear_maximize_polytope_tie_break_is_lexicographic():
+    # uniform(2) on 4 elements: the maximizers of (1, 1, 1, 0) are the three
+    # pairs inside {0, 1, 2}; the lexicographically smallest is {1, 2}
+    P = matroid_polytope(UniformMatroid(4, 2))
+    assert list(linear_maximize_polytope(P, [1.0, 1.0, 1.0, 0.0])) == [0, 1, 1, 0]
+    assert list(linear_maximize_polytope(P, [0.0, -1.0, 0.0, 0.0])) == [0, 0, 0, 0]
+
+
+def _reference_vertices(P, tol):
+    """Vertices of P by a plain loop over (free set F, fixed pattern, rows R),
+    one np.linalg.solve per system with condition number below 1e12. A point
+    at most tol outside the box is clipped to it and kept if Ax <= b + tol."""
+    n, rows = P.n, P.b.size
+    out = []
+    for k in range(min(n, rows) + 1):
+        for F in combinations(range(n), k):
+            rest = [j for j in range(n) if j not in F]
+            for at_u in product([False, True], repeat=n - k):
+                fixed = np.zeros(n)
+                fixed[rest] = np.where(at_u, P.u[rest], 0.0)
+                for R in combinations(range(rows), k):
+                    x = fixed.copy()
+                    if k:
+                        M = P.A[np.ix_(R, F)]
+                        if not np.linalg.cond(M) < 1e12:
+                            continue
+                        x[list(F)] = np.linalg.solve(M, P.b[list(R)] - P.A[list(R)] @ fixed)
+                    if np.all(x >= -tol) and np.all(x <= P.u + tol):
+                        x = np.clip(x, 0.0, P.u)
+                        if P.contains(x, tol):
+                            out.append(x)
+    return np.array(out)
+
+
+_LP_ENTRY = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
+# HiGHS drops matrix entries |a| <= 1e-9, so non-zero coefficients stay at or
+# above 1e-3 for its LP to be the reference
+_LP_COEF = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(1e-3, 3.0))
+_LP_WEIGHT = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-3.0, 3.0))
+# HiGHS at its tightest tolerances: at the 1e-7 defaults it reads a tiny
+# weight as 0 and lets x overshoot a tiny b, both by more than 1e-9
+_HIGHS_EXACT = {"primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10}
+
+
+@st.composite
+def _lp_polytopes(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "uniform", "partition"]))
+    if kind == "uniform":
+        return n, matroid_polytope(UniformMatroid(n, draw(st.integers(0, n))))
+    if kind == "partition":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+        caps = [draw(st.integers(0, len(blk))) for blk in blocks]
+        return n, matroid_polytope(PartitionMatroid(n, blocks, caps))
+    rows = draw(st.integers(0, 5))
+    A = [draw(st.lists(_LP_COEF, min_size=n, max_size=n)) for _ in range(rows)]
+    b = draw(st.lists(st.one_of(st.just(0.0), _LP_ENTRY), min_size=rows, max_size=rows))
+    if rows and rows < 5 and draw(st.booleans()):  # a duplicated row
+        A.append(A[0])
+        b.append(b[0])
+    u = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 2.0),
+                      min_size=n, max_size=n))
+    return n, DownClosedPolytope(np.reshape(A, (len(b), n)), b, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vertex_lp_agrees_with_highs_property(data):
+    n, P = data.draw(_lp_polytopes())
+    w = np.array(data.draw(st.lists(_LP_WEIGHT, min_size=n, max_size=n)))
+    x = linear_maximize_polytope(P, w)
+    bounds = [(0.0, 0.0) if w[j] < 0 else (0.0, float(P.u[j])) for j in range(n)]
+    res = linprog(-w, A_ub=P.A, b_ub=P.b, bounds=bounds, method="highs",
+                  options=_HIGHS_EXACT)
+    assert res.success
+    # a vertex may overshoot each row by the 1e-9 of P.contains, which can
+    # raise the objective by 1e-9 times that row's dual value
+    slack = 1e-9 * (1.0 + np.abs(res.ineqlin.marginals).sum())
+    assert abs(w @ x - w @ np.clip(res.x, 0.0, P.u)) <= slack
+    assert P.contains(x)
+    assert np.all(x[w < 0] == 0.0)
+    # the cached list holds every reference vertex feasible to 1e-11 and only
+    # reference vertices feasible to 1e-7 (so rounding at the 1e-9 cut-off
+    # cannot decide the test), sorted lexicographically; x is its first
+    # unpinned vertex within the relative 1e-12 tie tolerance of the maximum
+    inner, outer = _reference_vertices(P, 1e-11), _reference_vertices(P, 1e-7)
+    V = P._vertices
+    for a, b in ((inner, V), (V, outer)):
+        assert all(np.abs(b - v).max(axis=1).min() <= 1e-9 for v in a)
+    assert np.array_equal(V, V[np.lexsort(V.T[::-1])])
+    allowed = V[np.all(V[:, w < 0] == 0.0, axis=1)]
+    vals = allowed @ np.maximum(w, 0.0)
+    assert np.array_equal(x, allowed[vals >= vals.max() * (1.0 - 1e-12)][0])
+
+
+def test_large_polytope_takes_the_highs_path(monkeypatch):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "linprog", counting_linprog)
+    rng = np.random.default_rng(3)
+    big = DownClosedPolytope(rng.random((10, 10)), np.ones(10), np.ones(10))
+    assert constraints._vertex_candidates(10, 10) > constraints._VERTEX_BUDGET
+    w = rng.normal(size=10)
+    x = linear_maximize_polytope(big, w)
+    assert big._vertices is None and calls == [1]
+    assert big.contains(x) and np.all(x[w < 0] == 0.0)
+    small = DownClosedPolytope(rng.random((4, 4)), np.ones(4), np.ones(4))
+    linear_maximize_polytope(small, rng.normal(size=4))
+    assert small._vertices is not None and calls == [1]
 
 
 def test_lp_agrees_with_matroid_greedy():

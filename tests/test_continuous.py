@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_opt, coverage_table, mixture_oracle, modular_oracle,
                      table_oracle)
@@ -128,6 +130,48 @@ def test_swap_rounding_preserves_expected_value():
                          for s in range(trials)])
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert vals.mean() >= exact - 3 * max(se, 1e-12)
+
+
+@st.composite
+def _matroid_points(draw):
+    """A uniform or partition matroid on 2-7 elements and a point of its
+    polytope: raw coordinates (exact 0s and 1s included) scaled down per
+    block to fit the capacity."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        M = UniformMatroid(n, draw(st.integers(1, n)))
+        blocks, caps = [list(range(n))], [M.k]
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+        caps = [draw(st.integers(0, len(blk))) for blk in blocks]
+        M = PartitionMatroid(n, blocks, caps)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n)))
+    for ids, cap in zip(blocks, caps):
+        total = y[ids].sum()
+        if total > cap:
+            y[ids] *= cap / total
+    return M, blocks, y
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_matroid_points())
+def test_swap_rounding_property_independent_and_unbiased(case):
+    # each rounded block keeps floor or ceil of its sum (so within capacity),
+    # and each empirical marginal lies within 5 binomial sigmas of y_u
+    M, blocks, y = case
+    trials = 300
+    hits = np.zeros(M.n)
+    for s in range(trials):
+        sol = swap_rounding(y, M, seed=s)
+        assert M.is_independent(sol)
+        for ids in blocks:
+            total, count = y[ids].sum(), sum((sol >> u) & 1 for u in ids)
+            assert math.floor(total + 1e-9) <= count <= math.ceil(total - 1e-9)
+        hits[ids_of(sol)] += 1
+    sigma = np.sqrt(y * (1.0 - y) / trials)
+    assert np.all(np.abs(hits / trials - y) <= 5.0 * sigma + 1e-9)
 
 
 def test_swap_rounding_rejects_outside_polytope():
