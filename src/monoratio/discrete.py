@@ -129,9 +129,9 @@ def best_of_with_ground(f: SetFunctionOracle, seed=None) -> RunResult:
 
 def _scan(f: SetFunctionOracle, A: int, candidates):
     """Pairs (u, f(A + u)) for each candidate u outside A, in the given
-    order, evaluated as one batch."""
+    order, evaluated by one `f.scan`."""
     cands = [u for u in candidates if not (A >> u) & 1]
-    return zip(cands, f.values([A | (1 << u) for u in cands]).tolist())
+    return zip(cands, f.scan(A, cands))
 
 
 def _best_candidate(f, A, fA, candidates):
@@ -423,8 +423,13 @@ class _AugmentedMatroid(Matroid):
         swap process in a sub-optimal absorbing state: it matches any
         improving pair with probability >= 1/k.
         """
-        s_order, b_ids = ids_of(S), ids_of(B)
-        b_order = b_ids[:]
+        return self.partner_ids(S, ids_of(S), ids_of(B), rng)
+
+    def partner_ids(self, S: int, s_ids: list[int], b_ids: list[int],
+                    rng) -> tuple[int, int]:
+        """`partner` given the sorted ids of S and B, which random greedy
+        keeps from one iteration to the next while S and B stay put."""
+        s_order, b_order = s_ids[:], b_ids[:]
         # shuffling a list makes exactly the draws of permutation(len(list))
         # and permutes it alike, at a fraction of the cost
         rng.shuffle(s_order)
@@ -473,6 +478,12 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     integers(k) for the position of u in M_i sorted by id. Only the partner
     of u is computed (`_AugmentedMatroid.partner`), never the whole
     bijection.
+
+    The marginals are rescanned every iteration, but M_i is a function of
+    the solution and the marginals alone: it is recomputed only when the
+    solution changed (a swap was accepted) or some marginal differs from
+    the previous iteration's, and otherwise the previous M_i is reused.
+    Outputs, draws and oracle calls are those of recomputing it every time.
     """
     if f.n != M.n:
         raise ValueError("oracle and matroid ground sets differ")
@@ -491,13 +502,20 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
     fS = f.value(S & real_mask)
+    s_ids = ids_of(S)
+    outside = list(range(n))  # the reals outside S
+    prev_S = prev_w = None
     for i in range(1, iterations + 1):
         s_real = S & real_mask
         w = [0.0] * n
-        for u, val in _scan(f, s_real, range(n)):
+        for u, val in zip(outside, f.scan(s_real, outside)):
             w[u] = val - fS
-        B = aug.greedy_base_disjoint(w, S)
-        u, out = aug.partner(S, B, rng)
+        # the base depends on S and w alone, and most swaps are rejected
+        if S != prev_S or w != prev_w:
+            B = aug.greedy_base_disjoint(w, S)
+            b_ids = ids_of(B)
+            prev_S, prev_w = S, w
+        u, out = aug.partner_ids(S, s_ids, b_ids, rng)
         cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real_mask)
         delta = cand_val - fS
@@ -505,6 +523,8 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
         if improved:
             S = cand
             fS = cand_val
+            s_ids = ids_of(S)
+            outside = [v for v in range(n) if not (S >> v) & 1]
         if rows is not None:
             rows.append(TraceRow(i, u if u < n else None, delta, improved))
     return _finish(f, S & real_mask, start, seed, rows)

@@ -106,7 +106,7 @@ class SetFunctionOracle:
     `batch_fn`, when given, is a vectorized form of `fn`: it receives a
     (B, n) boolean matrix whose row i has column u set when element u is in
     the i-th set, and returns B floats equal to `fn` on those sets. `values`
-    routes batches through it; without it `values` loops over `value`.
+    and `scan` route batches through it; without it they loop over `value`.
 
     Every freshly computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask.
@@ -140,6 +140,21 @@ class SetFunctionOracle:
                 self._reject(v, mask)
             memo[mask] = v
         return v
+
+    def scan(self, A: int, candidates) -> list[float]:
+        """f(A + u) for each candidate element u, in the given order, as a
+        list of floats, counting one evaluation per candidate.
+
+        This is the candidate scan of the greedy-type algorithms. Without a
+        `batch_fn` each set goes through `value` (memo, finiteness check and
+        counting included) and no numpy array is built: on a handful of
+        candidates the array round trip costs more than the evaluations.
+        With a `batch_fn` the scan is one `values` batch.
+        """
+        if self._batch_fn is not None:
+            return self.values([A | (1 << u) for u in candidates]).tolist()
+        value = self.value
+        return [value(A | (1 << u)) for u in candidates]
 
     def values(self, masks) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.

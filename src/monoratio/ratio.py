@@ -119,22 +119,28 @@ def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible,
                                   limit: int = WEAK_RATIO_LIMIT) -> RatioReport:
     """Exact weak monotonicity ratio: min over feasible S, T of f(S|T)/f(S).
 
-    `feasible` is a predicate over masks (or an iterable of feasible masks).
-    With everything feasible this equals the monotonicity ratio, since every
+    `feasible` is a predicate over masks, or an iterable of feasible masks,
+    each in [0, 2^n) (else ValueError, before any evaluation). With
+    everything feasible this equals the monotonicity ratio, since every
     superset of S is S|T for some T. Raises ValueError when f is negative
     anywhere.
     """
     n = f.n
     if n > limit:
         raise SizeLimitError(f"weak ratio scan capped at n={limit}, got n={n}")
-    start_calls = f.eval_count
-    fv = _nonnegative_table(f)
     if callable(feasible):
         fam = np.array([m for m in range(1 << n) if feasible(m)], dtype=np.int64)
     else:
-        fam = np.array(sorted(set(int(m) for m in feasible)), dtype=np.int64)
+        masks = sorted(set(int(m) for m in feasible))
+        for m in masks:
+            if not 0 <= m < 1 << n:
+                raise ValueError(f"feasible mask {m} is outside [0, 2^{n}) "
+                                 f"for the {n}-element ground set")
+        fam = np.array(masks, dtype=np.int64)
     if fam.size == 0:
         raise ValueError("feasible family is empty")
+    start_calls = f.eval_count
+    fv = _nonnegative_table(f)
 
     best = math.inf
     wS = wT = int(fam[0])

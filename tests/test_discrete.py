@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectation,
                      gap_oracle, mixture_oracle, modular_oracle,
@@ -383,6 +385,53 @@ def test_partner_matches_full_bijection(M):
         assert cross > 0  # leftovers paired across blocks were exercised
 
 
+@st.composite
+def small_matroids(draw):
+    """Uniform matroids, and partition matroids with random blocks whose
+    capacities run from 0 to above the block size."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+    caps = [draw(st.integers(0, len(b) + 2)) for b in blocks]
+    return PartitionMatroid(n, blocks, caps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=small_matroids(), seed=st.integers(0, 2**32 - 1))
+def test_matroid_axioms_and_partner_exchange_property(M, seed):
+    indep = [[] for _ in range(M.n + 1)]  # independent sets by size
+    for mask in range(1 << M.n):
+        if M.is_independent(mask):
+            indep[mask.bit_count()].append(mask)
+            assert all(M.is_independent(mask & ~(1 << u)) for u in ids_of(mask))
+    assert indep[M.rank] and not any(indep[M.rank + 1:])  # rank is the largest size
+    # augmentation from each size to the next covers every |S| < |T| pair,
+    # given the hereditary property checked above
+    for small, large in zip(indep, indep[1:]):
+        for S in small:
+            for T in large:
+                assert any(M.is_independent(S | (1 << u)) for u in ids_of(T & ~S))
+    if M.rank == 0:
+        return
+    aug = _AugmentedMatroid(M, 2 * M.rank)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        S = random_base(aug, 0, rng)
+        B = random_base(aug, S, rng)
+        state = rng.bit_generator.state
+        ref = np.random.default_rng()
+        ref.bit_generator.state = state
+        u, s = aug.partner(S, B, rng)
+        assert (B >> u) & 1 and (S >> s) & 1
+        assert aug.is_independent((S & ~(1 << s)) | (1 << u))
+        ref.permutation(M.rank)
+        ref.permutation(M.rank)
+        ref.integers(M.rank)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_greedy_matroid_golden():
     """Seeded runs pinned to outputs computed with the full-bijection
     exchange that `partner` replaced."""
@@ -405,6 +454,32 @@ def test_random_greedy_matroid_golden():
            for r in (random_greedy_matroid(img, U, 0.2, seed=s) for s in range(4))]
     assert got == [(270376, 96.4151893784956, 552), (270376, 96.4151893784956, 552),
                    (2208, 96.74681935424461, 569), (8352, 97.01004593767361, 570)]
+
+
+def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch):
+    """A table oracle gives the same marginals until a swap is accepted, so
+    the disjoint base is computed once up front and once per accepted swap."""
+    calls = []
+    original = _AugmentedMatroid.greedy_base_disjoint
+
+    def counted(self, w, exclude):
+        calls.append(exclude)
+        return original(self, w, exclude)
+
+    monkeypatch.setattr(_AugmentedMatroid, "greedy_base_disjoint", counted)
+    f, _ = mixture_oracle(7, seed=8)
+    M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
+    got = []
+    for seed in range(6):
+        calls.clear()
+        r = random_greedy_matroid(f, M, 0.1, seed=seed, trace=True)
+        accepted = sum(row.accepted for row in r.trace)
+        assert len(r.trace) == 30 and accepted > 0
+        assert len(calls) == 1 + accepted
+        got.append((r.solution, r.value, r.oracle_calls))
+    assert got == [(67, 8.772044191282124, 162), (70, 8.816112893706094, 168),
+                   (20, 9.256046344562186, 185), (20, 9.256046344562186, 185),
+                   (21, 10.531033574483407, 158), (21, 10.531033574483407, 162)]
 
 
 # ---------------------------------------------------------------------- baseline

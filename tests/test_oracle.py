@@ -301,6 +301,34 @@ def test_kernel_blocks_cover_every_nonempty_row_within_the_gather_bound():
     assert sorted(seen) == np.flatnonzero(X.any(axis=1)).tolist()
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_scan_equals_values_on_every_oracle_kind(n):
+    for obj in objectives(n, seed=n):
+        for memoize in (False, True):
+            for kernel in (None, obj._batch_fn):
+                def make():
+                    return SetFunctionOracle(obj.ground, obj._fn, memoize=memoize,
+                                             batch_fn=kernel, name=obj.name)
+
+                scanned, batched = make(), make()
+                rng = np.random.default_rng(n)
+                for A in random_masks(n, 20, seed=n):
+                    # any order, and repeated candidates hit the memo
+                    cands = [u for u in rng.permutation(n).tolist() if not (A >> u) & 1]
+                    cands += cands[:2]
+                    got = scanned.scan(A, cands)
+                    ref = batched.values([A | (1 << u) for u in cands])
+                    assert type(got) is list and all(type(v) is float for v in got)
+                    np.testing.assert_array_equal(np.array(got).view(np.int64),
+                                                  ref.view(np.int64))
+                    assert got == [obj._fn(A | (1 << u)) for u in cands]
+                    assert scanned.eval_count == batched.eval_count
+                assert scanned._memo == batched._memo
+                calls = scanned.eval_count
+                assert scanned.scan((1 << n) - 1, []) == []
+                assert scanned.eval_count == calls
+
+
 def test_candidate_scans_evaluate_only_non_members():
     # positive modular weights: every scan adds an element, so the i-th scan
     # evaluates the n - i + 1 sets that grow the current set
@@ -401,3 +429,21 @@ def test_batched_non_finite_values_raise_and_name_the_mask():
         assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
         with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
             f.values([0, 7, 5])
+
+
+def test_scan_non_finite_values_raise_and_name_the_mask():
+    def fn(mask):
+        return math.nan if mask == 5 else float(mask.bit_count())
+
+    def batch_fn(X):
+        out = X.sum(axis=1).astype(float)
+        out[X[:, 0] & ~X[:, 1] & X[:, 2]] = np.nan
+        return out
+
+    for memoize in (False, True):
+        for kernel in (None, batch_fn):
+            f = SetFunctionOracle(GroundSet(3), fn, memoize=memoize,
+                                  batch_fn=kernel, name="holey")
+            assert f.scan(1, [1]) == [2.0]
+            with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
+                f.scan(1, [1, 2])
