@@ -15,12 +15,10 @@ from .apps import (FeatureMatrix, QuadraticInstance, generate_quadratic_instance
 from .bounds import (GuaranteeCurve, cardinality_hardness, evaluate_curve,
                      guarantee, matroid_hardness, smallest_grid_crossing,
                      symmetry_gap_unconstrained, upper_bound_from_output)
-from .constraints import (CardinalityConstraint, DownClosedPolytope,
-                          InfeasibleError, Matroid, OracleMatroid,
-                          PartitionMatroid, UniformMatroid, exchange_map,
+from .constraints import (CardinalityConstraint, DownClosedPolytope, Matroid,
+                          OracleMatroid, PartitionMatroid, UniformMatroid,
                           linear_maximize_matroid, linear_maximize_polytope,
-                          matroid_polytope, max_weight_base_disjoint,
-                          partition_matroid_from_text)
+                          matroid_polytope, partition_matroid_from_text)
 from .continuous import (FWConfig, FWResult, MCGConfig, MCGResult,
                          frank_wolfe_nonmonotone, measured_continuous_greedy,
                          swap_rounding)

@@ -1,9 +1,10 @@
 """Cardinality/matroid constraints and linear maximization over down-closed
 polytopes.
 
-Matroids come in three kinds: uniform(k), partition (disjoint blocks with
-per-block capacities) and oracle (a user independence test). All take and
-return subsets as bitmasks.
+Matroids come in two kinds: block matroids, which group the elements into
+disjoint classes with capacities (partition matroids, and uniform(k) as a
+one-block partition), and oracle matroids (a user independence test). All
+take and return subsets as bitmasks.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ __all__ = [
     "PartitionMatroid",
     "OracleMatroid",
     "partition_matroid_from_text",
-    "max_weight_base_disjoint",
-    "exchange_map",
     "DownClosedPolytope",
     "matroid_polytope",
     "linear_maximize_polytope",
     "linear_maximize_matroid",
-    "InfeasibleError",
 ]
-
-
-class InfeasibleError(ValueError):
-    """No solution satisfying the requested constraint exists."""
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,30 @@ class CardinalityConstraint:
         return mask.bit_count() <= self.k
 
 
+def _same_ground_set(n: int, constraint) -> None:
+    """ValueError naming both sizes unless `constraint` is over n elements."""
+    if constraint.n != n:
+        raise ValueError(f"ground sets differ: {n} elements against "
+                         f"{constraint.n} in the constraint")
+
+
 class Matroid:
-    """Independence-oracle interface; subclasses fix the kind."""
+    """Independence-oracle interface; subclasses fix the kind.
+
+    Block matroids set `key[u]`, the class of element u, and `capacities[c]`,
+    the number of elements class c admits; greedy and partner then count
+    capacities and pair within classes. Oracle matroids have `key = None` and
+    use independence tests instead.
+
+    Random greedy pads M with `free` dummies, the elements n..n+free-1: they
+    are free for independence and count only towards the rank, and they pair
+    in class `dummy_key`.
+    """
 
     n: int
     rank: int
+    key: list[int] | None = None
+    dummy_key = -1
 
     def is_independent(self, mask: int) -> bool:
         raise NotImplementedError
@@ -67,51 +80,125 @@ class Matroid:
     def is_feasible(self, mask: int) -> bool:
         return self.is_independent(mask)
 
+    def _padded_independent(self, mask: int) -> bool:
+        """Independence in M padded with dummies (the elements >= n)."""
+        return (mask.bit_count() <= self.rank
+                and self.is_independent(mask & ((1 << self.n) - 1)))
 
-class UniformMatroid(Matroid):
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        self.n = n
-        self.k = k
-        self.rank = k
+    def greedy(self, w, exclude: int = 0, free: int = 0) -> int:
+        """Max-weight independent set of M padded with `free` dummies that
+        avoids `exclude`; w indexes the n real elements (dummies weigh 0).
 
-    def is_independent(self, mask: int) -> bool:
-        return mask.bit_count() <= self.k
+        Greedy over non-increasing weights, ties by smaller id: the positive
+        reals, then the lowest dummies outside `exclude` until the set reaches
+        the rank. With free = 0 this is a max-weight independent set of M.
+        When `exclude` is a base of the matroid padded with free = 2 * rank
+        dummies, it holds at most rank of them, so the result is a max-weight
+        base disjoint from `exclude`.
+        """
+        reals = sorted((u for u in range(self.n) if w[u] > 0 and not (exclude >> u) & 1),
+                       key=w.__getitem__, reverse=True)  # stable: ties by id
+        out = 0
+        key = self.key
+        if key is None:
+            for u in reals:
+                if self._padded_independent(out | (1 << u)):
+                    out |= 1 << u
+        else:
+            left = list(self.capacities)
+            for u in reals:
+                c = key[u]
+                if left[c]:
+                    left[c] -= 1
+                    out |= 1 << u
+        spare = (((1 << free) - 1) << self.n) & ~exclude
+        while spare and out.bit_count() < self.rank:
+            low = spare & -spare  # lowest spare dummy
+            out |= low
+            spare ^= low
+        return out
 
-    def __repr__(self):
-        return f"UniformMatroid(n={self.n}, k={self.k})"
+    def partner(self, S: int, s_ids: list[int], b_ids: list[int], rng,
+                free: int = 0) -> tuple[int, int]:
+        """Draw u uniformly from the base B and return (u, g(u)), where g is
+        a random exchange bijection B -> S, so S - g(u) + u is independent.
+        S and B are disjoint bases of M padded with `free` dummies, given
+        with their sorted ids.
+
+        Makes the draws of permutation(|S|), permutation(|B|) and
+        integers(|B|), in that order, and returns the partner the full
+        bijection gives u: S and B are shuffled; each element of B, in
+        shuffled order, takes the next element of S in its own class while
+        one is left; the leftovers then pair, in shuffled order, with the
+        unused elements of S grouped by class in order of first appearance
+        in shuffled S. Oracle matroids take g from a maximum matching on the
+        exchange graph of the shuffled bases. A random pairing, unlike a
+        fixed one, cannot trap the swap process in a sub-optimal absorbing
+        state: it matches any improving pair with probability >= 1/k.
+        """
+        s_order, b_order = s_ids[:], b_ids[:]
+        # shuffling a list makes exactly the draws of permutation(len(list))
+        # and permutes it alike, at a fraction of the cost
+        rng.shuffle(s_order)
+        rng.shuffle(b_order)
+        u = b_ids[rng.integers(len(b_ids))]
+        if self.key is None:
+            return u, _matching_exchange(self._padded_independent, S, s_order, b_order)[u]
+        key = self._padded_keys.get(free)
+        if key is None:
+            key = self._padded_keys[free] = self.key + [self.dummy_key] * free
+        pool: dict[int, list[int]] = {}
+        for s in s_order:
+            pool.setdefault(key[s], []).append(s)
+        used = dict.fromkeys(pool, 0)
+        slot = leftovers = 0
+        for b in b_order:
+            c = key[b]
+            t = used.get(c)
+            if t is not None and t < len(pool[c]):
+                if b == u:
+                    return u, pool[c][t]
+                used[c] = t + 1
+            else:
+                if b == u:
+                    slot = leftovers
+                leftovers += 1
+        # u is a leftover: the spare list exists only once every element of
+        # B has taken its partner from its own class
+        spare = [s for c, lst in pool.items() for s in lst[used[c]:]]
+        return u, spare[slot]
 
 
 class PartitionMatroid(Matroid):
-    """Disjoint blocks with per-block capacities; elements outside every
-    block are free (capacity unlimited is not allowed: every element must be
-    covered by exactly one block)."""
+    """Disjoint blocks with per-block capacities; every element of
+    range(n) lies in exactly one block. A block is a bitmask or an iterable
+    of element ids."""
 
     def __init__(self, n: int, blocks, capacities):
-        blocks = [mask_of(b) if not isinstance(b, int) else b for b in blocks]
         if len(blocks) != len(capacities):
             raise ValueError("one capacity per block")
-        cover = 0
-        for b in blocks:
-            if b & cover:
-                raise ValueError("blocks must be disjoint")
-            cover |= b
-        if cover != (1 << n) - 1:
+        self.key = [-1] * n
+        masks = []
+        for j, b in enumerate(blocks):
+            if isinstance(b, int) and b < 0:
+                raise ValueError(f"block {j} is a negative bitmask")
+            ids = ids_of(b) if isinstance(b, int) else list(b)
+            for u in ids:
+                if not 0 <= u < n:
+                    raise ValueError(f"element {u} of block {j} is outside [0, {n})")
+                if self.key[u] not in (-1, j):
+                    raise ValueError("blocks must be disjoint")
+                self.key[u] = j
+            masks.append(mask_of(ids))
+        if -1 in self.key:
             raise ValueError("blocks must cover all elements")
         self.n = n
-        self.blocks = blocks
+        self.blocks = masks
         self.capacities = [int(c) for c in capacities]
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be non-negative")
-        self.rank = sum(min(c, b.bit_count()) for b, c in zip(blocks, self.capacities))
-        self._block_of = {}
-        for j, b in enumerate(blocks):
-            for u in ids_of(b):
-                self._block_of[u] = j
-
-    def block_of(self, u: int) -> int:
-        return self._block_of[u]
+        self.rank = sum(min(c, b.bit_count()) for b, c in zip(masks, self.capacities))
+        self._padded_keys: dict[int, list[int]] = {}
 
     def is_independent(self, mask: int) -> bool:
         return all((mask & b).bit_count() <= c
@@ -119,6 +206,26 @@ class PartitionMatroid(Matroid):
 
     def __repr__(self):
         return f"PartitionMatroid(n={self.n}, blocks={len(self.blocks)}, rank={self.rank})"
+
+
+class UniformMatroid(PartitionMatroid):
+    """At most k of n elements: a partition matroid with one block. Its
+    dummies pair in the same class as its elements, since any bijection
+    between two bases of a uniform matroid is an exchange."""
+
+    dummy_key = 0
+
+    def __init__(self, n: int, k: int):
+        if not 0 <= k <= n:
+            raise ValueError("need 0 <= k <= n")
+        super().__init__(n, [(1 << n) - 1], [k])
+        self.k = k
+
+    def is_independent(self, mask: int) -> bool:
+        return mask.bit_count() <= self.k
+
+    def __repr__(self):
+        return f"UniformMatroid(n={self.n}, k={self.k})"
 
 
 class OracleMatroid(Matroid):
@@ -158,82 +265,20 @@ def partition_matroid_from_text(text: str, n: int | None = None) -> PartitionMat
             ids_part, cap_part = body.rsplit("capacity=", 1)
             ids = [int(t) for t in ids_part.replace(",", " ").split()]
             caps.append(int(cap_part))
-            blocks.append(mask_of(ids))
+            blocks.append(ids)
         except Exception as exc:
             raise ValueError(f"bad partition spec on line {lineno}: {raw!r} ({exc})") from exc
     if not blocks:
         raise ValueError("no blocks in partition spec")
     if n is None:
-        n = max(max(ids_of(b)) for b in blocks) + 1
+        n = max(max(b, default=-1) for b in blocks) + 1
     return PartitionMatroid(n, blocks, caps)
 
 
-def max_weight_base_disjoint(M: Matroid, w, exclude: int = 0) -> int:
-    """Max-weight base of M avoiding `exclude`, by weight-sorted greedy.
-
-    Sorts all allowed elements by descending weight (ties by smaller id) and
-    adds those that keep the set independent; matroid greedy yields a maximum
-    weight base of the restriction for arbitrary real weights. Raises
-    InfeasibleError if no base avoids `exclude`.
-    """
-    w = np.asarray(w, dtype=float)
-    order = sorted((u for u in range(M.n) if not (exclude >> u) & 1),
-                   key=lambda u: (-w[u], u))
-    base = 0
-    for u in order:
-        cand = base | (1 << u)
-        if M.is_independent(cand):
-            base = cand
-            if base.bit_count() == M.rank:
-                return base
-    raise InfeasibleError("no base of the matroid avoids the excluded set")
-
-
-def exchange_map(M: Matroid, S: int, B: int) -> dict[int, int]:
-    """Bijection g: B -> S with S - g(u) + u independent for every u in B.
-
-    S and B must be disjoint bases. Uniform matroids pair by sorted id;
-    partition matroids pair within blocks and then match leftovers; general
-    oracle matroids fall back to maximum bipartite matching on the exchange
-    graph (a perfect matching exists for any two matroid bases).
-    """
-    k = M.rank
-    if S & B:
-        raise ValueError("bases must be disjoint")
-    if S.bit_count() != k or B.bit_count() != k:
-        raise ValueError("both sets must be bases (size = rank)")
-    if not (M.is_independent(S) and M.is_independent(B)):
-        raise ValueError("both sets must be independent")
-
-    s_ids, b_ids = ids_of(S), ids_of(B)
-    if isinstance(M, UniformMatroid):
-        return dict(zip(b_ids, s_ids))
-    if isinstance(M, PartitionMatroid):
-        return _partition_exchange(M, s_ids, b_ids)
-    return _matching_exchange(M, S, s_ids, b_ids)
-
-
-def _partition_exchange(M: PartitionMatroid, s_ids, b_ids) -> dict[int, int]:
-    by_block_s: dict[int, list[int]] = {}
-    for s in s_ids:
-        by_block_s.setdefault(M.block_of(s), []).append(s)
-    g: dict[int, int] = {}
-    leftover_b = []
-    for u in b_ids:
-        j = M.block_of(u)
-        if by_block_s.get(j):
-            g[u] = by_block_s[j].pop(0)
-        else:
-            leftover_b.append(u)
-    leftover_s = sorted(s for lst in by_block_s.values() for s in lst)
-    # a leftover u sits in a block where S is below capacity, so any partner works
-    for u, s in zip(leftover_b, leftover_s):
-        g[u] = s
-    return g
-
-
-def _matching_exchange(M: Matroid, S: int, s_ids, b_ids) -> dict[int, int]:
-    edges = {u: [s for s in s_ids if M.is_independent((S & ~(1 << s)) | (1 << u))]
+def _matching_exchange(indep, S: int, s_ids, b_ids) -> dict[int, int]:
+    """Exchange bijection B -> S from a maximum bipartite matching, where u
+    in B may pair with s in S when `indep` accepts S - s + u."""
+    edges = {u: [s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))]
              for u in b_ids}
     match_of_s: dict[int, int] = {}
 
@@ -353,16 +398,26 @@ class DownClosedPolytope:
 def matroid_polytope(M: Matroid) -> DownClosedPolytope:
     """Inequality description of the independent-set polytope for uniform and
     partition matroids (the only kinds with a compact exact description here)."""
-    n = M.n
-    if isinstance(M, UniformMatroid):
-        return DownClosedPolytope(np.ones((1, n)), [float(M.k)], np.ones(n))
-    if isinstance(M, PartitionMatroid):
-        A = np.zeros((len(M.blocks), n))
-        for j, bmask in enumerate(M.blocks):
-            for u in ids_of(bmask):
-                A[j, u] = 1.0
-        return DownClosedPolytope(A, [float(c) for c in M.capacities], np.ones(n))
-    raise ValueError("matroid_polytope supports uniform and partition matroids")
+    if not isinstance(M, PartitionMatroid):
+        raise ValueError("matroid_polytope supports uniform and partition matroids")
+    A = np.zeros((len(M.blocks), M.n))
+    for j, bmask in enumerate(M.blocks):
+        for u in ids_of(bmask):
+            A[j, u] = 1.0
+    return DownClosedPolytope(A, [float(c) for c in M.capacities], np.ones(M.n))
+
+
+def _finite_vector(x, n: int, name: str) -> np.ndarray:
+    """A float copy of x, or ValueError unless it has shape (n,) and finite
+    entries."""
+    x = np.array(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), not {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"{name}[{j}] = {x[j]} is not finite")
+    return x
 
 
 def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
@@ -374,13 +429,7 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     smallest one whose value w+.x is within a relative 1e-12 of the maximum.
     A P above the vertex budget hands the LP to the HiGHS solver instead.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (P.n,):
-        raise ValueError(f"w must have shape ({P.n},)")
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"LP weight w[{j}] = {w[j]} is not finite")
+    w = _finite_vector(w, P.n, "w")
     V = P._vertices
     if V is not None:
         V = V[np.all(V[:, w < 0] == 0.0, axis=1)]
@@ -399,13 +448,6 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
 
 def linear_maximize_matroid(M: Matroid, w) -> int:
     """argmax of sum of w over independent sets, by greedy on positive
-    weights; the indicator of the result is an optimal vertex of the matroid
-    polytope."""
-    w = np.asarray(w, dtype=float)
-    order = sorted((u for u in range(M.n) if w[u] > 0), key=lambda u: (-w[u], u))
-    best = 0
-    for u in order:
-        cand = best | (1 << u)
-        if M.is_independent(cand):
-            best = cand
-    return best
+    weights (`M.greedy`); the indicator of the result is an optimal vertex of
+    the matroid polytope."""
+    return M.greedy(_finite_vector(w, M.n, "w").tolist())

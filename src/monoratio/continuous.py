@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CardinalityConstraint, DownClosedPolytope, Matroid,
-                          PartitionMatroid, UniformMatroid,
-                          linear_maximize_matroid, linear_maximize_polytope)
+                          PartitionMatroid, UniformMatroid, _finite_vector,
+                          _same_ground_set, linear_maximize_matroid,
+                          linear_maximize_polytope)
 from .oracle import SetFunctionOracle, ids_of, mask_from_indicator
 
 __all__ = [
@@ -104,6 +105,9 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     delta = cfg.T / cfg.steps
     if isinstance(constraint, CardinalityConstraint):
         constraint = UniformMatroid(constraint.n, constraint.k)
+    if not isinstance(constraint, (Matroid, DownClosedPolytope)):
+        raise ValueError(f"unsupported constraint {constraint!r}")
+    _same_ground_set(n, constraint)
     y = np.zeros(n)
     rows = [] if trace else None
     fmax_seen = 0.0
@@ -114,10 +118,8 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
             x = np.zeros(n)
             for u in ids_of(linear_maximize_matroid(constraint, w)):
                 x[u] = 1.0
-        elif isinstance(constraint, DownClosedPolytope):
-            x = linear_maximize_polytope(constraint, w)
         else:
-            raise ValueError(f"unsupported constraint {constraint!r}")
+            x = linear_maximize_polytope(constraint, w)
         y = y + delta * (1.0 - y) * x
         if rows is not None:
             rows.append(((step + 1) * delta, float(np.max(y)), fest, se))
@@ -161,19 +163,14 @@ def swap_rounding(y, M: Matroid, seed=None) -> int:
     Integral input rounds to its own set deterministically.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    y = np.asarray(y, dtype=float).copy()
+    if not isinstance(M, PartitionMatroid):
+        raise ValueError("swap rounding supports uniform and partition matroids")
+    y = _finite_vector(y, M.n, "y")
     tol = 1e-9
     if np.any(y < -tol) or np.any(y > 1.0 + tol):
         raise ValueError("point is outside [0,1]^n")
-    if isinstance(M, UniformMatroid):
-        blocks = [list(range(M.n))]
-        caps = [M.k]
-    elif isinstance(M, PartitionMatroid):
-        blocks = [ids_of(b) for b in M.blocks]
-        caps = list(M.capacities)
-    else:
-        raise ValueError("swap rounding supports uniform and partition matroids")
-    for ids, cap in zip(blocks, caps):
+    blocks = [ids_of(b) for b in M.blocks]
+    for ids, cap in zip(blocks, M.capacities):
         if sum(y[j] for j in ids) > cap + tol:
             raise ValueError("point is outside the matroid polytope "
                              f"(block sum exceeds capacity {cap})")

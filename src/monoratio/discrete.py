@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (CardinalityConstraint, Matroid, PartitionMatroid,
-                          UniformMatroid, _matching_exchange)
+                          UniformMatroid, _same_ground_set)
 from .oracle import SetFunctionOracle, ids_of
 
 __all__ = [
@@ -317,8 +317,7 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
 def greedy_matroid(f: SetFunctionOracle, M: Matroid, trace: bool = False) -> RunResult:
     """Greedy under a matroid constraint: repeatedly add the best feasible
     augmentation while its marginal stays non-negative."""
-    if f.n != M.n:
-        raise ValueError("oracle and matroid ground sets differ")
+    _same_ground_set(f.n, M)
     start = f.eval_count
     rows = [] if trace else None
     A = 0
@@ -342,124 +341,6 @@ def greedy_matroid(f: SetFunctionOracle, M: Matroid, trace: bool = False) -> Run
     return _finish(f, A, start, None, rows)
 
 
-class _AugmentedMatroid(Matroid):
-    """Base matroid plus `extra` dummy elements, truncated at the base rank.
-
-    Dummy elements are free for independence (only the global size cap
-    applies), which guarantees a base disjoint from any current base always
-    exists. Mirrors the dummy construction used by random greedy for
-    matroids: the objective ignores dummies.
-
-    For the built-in kinds, `key[u]` is the class element u pairs within
-    and `cap[c]` the number of reals class c admits: partition matroids key
-    reals by block and dummies by -1; uniform matroids key every element 0,
-    since any bijection between two bases is an exchange. Oracle matroids
-    have `key = None` and use independence tests instead.
-    """
-
-    def __init__(self, base: Matroid, extra: int):
-        self.base = base
-        self.extra = extra
-        self.n = base.n + extra
-        self.rank = base.rank
-        self.real_mask = (1 << base.n) - 1
-        if isinstance(base, PartitionMatroid):
-            self.key = [base.block_of(u) for u in range(base.n)] + [-1] * extra
-            self.cap = base.capacities
-        elif isinstance(base, UniformMatroid):
-            self.key = [0] * self.n
-            self.cap = [base.k]
-        else:
-            self.key = self.cap = None
-
-    def is_independent(self, mask: int) -> bool:
-        if mask.bit_count() > self.rank:
-            return False
-        return self.base.is_independent(mask & self.real_mask)
-
-    def greedy_base_disjoint(self, w, exclude: int) -> int:
-        """Max-weight base avoiding the base `exclude`; w indexes real
-        elements only (dummies weigh 0).
-
-        Greedy over non-increasing weights, ties by smaller id: the positive
-        reals, then the dummies. `exclude` holds at most rank of the 2*rank
-        dummies, so the free dummies always complete the base and the greedy
-        never reaches a non-positive real.
-        """
-        n = self.base.n
-        reals = sorted((u for u in range(n) if w[u] > 0 and not (exclude >> u) & 1),
-                       key=w.__getitem__, reverse=True)  # stable: ties by id
-        out = 0
-        key = self.key
-        if key is None:
-            for u in reals:
-                if self.is_independent(out | (1 << u)):
-                    out |= 1 << u
-        else:
-            left = list(self.cap)
-            for u in reals:
-                c = key[u]
-                if left[c]:
-                    left[c] -= 1
-                    out |= 1 << u
-        free = ((1 << self.n) - 1) & ~self.real_mask & ~exclude
-        for _ in range(self.rank - out.bit_count()):
-            low = free & -free  # lowest free dummy
-            out |= low
-            free ^= low
-        return out
-
-    def partner(self, S: int, B: int, rng) -> tuple[int, int]:
-        """Draw u uniformly from the base B and return (u, g(u)), where g is
-        a random exchange bijection B -> S, so S - g(u) + u is independent.
-
-        Makes the draws of permutation(|S|), permutation(|B|) and
-        integers(|B|), in that order, and returns the partner the full
-        bijection gives u: S and B are shuffled; each element of B, in
-        shuffled order, takes the next element of S in its own class while
-        one is left; the leftovers then pair, in shuffled order, with the
-        unused elements of S grouped by class in order of first appearance
-        in shuffled S. A random pairing, unlike a fixed one, cannot trap the
-        swap process in a sub-optimal absorbing state: it matches any
-        improving pair with probability >= 1/k.
-        """
-        return self.partner_ids(S, ids_of(S), ids_of(B), rng)
-
-    def partner_ids(self, S: int, s_ids: list[int], b_ids: list[int],
-                    rng) -> tuple[int, int]:
-        """`partner` given the sorted ids of S and B, which random greedy
-        keeps from one iteration to the next while S and B stay put."""
-        s_order, b_order = s_ids[:], b_ids[:]
-        # shuffling a list makes exactly the draws of permutation(len(list))
-        # and permutes it alike, at a fraction of the cost
-        rng.shuffle(s_order)
-        rng.shuffle(b_order)
-        u = b_ids[rng.integers(len(b_ids))]
-        key = self.key
-        if key is None:
-            return u, _matching_exchange(self, S, s_order, b_order)[u]
-        pool: dict[int, list[int]] = {}
-        for s in s_order:
-            pool.setdefault(key[s], []).append(s)
-        used = dict.fromkeys(pool, 0)
-        slot = leftovers = 0
-        for b in b_order:
-            c = key[b]
-            t = used.get(c)
-            if t is not None and t < len(pool[c]):
-                if b == u:
-                    return u, pool[c][t]
-                used[c] = t + 1
-            else:
-                if b == u:
-                    slot = leftovers
-                leftovers += 1
-        # u is a leftover: the spare list exists only once every element of
-        # B has taken its partner from its own class
-        spare = [s for c, lst in pool.items() for s in lst[used[c]:]]
-        return u, spare[slot]
-
-
 def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
                           seed=None, trace: bool = False) -> RunResult:
     """Random greedy for matroids with dummy padding and beneficial-swap
@@ -476,8 +357,7 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     three draws from the generator: permutation(k) of the solution,
     permutation(k) of M_i (the two shuffles of the bijection), then
     integers(k) for the position of u in M_i sorted by id. Only the partner
-    of u is computed (`_AugmentedMatroid.partner`), never the whole
-    bijection.
+    of u is computed (`Matroid.partner`), never the whole bijection.
 
     The marginals are rescanned every iteration, but M_i is a function of
     the solution and the marginals alone: it is recomputed only when the
@@ -485,8 +365,7 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     the previous iteration's, and otherwise the previous M_i is reused.
     Outputs, draws and oracle calls are those of recomputing it every time.
     """
-    if f.n != M.n:
-        raise ValueError("oracle and matroid ground sets differ")
+    _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
     rng, seed = _rng(seed)
@@ -496,8 +375,8 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     n = M.n
     if k == 0:
         return _finish(f, 0, start, seed, rows)
-    aug = _AugmentedMatroid(M, 2 * k)
-    real_mask = aug.real_mask
+    free = 2 * k
+    real_mask = (1 << n) - 1
     iterations = math.ceil(k / eps)
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
@@ -512,10 +391,10 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
             w[u] = val - fS
         # the base depends on S and w alone, and most swaps are rejected
         if S != prev_S or w != prev_w:
-            B = aug.greedy_base_disjoint(w, S)
+            B = M.greedy(w, S, free)
             b_ids = ids_of(B)
             prev_S, prev_w = S, w
-        u, out = aug.partner_ids(S, s_ids, b_ids, rng)
+        u, out = M.partner(S, s_ids, b_ids, rng, free)
         cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real_mask)
         delta = cand_val - fS
@@ -539,24 +418,22 @@ def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
     n = f.n
     if isinstance(constraint, int):
         constraint = CardinalityConstraint(n, constraint)
+    if isinstance(constraint, CardinalityConstraint):
+        constraint = UniformMatroid(constraint.n, constraint.k)
+    if not isinstance(constraint, Matroid):
+        raise ValueError(f"unsupported constraint {constraint!r}")
+    _same_ground_set(n, constraint)
     sol = 0
-    if isinstance(constraint, (CardinalityConstraint, UniformMatroid)):
-        k = constraint.k
-        if k > 0:
-            for j in rng.choice(n, size=k, replace=False):
-                sol |= 1 << int(j)
-    elif isinstance(constraint, PartitionMatroid):
+    if isinstance(constraint, PartitionMatroid):
         for bmask, cap in zip(constraint.blocks, constraint.capacities):
             ids = ids_of(bmask)
             take = min(cap, len(ids))
             if take > 0:
                 for j in rng.choice(len(ids), size=take, replace=False):
                     sol |= 1 << ids[int(j)]
-    elif isinstance(constraint, Matroid):
+    else:
         for u in rng.permutation(n):
             cand = sol | (1 << int(u))
             if constraint.is_independent(cand):
                 sol = cand
-    else:
-        raise ValueError(f"unsupported constraint {constraint!r}")
     return _finish(f, sol, start, seed, None)

@@ -9,11 +9,9 @@ from scipy.optimize import linprog
 import monoratio.constraints as constraints
 from helpers import union_find_forest_indep
 from monoratio import (CardinalityConstraint, DownClosedPolytope,
-                       InfeasibleError, OracleMatroid, PartitionMatroid,
-                       UniformMatroid, exchange_map, ids_of,
+                       OracleMatroid, PartitionMatroid, UniformMatroid, ids_of,
                        linear_maximize_matroid, linear_maximize_polytope,
-                       mask_of, matroid_polytope, max_weight_base_disjoint,
-                       partition_matroid_from_text)
+                       mask_of, matroid_polytope, partition_matroid_from_text)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -42,6 +40,20 @@ def test_partition_independence():
         PartitionMatroid(4, [[0, 1], [1, 2, 3]], [1, 1])  # overlap
     with pytest.raises(ValueError):
         PartitionMatroid(4, [[0, 1]], [1])  # not covering
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[0, 1], [2, 3, 4]], "element 4 of block 1 is outside"),
+    ([[0, -1], [1, 2, 3]], "element -1 of block 0 is outside"),
+    ([0b0011, 0b11100], "element 4 of block 1 is outside"),
+])
+def test_partition_rejects_elements_outside_the_ground_set(blocks, message):
+    with pytest.raises(ValueError, match=message + r" \[0, 4\)"):
+        PartitionMatroid(4, blocks, [1, 1])
+    if not isinstance(blocks[0], int):
+        text = "".join(f"block: {','.join(map(str, b))} capacity=1\n" for b in blocks)
+        with pytest.raises(ValueError, match=message):
+            partition_matroid_from_text(text, n=4)
 
 
 def _exhaustive_downward_closed(M):
@@ -76,11 +88,13 @@ def test_graphic_matroid_rank():
 
 def test_max_weight_base_examples():
     M = UniformMatroid(4, 2)
-    assert max_weight_base_disjoint(M, [3, 1, 2, 0]) == mask_of([0, 2])
-    assert max_weight_base_disjoint(M, [3, 1, 2, 0], exclude=mask_of([0])) == mask_of([1, 2])
+    assert M.greedy([3, 1, 2, 0]) == mask_of([0, 2])
+    assert M.greedy([3, 1, 2, 0], exclude=mask_of([0])) == mask_of([1, 2])
+    # two dummies 4, 5: the zero weight of 3 leaves the second slot to dummy 5
+    assert M.greedy([3, 1, 2, 0], exclude=mask_of([1, 2, 4]), free=2) == mask_of([0, 5])
 
     P = PartitionMatroid(4, [[0, 1], [2, 3]], [1, 1])
-    assert max_weight_base_disjoint(P, [5, 4, 1, 2], exclude=mask_of([0])) == mask_of([1, 3])
+    assert P.greedy([5, 4, 1, 2], exclude=mask_of([0])) == mask_of([1, 3])
 
 
 def test_max_weight_base_properties():
@@ -88,57 +102,47 @@ def test_max_weight_base_properties():
     M = PartitionMatroid(7, [[0, 1, 2], [3, 4], [5, 6]], [1, 2, 1])
     for _ in range(30):
         w = rng.normal(size=7)
-        base = max_weight_base_disjoint(M, w)
+        base = M.greedy(w, free=M.rank)
         assert base.bit_count() == M.rank
-        assert M.is_independent(base)
-        # exact optimality vs enumeration over all bases
-        best = max(sum(w[u] for u in comb)
-                   for comb in combinations(range(7), M.rank)
-                   if M.is_independent(mask_of(comb)))
-        assert sum(w[u] for u in ids_of(base)) == pytest.approx(best)
+        real = base & ((1 << 7) - 1)
+        assert M.is_independent(real)
+        # exact optimality vs enumeration over all independent sets
+        best = max(sum(w[u] for u in ids_of(mask))
+                   for mask in range(1 << 7) if M.is_independent(mask))
+        assert sum(w[u] for u in ids_of(real)) == pytest.approx(best)
 
 
-def test_max_weight_base_infeasible():
-    M = UniformMatroid(3, 2)
-    with pytest.raises(InfeasibleError):
-        max_weight_base_disjoint(M, [1, 1, 1], exclude=mask_of([0, 1]))
+def _partners(M, S, B, seeds=range(40)):
+    """Every (u, partner of u) that `partner` draws over the seeds."""
+    s_ids, b_ids = ids_of(S), ids_of(B)
+    return {M.partner(S, s_ids, b_ids, np.random.default_rng(seed)) for seed in seeds}
 
 
 def test_exchange_map_uniform_and_partition():
     M = UniformMatroid(6, 3)
-    g = exchange_map(M, mask_of([0, 2, 4]), mask_of([1, 3, 5]))
-    assert g == {1: 0, 3: 2, 5: 4}  # id-sorted pairing
+    S, B = mask_of([0, 2, 4]), mask_of([1, 3, 5])
+    pairs = _partners(M, S, B, seeds=range(200))
+    assert pairs == set(product(ids_of(B), ids_of(S)))  # any pairing is an exchange
 
     P = PartitionMatroid(6, [[0, 1], [2, 3], [4, 5]], [1, 1, 1])
-    g = exchange_map(P, mask_of([0, 2, 4]), mask_of([1, 3, 5]))
-    assert g == {1: 0, 3: 2, 5: 4}  # forced by block structure
-    for u, s in g.items():
-        assert P.is_independent((mask_of([0, 2, 4]) & ~(1 << s)) | (1 << u))
+    pairs = _partners(P, S, B)
+    assert pairs == {(1, 0), (3, 2), (5, 4)}  # forced by block structure
+    for u, s in pairs:
+        assert P.is_independent((S & ~(1 << s)) | (1 << u))
 
 
 def test_exchange_map_graphic_matroid():
     M = k4_graphic_matroid()
     # edge ids: (0,1)=0 (0,2)=1 (0,3)=2 (1,2)=3 (1,3)=4 (2,3)=5
-    S = mask_of([0, 1, 2])  # star at vertex 0
-    B = mask_of([3, 4, 5])  # triangle-free? {12,13,23} is a cycle -> not a base
-    assert not M.is_independent(B)
-    B = mask_of([3, 4])  # need disjoint bases: {12,13,+?}; {3,4,5} dependent
+    assert not M.is_independent(mask_of([3, 4, 5]))  # {12,13,23} is a cycle
     S2 = mask_of([0, 1, 4])   # {01,02,13}: tree
     B2 = mask_of([2, 3, 5])   # {03,12,23}: tree
     assert M.is_independent(S2) and M.is_independent(B2)
-    g = exchange_map(M, S2, B2)
-    assert sorted(g.keys()) == [2, 3, 5]
-    assert sorted(g.values()) == [0, 1, 4]
-    for u, s in g.items():
+    pairs = _partners(M, S2, B2)
+    assert {u for u, _ in pairs} == {2, 3, 5}
+    assert {s for _, s in pairs} <= {0, 1, 4}
+    for u, s in pairs:
         assert M.is_independent((S2 & ~(1 << s)) | (1 << u))
-
-
-def test_exchange_map_preconditions():
-    M = UniformMatroid(4, 2)
-    with pytest.raises(ValueError):
-        exchange_map(M, mask_of([0, 1]), mask_of([1, 2]))  # not disjoint
-    with pytest.raises(ValueError):
-        exchange_map(M, mask_of([0]), mask_of([1, 2]))  # S not a base
 
 
 def test_partition_matroid_from_text():
@@ -376,8 +380,59 @@ def test_exchange_map_partition_higher_capacities_random_bases():
         B = random_base(S)
         if B.bit_count() != P.rank:
             continue  # no disjoint base available for this draw
-        g = exchange_map(P, S, B)
-        assert sorted(g.keys()) == ids_of(B)
-        assert sorted(g.values()) == ids_of(S)
-        for u, s in g.items():
+        pairs = _partners(P, S, B, seeds=range(10))
+        for u, s in pairs:
+            assert (B >> u) & 1 and (S >> s) & 1
             assert P.is_independent((S & ~(1 << s)) | (1 << u))
+
+
+def test_linear_maximize_matroid_rejects_bad_weights():
+    M = PartitionMatroid(3, [[0, 1], [2]], [1, 1])
+    for w, message in (([1.0, np.nan, 0.0], r"w\[1\] = nan is not finite"),
+                       ([1.0, 0.0, np.inf], r"w\[2\] = inf is not finite"),
+                       ([1.0, 2.0], r"w must have shape \(3,\), not \(2,\)")):
+        with pytest.raises(ValueError, match=message):
+            linear_maximize_matroid(M, w)
+
+
+@st.composite
+def _tiny_matroids(draw):
+    """Uniform, partition (capacities 0 to above the block size) and graphic
+    oracle matroids on n <= 6 elements."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    if kind == "partition":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+        caps = [draw(st.integers(0, len(b) + 2)) for b in blocks]
+        return PartitionMatroid(n, blocks, caps)
+    edges = draw(st.lists(st.sampled_from(K4_EDGES), min_size=n, max_size=n))
+    return OracleMatroid(n, union_find_forest_indep(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=_tiny_matroids(), data=st.data())
+def test_matroid_greedy_is_a_max_weight_base_property(M, data):
+    n, k = M.n, M.rank
+    w = data.draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                                     st.floats(-3.0, 3.0)), min_size=n, max_size=n))
+
+    def best_avoiding(exclude):
+        return max(sum(w[u] for u in ids_of(mask)) for mask in range(1 << n)
+                   if not mask & exclude and M.is_independent(mask))
+
+    lin = linear_maximize_matroid(M, w)
+    assert M.is_independent(lin)
+    assert sum(w[u] for u in ids_of(lin)) == pytest.approx(best_avoiding(0))
+    # S: a base of M padded with 2k dummies, holding at most k of the dummies
+    real = 0
+    for u in ids_of(data.draw(st.integers(0, (1 << n) - 1))):
+        if M.is_independent(real | (1 << u)):
+            real |= 1 << u
+    S = real | (((1 << (k - real.bit_count())) - 1) << n)
+    B = M.greedy(w, S, 2 * k)
+    assert not B & S and B.bit_count() == k and B >> (n + 2 * k) == 0
+    assert M.is_independent(B & ((1 << n) - 1))
+    assert sum(w[u] for u in ids_of(B) if u < n) == pytest.approx(best_avoiding(S))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (brute_opt, coverage_table, mixture_oracle, modular_oracle,
                      table_oracle)
-from monoratio import (DownClosedPolytope, FWConfig, MCGConfig, PartitionMatroid,
+from monoratio import (CardinalityConstraint, DownClosedPolytope, FWConfig,
+                       MCGConfig, PartitionMatroid,
                        UniformMatroid, frank_wolfe_nonmonotone,
                        generate_quadratic_instance, ids_of, mask_of,
                        matroid_polytope, measured_continuous_greedy,
@@ -76,6 +77,15 @@ def test_mcg_config_validation():
         MCGConfig(T=-1.0)
     with pytest.raises(ValueError):
         MCGConfig(steps=0)
+
+
+def test_mcg_rejects_a_constraint_on_another_ground_set():
+    f = modular_oracle([1.0] * 5)
+    for constraint in (UniformMatroid(3, 1), CardinalityConstraint(3, 1),
+                       matroid_polytope(UniformMatroid(3, 1))):
+        with pytest.raises(ValueError, match="5 elements against 3"):
+            measured_continuous_greedy(f, constraint, MCGConfig(steps=1, samples=1))
+    assert f.eval_count == 0
 
 
 # ------------------------------------------------------------------ swap rounding
@@ -180,6 +190,15 @@ def test_swap_rounding_rejects_outside_polytope():
         swap_rounding(np.array([0.8, 0.8, 0.0]), M, seed=0)
     with pytest.raises(ValueError):
         swap_rounding(np.array([1.2, 0.0, 0.0]), M, seed=0)
+
+
+def test_swap_rounding_rejects_bad_points():
+    with pytest.raises(ValueError, match=r"y must have shape \(5,\), not \(3,\)"):
+        swap_rounding([0.3, 0.3, 0.3], UniformMatroid(5, 1), seed=0)
+    for y, message in (([np.nan, 0.3, 0.3], r"y\[0\] = nan"),
+                       ([0.3, 0.3, -np.inf], r"y\[2\] = -inf")):
+        with pytest.raises(ValueError, match=message + " is not finite"):
+            swap_rounding(y, UniformMatroid(3, 1), seed=0)
 
 
 # -------------------------------------------------------------------- frank-wolfe

@@ -9,16 +9,15 @@ from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectati
                      gap_oracle, mixture_oracle, modular_oracle,
                      naive_greedy_trajectory, psd_similarity, table_oracle,
                      union_find_forest_indep)
-from monoratio import (OracleMatroid, PartitionMatroid, UniformMatroid,
-                       best_of_with_ground, double_greedy,
-                       exact_monotonicity_ratio, greedy_cardinality,
+from monoratio import (CardinalityConstraint, Matroid, OracleMatroid,
+                       PartitionMatroid, UniformMatroid, best_of_with_ground,
+                       double_greedy, exact_monotonicity_ratio, greedy_cardinality,
                        greedy_matroid, ids_of, image_objective, mask_of,
                        movie_objective, random_baseline,
                        random_greedy_cardinality, random_greedy_matroid,
                        sample_greedy, threshold_greedy, threshold_random_greedy,
                        trace_to_csv)
 from monoratio.constraints import _matching_exchange
-from monoratio.discrete import _AugmentedMatroid
 
 INV_E = math.exp(-1.0)
 
@@ -293,22 +292,34 @@ def test_random_greedy_matroid_constant():
     assert r.value == 3.0
 
 
-def full_bijection_partner(aug, S, B, rng):
-    """Reference for `_AugmentedMatroid.partner`: the random exchange
-    bijection B -> S built whole (shuffle both bases, pair within classes,
-    then pair the leftovers), followed by the draw of u."""
-    base = aug.base
+def padded_independent(M):
+    """Independence test of M padded with dummies (the elements >= M.n):
+    dummies are free, and no set exceeds the rank."""
+    real = (1 << M.n) - 1
+    return lambda mask: mask.bit_count() <= M.rank and M.is_independent(mask & real)
+
+
+def pairing_key(M):
+    """The class each element of the padded M pairs within, or None for an
+    oracle matroid: a uniform matroid keys everything 0, a partition matroid
+    keys reals by block and dummies by -1."""
+    if isinstance(M, UniformMatroid):
+        return lambda u: 0
+    if isinstance(M, PartitionMatroid):
+        return lambda u: M.key[u] if u < M.n else -1
+    return None
+
+
+def full_bijection_partner(M, S, B, rng):
+    """Reference for `Matroid.partner`: the random exchange bijection B -> S
+    built whole (shuffle both bases, pair within classes, then pair the
+    leftovers), followed by the draw of u."""
     s_ids, b_ids = ids_of(S), ids_of(B)
     s_ids = [s_ids[j] for j in rng.permutation(len(s_ids))]
     b_ids = [b_ids[j] for j in rng.permutation(len(b_ids))]
-    if isinstance(base, PartitionMatroid):
-        key = lambda u: base.block_of(u) if u < base.n else -1
-    elif isinstance(base, UniformMatroid):
-        key = lambda u: 0
-    else:
-        key = None
+    key = pairing_key(M)
     if key is None:
-        g = _matching_exchange(aug, S, s_ids, b_ids)
+        g = _matching_exchange(padded_independent(M), S, s_ids, b_ids)
     else:
         pool = {}
         for s in s_ids:
@@ -327,28 +338,31 @@ def full_bijection_partner(aug, S, B, rng):
     return u, g[u]
 
 
-def full_order_greedy(aug, w, exclude):
-    """Reference for `_AugmentedMatroid.greedy_base_disjoint`: independence
+def full_order_greedy(M, w, exclude):
+    """Reference for `Matroid.greedy` with 2 * rank dummies: independence
     tests along all elements by non-increasing weight, ties by smaller id,
     with the zero-weight dummies ahead of the non-positive reals."""
-    n = aug.base.n
+    n = M.n
+    indep = padded_independent(M)
     reals = sorted(range(n), key=lambda u: (-w[u], u))
-    order = ([u for u in reals if w[u] > 0] + list(range(n, aug.n))
+    order = ([u for u in reals if w[u] > 0] + list(range(n, n + 2 * M.rank))
              + [u for u in reals if w[u] <= 0])
     out = 0
     for u in order:
-        if not (exclude >> u) & 1 and aug.is_independent(out | (1 << u)):
+        if not (exclude >> u) & 1 and indep(out | (1 << u)):
             out |= 1 << u
     return out
 
 
-def random_base(aug, exclude, rng):
-    """A base of `aug` avoiding `exclude`, grown in a random element order."""
+def random_base(M, exclude, rng):
+    """A base of M padded with 2 * rank dummies avoiding `exclude`, grown in
+    a random element order."""
+    indep = padded_independent(M)
     out = 0
-    for u in rng.permutation(aug.n).tolist():
-        if not (exclude >> u) & 1 and aug.is_independent(out | (1 << u)):
+    for u in rng.permutation(M.n + 2 * M.rank).tolist():
+        if not (exclude >> u) & 1 and indep(out | (1 << u)):
             out |= 1 << u
-    assert out.bit_count() == aug.rank
+    assert out.bit_count() == M.rank
     return out
 
 
@@ -360,28 +374,30 @@ def random_base(aug, exclude, rng):
                                               (1, 2), (1, 3), (2, 3)])),
 ], ids=["uniform", "partition2", "partition3", "graphic"])
 def test_partner_matches_full_bijection(M):
-    aug = _AugmentedMatroid(M, 2 * M.rank)
+    free = 2 * M.rank
+    indep = padded_independent(M)
+    key = pairing_key(M)
     rng = np.random.default_rng(12)
     cross = 0
     for seed in range(300):
-        S = random_base(aug, 0, rng)
-        B = random_base(aug, S, rng)
+        S = random_base(M, 0, rng)
+        B = random_base(M, S, rng)
         ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
-        u, s = aug.partner(S, B, rng_)
-        assert (u, s) == full_bijection_partner(aug, S, B, ref_rng)
+        u, s = M.partner(S, ids_of(S), ids_of(B), rng_, free)
+        assert (u, s) == full_bijection_partner(M, S, B, ref_rng)
         # same draws, so the stream continues identically
         assert rng_.bit_generator.state == ref_rng.bit_generator.state
         assert (B >> u) & 1 and (S >> s) & 1
-        assert aug.is_independent((S & ~(1 << s)) | (1 << u))
-        if aug.key is not None and aug.key[u] != aug.key[s]:
+        assert indep((S & ~(1 << s)) | (1 << u))
+        if key is not None and key(u) != key(s):
             cross += 1
         # integer weights make ties, which must break toward smaller ids
         w = (rng.normal(size=M.n) if seed % 2 else
              rng.integers(-1, 3, size=M.n).astype(float)).tolist()
-        greedy = aug.greedy_base_disjoint(w, S)
-        assert greedy == full_order_greedy(aug, w, S)
-        assert not greedy & S and greedy.bit_count() == aug.rank
-    if isinstance(M, PartitionMatroid):
+        greedy = M.greedy(w, S, free)
+        assert greedy == full_order_greedy(M, w, S)
+        assert not greedy & S and greedy.bit_count() == M.rank
+    if isinstance(M, PartitionMatroid) and not isinstance(M, UniformMatroid):
         assert cross > 0  # leftovers paired across blocks were exercised
 
 
@@ -415,17 +431,17 @@ def test_matroid_axioms_and_partner_exchange_property(M, seed):
                 assert any(M.is_independent(S | (1 << u)) for u in ids_of(T & ~S))
     if M.rank == 0:
         return
-    aug = _AugmentedMatroid(M, 2 * M.rank)
+    indep = padded_independent(M)
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        S = random_base(aug, 0, rng)
-        B = random_base(aug, S, rng)
+        S = random_base(M, 0, rng)
+        B = random_base(M, S, rng)
         state = rng.bit_generator.state
         ref = np.random.default_rng()
         ref.bit_generator.state = state
-        u, s = aug.partner(S, B, rng)
+        u, s = M.partner(S, ids_of(S), ids_of(B), rng, 2 * M.rank)
         assert (B >> u) & 1 and (S >> s) & 1
-        assert aug.is_independent((S & ~(1 << s)) | (1 << u))
+        assert indep((S & ~(1 << s)) | (1 << u))
         ref.permutation(M.rank)
         ref.permutation(M.rank)
         ref.integers(M.rank)
@@ -460,13 +476,13 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
     """A table oracle gives the same marginals until a swap is accepted, so
     the disjoint base is computed once up front and once per accepted swap."""
     calls = []
-    original = _AugmentedMatroid.greedy_base_disjoint
+    original = Matroid.greedy
 
-    def counted(self, w, exclude):
+    def counted(self, w, exclude=0, free=0):
         calls.append(exclude)
-        return original(self, w, exclude)
+        return original(self, w, exclude, free)
 
-    monkeypatch.setattr(_AugmentedMatroid, "greedy_base_disjoint", counted)
+    monkeypatch.setattr(Matroid, "greedy", counted)
     f, _ = mixture_oracle(7, seed=8)
     M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
     got = []
@@ -504,6 +520,14 @@ def test_random_baseline_uniformity():
         for u in random_baseline(f, 2, seed=s).solution_ids:
             counts[u] += 1
     assert np.all(np.abs(counts / 4000 - 0.5) < 0.05)
+
+
+def test_random_baseline_rejects_a_constraint_on_another_ground_set():
+    f, _ = mixture_oracle(5, seed=0)
+    for constraint in (PartitionMatroid(8, [[0, 1, 2, 3], [4, 5, 6, 7]], [1, 1]),
+                       UniformMatroid(8, 2), CardinalityConstraint(8, 2)):
+        with pytest.raises(ValueError, match="5 elements against 8"):
+            random_baseline(f, constraint, seed=0)
 
 
 # -------------------------------------------------------------------- invariants
