@@ -91,6 +91,10 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     element u joins X with probability a'/(a'+b') where a' = max(f(u|X), 0)
     and b' = max(-f(u|Y-u), 0) (probability 1 when both vanish). Expected
     value is at least (2 f(OPT) + f(empty) + f(N)) / 4.
+
+    f(X) and f(Y) are carried forward rather than re-evaluated, so a run
+    makes 2n + 3 oracle calls: f(empty) and f(N), f(X+u) and f(Y-u) per
+    element, and the final evaluation of the solution.
     """
     rng, seed = _rng(seed)
     start = f.eval_count
@@ -98,17 +102,23 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     rows = [] if trace else None
     X = 0
     Y = (1 << n) - 1
+    fX = f.value(X)
+    fY = f.value(Y)
     for u in range(n):
         bit = 1 << u
-        a = f.value(X | bit) - f.value(X)
-        b = f.value(Y & ~bit) - f.value(Y)
+        fXu = f.value(X | bit)
+        fYu = f.value(Y & ~bit)
+        a = fXu - fX
+        b = fYu - fY
         ap, bp = max(a, 0.0), max(b, 0.0)
         p_add = 1.0 if ap + bp == 0.0 else ap / (ap + bp)
         take = rng.random() < p_add
         if take:
             X |= bit
+            fX = fXu
         else:
             Y &= ~bit
+            fY = fYu
         if rows is not None:
             rows.append(TraceRow(u + 1, u, a, take))
     if X != Y:
@@ -176,6 +186,9 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
 
     Restricting M_i to positive marginals never lowers its total marginal,
     so the argmax semantics are preserved.
+
+    M_i depends on A alone, so the marginals are scanned at the start and
+    after each added element; an iteration that adds nothing reuses M_i.
     """
     n = f.n
     if not 0 <= k <= n:
@@ -185,18 +198,21 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
     rows = [] if trace else None
     A = 0
     fA = f.value(0)
+    top = None  # M_i of the current A; None after A changed
     for i in range(1, k + 1):
-        scored = []
-        for u, val in _scan(f, A, range(n)):
-            marg = val - fA
-            if marg > 0.0:
-                scored.append((marg, u, val))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        top = scored[:k]
+        if top is None:
+            scored = []
+            for u, val in _scan(f, A, range(n)):
+                marg = val - fA
+                if marg > 0.0:
+                    scored.append((marg, u, val))
+            scored.sort(key=lambda t: (-t[0], t[1]))
+            top = scored[:k]
         if top and rng.random() < len(top) / k:
             marg, u, val = top[int(rng.integers(len(top)))]
             A |= 1 << u
             fA = val
+            top = None
             if rows is not None:
                 rows.append(TraceRow(i, u, marg, True))
         elif rows is not None:
@@ -208,6 +224,9 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
     """Descending-threshold greedy: the threshold w starts at the best
     singleton marginal d, each full scan adds every element with marginal at
     least w, and w decays by the factor (1-eps) down to the floor (eps/n)*d.
+
+    f(A + u) is evaluated once per A: the values of the singleton scan and of
+    a pass are reused by the following passes until an element is accepted.
     """
     n = f.n
     if not 0.0 < eps < 1.0:
@@ -216,7 +235,8 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
     start = f.eval_count
     fA = f.value(0)
-    d = max(val - fA for _, val in _scan(f, 0, range(n)))
+    held = dict(_scan(f, 0, range(n)))  # f(A + u) for the current A
+    d = max(val - fA for val in held.values())
     A = 0
     if d > 0.0 and k > 0:
         w = d
@@ -229,10 +249,13 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
                     break
                 if (A >> u) & 1:
                     continue
-                val = f.value(A | (1 << u))
+                val = held.get(u)
+                if val is None:
+                    val = held[u] = f.value(A | (1 << u))
                 if val - fA >= w:
                     A |= 1 << u
                     fA = val
+                    held.clear()
             w *= 1.0 - eps
     return _finish(f, A, start, None, None)
 
@@ -240,7 +263,12 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
 def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunResult:
     """Subsampled greedy: each of the k iterations draws
     ceil((n/k) ln(1/eps)) uniform candidates and adds the best of the sample
-    when its marginal is non-negative."""
+    when its marginal is non-negative.
+
+    Every iteration evaluates its own sample, also when A did not change:
+    the samples differ from one iteration to the next, so few values could
+    be reused.
+    """
     n = f.n
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
@@ -275,6 +303,9 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
     random-greedy selection rule is then applied to M_i unchanged. For
     modular objectives the buckets collapse and the run coincides with exact
     random greedy under the same seed.
+
+    As in `random_greedy_cardinality`, the marginals are scanned at the start
+    and after each added element; an iteration that adds nothing reuses M_i.
     """
     n = f.n
     if not 0.0 < eps < 1.0:
@@ -285,32 +316,34 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
     start = f.eval_count
     A = 0
     fA = f.value(0)
+    bucket = None  # M_i of the current A; None after A changed
     for _ in range(k):
-        marg = {}
-        vals = {}
-        for u, val in _scan(f, A, range(n)):
-            if val - fA > 0.0:
-                marg[u] = val - fA
-                vals[u] = val
-        if not marg:
-            continue
-        d = max(marg.values())
-        bucket: list[int] = []
-        chosen = set()
-        w = d
-        floor = eps * d / k
-        while len(bucket) < k and w >= floor:
-            for u in sorted(marg):
-                if len(bucket) == k:
-                    break
-                if u not in chosen and marg[u] >= w:
-                    bucket.append(u)
-                    chosen.add(u)
-            w *= 1.0 - eps
+        if bucket is None:
+            marg = {}
+            vals = {}
+            for u, val in _scan(f, A, range(n)):
+                if val - fA > 0.0:
+                    marg[u] = val - fA
+                    vals[u] = val
+            bucket = []
+            if marg:
+                d = max(marg.values())
+                chosen = set()
+                w = d
+                floor = eps * d / k
+                while len(bucket) < k and w >= floor:
+                    for u in sorted(marg):
+                        if len(bucket) == k:
+                            break
+                        if u not in chosen and marg[u] >= w:
+                            bucket.append(u)
+                            chosen.add(u)
+                    w *= 1.0 - eps
         if bucket and rng.random() < len(bucket) / k:
             u = bucket[int(rng.integers(len(bucket)))]
             A |= 1 << u
             fA = vals[u]
+            bucket = None
     return _finish(f, A, start, seed, None)
 
 
@@ -359,11 +392,11 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     integers(k) for the position of u in M_i sorted by id. Only the partner
     of u is computed (`Matroid.partner`), never the whole bijection.
 
-    The marginals are rescanned every iteration, but M_i is a function of
-    the solution and the marginals alone: it is recomputed only when the
-    solution changed (a swap was accepted) or some marginal differs from
-    the previous iteration's, and otherwise the previous M_i is reused.
-    Outputs, draws and oracle calls are those of recomputing it every time.
+    The marginals and M_i are functions of the solution alone, so they are
+    computed at the start and after each accepted swap; an iteration whose
+    swap is rejected reuses both. An iteration then makes one oracle call,
+    for the candidate swap, plus the scan of the reals outside the solution
+    when the previous swap was accepted.
     """
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
@@ -383,17 +416,13 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     fS = f.value(S & real_mask)
     s_ids = ids_of(S)
     outside = list(range(n))  # the reals outside S
-    prev_S = prev_w = None
+    b_ids = None  # M_i of the current S; None after S changed
     for i in range(1, iterations + 1):
-        s_real = S & real_mask
-        w = [0.0] * n
-        for u, val in zip(outside, f.scan(s_real, outside)):
-            w[u] = val - fS
-        # the base depends on S and w alone, and most swaps are rejected
-        if S != prev_S or w != prev_w:
-            B = M.greedy(w, S, free)
-            b_ids = ids_of(B)
-            prev_S, prev_w = S, w
+        if b_ids is None:
+            w = [0.0] * n
+            for u, val in zip(outside, f.scan(S & real_mask, outside)):
+                w[u] = val - fS
+            b_ids = ids_of(M.greedy(w, S, free))
         u, out = M.partner(S, s_ids, b_ids, rng, free)
         cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real_mask)
@@ -404,6 +433,7 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
             fS = cand_val
             s_ids = ids_of(S)
             outside = [v for v in range(n) if not (S >> v) & 1]
+            b_ids = None
         if rows is not None:
             rows.append(TraceRow(i, u if u < n else None, delta, improved))
     return _finish(f, S & real_mask, start, seed, rows)

@@ -44,7 +44,9 @@ def mask_of(ids) -> int:
 
 
 def ids_of(mask: int) -> list[int]:
-    """Sorted element ids of a bitmask."""
+    """Sorted element ids of a bitmask (a non-negative int)."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative; a set is a non-negative bitmask")
     out = []
     while mask:
         low = mask & -mask  # lowest set bit

@@ -10,7 +10,7 @@ from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectati
                      naive_greedy_trajectory, psd_similarity, table_oracle,
                      union_find_forest_indep)
 from monoratio import (CardinalityConstraint, Matroid, OracleMatroid,
-                       PartitionMatroid, UniformMatroid, best_of_with_ground,
+                       PartitionMatroid, TraceRow, UniformMatroid, best_of_with_ground,
                        double_greedy, exact_monotonicity_ratio, greedy_cardinality,
                        greedy_matroid, ids_of, image_objective, mask_of,
                        movie_objective, random_baseline,
@@ -449,27 +449,28 @@ def test_matroid_axioms_and_partner_exchange_property(M, seed):
 
 
 def test_random_greedy_matroid_golden():
-    """Seeded runs pinned to outputs computed with the full-bijection
-    exchange that `partner` replaced."""
+    """Seeded runs pinned to solutions and values computed with the
+    full-bijection exchange that `partner` replaced. The call counts are
+    those of scanning only after an accepted swap."""
     f, _ = mixture_oracle(7, seed=8)
     M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(f, M, 0.1, seed=s) for s in range(6))]
-    assert got == [(67, 8.772044191282124, 162), (70, 8.816112893706094, 168),
-                   (20, 9.256046344562186, 185), (20, 9.256046344562186, 185),
-                   (21, 10.531033574483407, 158), (21, 10.531033574483407, 162)]
+    assert got == [(67, 8.772044191282124, 59), (70, 8.816112893706094, 59),
+                   (20, 9.256046344562186, 50), (20, 9.256046344562186, 65),
+                   (21, 10.531033574483407, 58), (21, 10.531033574483407, 54)]
 
     img = image_objective(psd_similarity(30, seed=2, d=10))
     P = PartitionMatroid(30, [range(0, 10), range(10, 20), range(20, 30)], [2, 2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, P, 0.2, seed=s) for s in range(4))]
-    assert got == [(8352, 97.01004593767361, 708), (10280, 96.11774526246582, 692),
-                   (8352, 97.01004593767361, 706), (160, 96.60012950088941, 730)]
+    assert got == [(8352, 97.01004593767361, 141), (10280, 96.11774526246582, 246),
+                   (8352, 97.01004593767361, 222), (160, 96.60012950088941, 114)]
     U = UniformMatroid(30, 4)
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, U, 0.2, seed=s) for s in range(4))]
-    assert got == [(270376, 96.4151893784956, 552), (270376, 96.4151893784956, 552),
-                   (2208, 96.74681935424461, 569), (8352, 97.01004593767361, 570)]
+    assert got == [(270376, 96.4151893784956, 162), (270376, 96.4151893784956, 162),
+                   (2208, 96.74681935424461, 190), (8352, 97.01004593767361, 164)]
 
 
 def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch):
@@ -493,9 +494,9 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
         assert len(r.trace) == 30 and accepted > 0
         assert len(calls) == 1 + accepted
         got.append((r.solution, r.value, r.oracle_calls))
-    assert got == [(67, 8.772044191282124, 162), (70, 8.816112893706094, 168),
-                   (20, 9.256046344562186, 185), (20, 9.256046344562186, 185),
-                   (21, 10.531033574483407, 158), (21, 10.531033574483407, 162)]
+    assert got == [(67, 8.772044191282124, 59), (70, 8.816112893706094, 59),
+                   (20, 9.256046344562186, 50), (20, 9.256046344562186, 65),
+                   (21, 10.531033574483407, 58), (21, 10.531033574483407, 54)]
 
 
 # ---------------------------------------------------------------------- baseline
@@ -554,3 +555,173 @@ def test_run_result_value_is_fresh_eval():
     assert r.value == pytest.approx(table[r.solution])
     assert r.oracle_calls > 0
     assert r.seed == 0
+
+
+# ------------------------------------------------- query-once differential
+# Reference copies of the rescanning algorithms: each iteration evaluates
+# every set it needs, whether or not the solution changed since the last
+# one. Each returns (solution, trace rows or None) and makes the draws the
+# library versions make, from the generator it is given.
+
+def rescanning_double_greedy(f, rng):
+    X, Y, rows = 0, (1 << f.n) - 1, []
+    for u in range(f.n):
+        bit = 1 << u
+        a = f.value(X | bit) - f.value(X)
+        b = f.value(Y & ~bit) - f.value(Y)
+        ap, bp = max(a, 0.0), max(b, 0.0)
+        p_add = 1.0 if ap + bp == 0.0 else ap / (ap + bp)
+        take = rng.random() < p_add
+        if take:
+            X |= bit
+        else:
+            Y &= ~bit
+        rows.append(TraceRow(u + 1, u, a, take))
+    return X, rows
+
+
+def rescanning_best_of_with_ground(f, rng):
+    X, _ = rescanning_double_greedy(f, rng)
+    full = (1 << f.n) - 1
+    return (full if f.value(full) > f.value(X) else X), None
+
+
+def rescanning_random_greedy(f, k, rng):
+    A, fA, rows = 0, f.value(0), []
+    for i in range(1, k + 1):
+        scored = []
+        for u in range(f.n):
+            if not (A >> u) & 1:
+                val = f.value(A | (1 << u))
+                if val - fA > 0.0:
+                    scored.append((val - fA, u, val))
+        top = sorted(scored, key=lambda t: (-t[0], t[1]))[:k]
+        if top and rng.random() < len(top) / k:
+            marg, u, fA = top[int(rng.integers(len(top)))]
+            A |= 1 << u
+            rows.append(TraceRow(i, u, marg, True))
+        else:
+            rows.append(TraceRow(i, None, None, False))
+    return A, rows
+
+
+def rescanning_threshold_greedy(f, k, eps):
+    n = f.n
+    fA = f.value(0)
+    d = max(f.value(1 << u) - fA for u in range(n))
+    A = 0
+    if d > 0.0 and k > 0:
+        w = d
+        while A.bit_count() < k and w >= eps * d / n:
+            for u in range(n):
+                if A.bit_count() == k:
+                    break
+                if not (A >> u) & 1:
+                    val = f.value(A | (1 << u))
+                    if val - fA >= w:
+                        A, fA = A | (1 << u), val
+            w *= 1.0 - eps
+    return A, None
+
+
+def rescanning_threshold_random_greedy(f, k, eps, rng):
+    A, fA = 0, f.value(0)
+    for _ in range(k):
+        vals = {u: f.value(A | (1 << u)) for u in range(f.n) if not (A >> u) & 1}
+        marg = {u: val - fA for u, val in vals.items() if val - fA > 0.0}
+        if not marg:
+            continue
+        d = max(marg.values())
+        bucket, w = [], d
+        while len(bucket) < k and w >= eps * d / k:
+            for u in sorted(marg):
+                if len(bucket) == k:
+                    break
+                if u not in bucket and marg[u] >= w:
+                    bucket.append(u)
+            w *= 1.0 - eps
+        if rng.random() < len(bucket) / k:
+            u = bucket[int(rng.integers(len(bucket)))]
+            A, fA = A | (1 << u), vals[u]
+    return A, None
+
+
+def rescanning_random_greedy_matroid(f, M, eps, rng):
+    k, n = M.rank, M.n
+    if k == 0:
+        return 0, []
+    real = (1 << n) - 1
+    S = ((1 << k) - 1) << n
+    fS = f.value(0)
+    rows = []
+    for i in range(1, math.ceil(k / eps) + 1):
+        w = [0.0 if (S >> u) & 1 else f.value((S & real) | (1 << u)) - fS
+             for u in range(n)]
+        B = M.greedy(w, S, 2 * k)
+        u, out = M.partner(S, ids_of(S), ids_of(B), rng, 2 * k)
+        cand = (S & ~(1 << out)) | (1 << u)
+        cand_val = f.value(cand & real)
+        improved = cand_val > fS
+        rows.append(TraceRow(i, u if u < n else None, cand_val - fS, improved))
+        if improved:
+            S, fS = cand, cand_val
+    return S & real, rows
+
+
+@st.composite
+def differential_cases(draw):
+    """A fixture oracle factory (a mixture table without a kernel, or an
+    image or movie objective with one), k, eps and a partition or uniform
+    matroid, on n <= 8 elements."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["mixture", "image", "movie"]))
+    if kind == "mixture":
+        _, table = mixture_oracle(n, seed)
+        make = lambda: table_oracle(table)
+    elif kind == "image":
+        make = lambda: image_objective(psd_similarity(n, seed))
+    else:
+        lam = draw(st.sampled_from([0.3, 0.8, 1.0]))
+        make = lambda: movie_objective(psd_similarity(n, seed), lam)
+    k = draw(st.integers(0, n))
+    eps = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    if draw(st.booleans()):
+        M = UniformMatroid(n, draw(st.integers(0, n)))
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+        M = PartitionMatroid(n, blocks, [draw(st.integers(0, len(b))) for b in blocks])
+    return make, k, eps, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=differential_cases(), seed=st.integers(0, 2**32 - 1))
+def test_query_once_algorithms_match_the_rescanning_references(case, seed):
+    """Reusing held values changes nothing but the oracle call count: same
+    solution, value, trace and generator state as the rescanning reference,
+    with at most its calls, and exactly 2n + 3 calls for double greedy."""
+    make, k, eps, M = case
+    pairs = [
+        (lambda f, g: double_greedy(f, g, trace=True), rescanning_double_greedy),
+        (best_of_with_ground, rescanning_best_of_with_ground),
+        (lambda f, g: random_greedy_cardinality(f, k, g, trace=True),
+         lambda f, g: rescanning_random_greedy(f, k, g)),
+        (lambda f, g: threshold_greedy(f, k, eps),
+         lambda f, g: rescanning_threshold_greedy(f, k, eps)),
+        (lambda f, g: threshold_random_greedy(f, k, eps, g),
+         lambda f, g: rescanning_threshold_random_greedy(f, k, eps, g)),
+        (lambda f, g: random_greedy_matroid(f, M, eps, g, trace=True),
+         lambda f, g: rescanning_random_greedy_matroid(f, M, eps, g)),
+    ]
+    for run, reference in pairs:
+        f, g = make(), np.random.default_rng(seed)
+        got = run(f, g)
+        f_ref, g_ref = make(), np.random.default_rng(seed)
+        solution, rows = reference(f_ref, g_ref)
+        value = f_ref.value(solution)
+        assert (got.solution, got.value) == (solution, value)
+        assert got.trace == (tuple(rows) if rows is not None else None)
+        assert g.bit_generator.state == g_ref.bit_generator.state
+        assert got.oracle_calls <= f_ref.eval_count
+    assert double_greedy(make(), seed).oracle_calls == 2 * M.n + 3

@@ -27,6 +27,13 @@ def test_mask_helpers():
     assert mask_of([]) == 0
 
 
+def test_ids_of_rejects_a_negative_mask():
+    # a negative int has infinitely many set bits: the loop would not end
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"mask {mask} is negative"):
+            ids_of(mask)
+
+
 def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
