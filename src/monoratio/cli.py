@@ -22,7 +22,7 @@ from .apps import (image_objective, inner_product_similarity, load_features_csv,
 from .bounds import CURVE_IDS, evaluate_curve
 from .constraints import UniformMatroid, partition_matroid_from_text
 from .experiments import (ALGORITHMS, ExperimentSpec, SpecValidationError,
-                          algorithm, run_experiment, trial_values, validate_spec)
+                          algorithm, run_experiment, trial_values)
 from .oracle import GroundSet, SetFunctionOracle
 from .ratio import RatioReport, exact_monotonicity_ratio, exact_weak_monotonicity_ratio
 
@@ -186,12 +186,11 @@ def cmd_experiment(args) -> int:
             algorithms=args.alg or [], trials=args.trials, seed=args.seed,
             eps=args.eps)
     try:
-        spec = validate_spec(spec)
+        result = run_experiment(spec)
     except SpecValidationError as exc:
         for p in exc.problems:
             print(f"error: {p}", file=sys.stderr)
         return 2
-    result = run_experiment(spec)
     text = result.to_csv()
     if args.out:
         with open(args.out, "w") as fh:

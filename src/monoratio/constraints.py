@@ -1,8 +1,8 @@
-"""Cardinality/matroid constraints and linear maximization over down-closed
-polytopes.
+"""Matroid constraints and linear maximization over down-closed polytopes.
 
-Matroids come in two kinds: block matroids, which group the elements into
-disjoint classes with capacities (partition matroids, and uniform(k) as a
+A cardinality constraint, at most k of n elements, is the uniform matroid
+of rank k. Matroids come in two kinds: block matroids, which group the
+elements into disjoint classes with capacities (partition matroids, and uniform(k) as a
 one-block partition), and oracle matroids (a user independence test). All
 take and return subsets as bitmasks.
 """
@@ -33,21 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CardinalityConstraint:
-    """At most k elements out of n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError("need 0 <= k <= n")
-
-    def is_feasible(self, mask: int) -> bool:
-        return mask.bit_count() <= self.k
-
-
 def _same_ground_set(n: int, constraint) -> None:
     """ValueError naming both sizes unless `constraint` is over n elements."""
     if constraint.n != n:
@@ -76,7 +61,6 @@ class Matroid:
     def is_independent(self, mask: int) -> bool:
         raise NotImplementedError
 
-    # constraint protocol shared with CardinalityConstraint
     def is_feasible(self, mask: int) -> bool:
         return self.is_independent(mask)
 
@@ -226,6 +210,9 @@ class UniformMatroid(PartitionMatroid):
 
     def __repr__(self):
         return f"UniformMatroid(n={self.n}, k={self.k})"
+
+
+CardinalityConstraint = UniformMatroid
 
 
 class OracleMatroid(Matroid):

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (CardinalityConstraint, DownClosedPolytope, Matroid,
-                          PartitionMatroid, UniformMatroid, _finite_vector,
-                          _same_ground_set, linear_maximize_matroid,
-                          linear_maximize_polytope)
-from .oracle import SetFunctionOracle, ids_of, mask_from_indicator
+from .constraints import (DownClosedPolytope, Matroid, PartitionMatroid,
+                          _finite_vector, _same_ground_set,
+                          linear_maximize_matroid, linear_maximize_polytope)
+from .oracle import SetFunctionOracle, ids_of, indicator, mask_from_indicator
 
 __all__ = [
     "MCGConfig",
@@ -103,8 +102,6 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     n = f.n
     rng = np.random.default_rng(cfg.seed)
     delta = cfg.T / cfg.steps
-    if isinstance(constraint, CardinalityConstraint):
-        constraint = UniformMatroid(constraint.n, constraint.k)
     if not isinstance(constraint, (Matroid, DownClosedPolytope)):
         raise ValueError(f"unsupported constraint {constraint!r}")
     _same_ground_set(n, constraint)
@@ -115,9 +112,7 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
         w, fest, se, fmax = _gain_estimates(f, y, cfg.samples, rng)
         fmax_seen = max(fmax_seen, fmax)
         if isinstance(constraint, Matroid):
-            x = np.zeros(n)
-            for u in ids_of(linear_maximize_matroid(constraint, w)):
-                x[u] = 1.0
+            x = indicator(linear_maximize_matroid(constraint, w), n)
         else:
             x = linear_maximize_polytope(constraint, w)
         y = y + delta * (1.0 - y) * x

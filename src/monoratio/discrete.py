@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (CardinalityConstraint, Matroid, PartitionMatroid,
-                          UniformMatroid, _same_ground_set)
+from .constraints import (Matroid, PartitionMatroid, UniformMatroid,
+                          _same_ground_set)
 from .oracle import SetFunctionOracle, ids_of
 
 __all__ = [
@@ -154,39 +154,50 @@ def _best_candidate(f, A, fA, candidates):
     return best
 
 
-def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> RunResult:
-    """Classic greedy: k iterations, each adding the best-marginal element
-    only when its marginal is non-negative."""
-    n = f.n
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
+def _greedy(f: SetFunctionOracle, M: Matroid, trace: bool) -> RunResult:
+    """Greedy under the matroid M, whose ground set is that of f: add the
+    best feasible augmentation while its marginal is non-negative. The trace
+    ends with the first rejected element."""
     start = f.eval_count
     rows = [] if trace else None
     A = 0
     fA = f.value(0)
-    for i in range(1, k + 1):
-        cands = [u for u in range(n) if not (A >> u) & 1]
+    i = 0
+    while True:
+        i += 1
+        cands = [u for u in range(M.n)
+                 if not (A >> u) & 1 and M.is_independent(A | (1 << u))]
         if not cands:
             break
         val, marg, u = _best_candidate(f, A, fA, cands)
-        accepted = marg >= 0.0
-        if accepted:
-            A |= 1 << u
-            fA = val
+        if marg < 0.0:
+            if rows is not None:
+                rows.append(TraceRow(i, u, marg, False))
+            break
+        A |= 1 << u
+        fA = val
         if rows is not None:
-            rows.append(TraceRow(i, u, marg, accepted))
+            rows.append(TraceRow(i, u, marg, True))
     return _finish(f, A, start, None, rows)
 
 
-def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
-                              trace: bool = False) -> RunResult:
-    """Random greedy: per iteration collect the best set M_i of at most k
-    positive-marginal elements, then add a uniform element of M_i with
-    probability |M_i|/k (so each member joins with probability exactly 1/k).
+def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> RunResult:
+    """Classic greedy under at most k elements: greedy on the uniform matroid
+    of rank k, so it stops at k elements or at the first negative marginal."""
+    n = f.n
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
+    return _greedy(f, UniformMatroid(n, k), trace)
 
-    Restricting M_i to positive marginals never lowers its total marginal,
-    so the argmax semantics are preserved.
 
+def _random_greedy(f: SetFunctionOracle, k: int, seed, collect,
+                   trace: bool) -> RunResult:
+    """Random greedy: per iteration build the candidate set M_i of at most k
+    elements, then add a uniform element of M_i with probability |M_i|/k (so
+    each member joins with probability exactly 1/k).
+
+    `collect` builds M_i from the (marginal, u, f(A + u)) triples of the
+    positive-marginal elements u, in id order, and returns a list of them.
     M_i depends on A alone, so the marginals are scanned at the start and
     after each added element; an iteration that adds nothing reuses M_i.
     """
@@ -201,23 +212,31 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
     top = None  # M_i of the current A; None after A changed
     for i in range(1, k + 1):
         if top is None:
-            scored = []
-            for u, val in _scan(f, A, range(n)):
-                marg = val - fA
-                if marg > 0.0:
-                    scored.append((marg, u, val))
-            scored.sort(key=lambda t: (-t[0], t[1]))
-            top = scored[:k]
+            top = collect([(val - fA, u, val) for u, val in _scan(f, A, range(n))
+                           if val - fA > 0.0])
         if top and rng.random() < len(top) / k:
-            marg, u, val = top[int(rng.integers(len(top)))]
+            marg, u, fA = top[int(rng.integers(len(top)))]
             A |= 1 << u
-            fA = val
             top = None
             if rows is not None:
                 rows.append(TraceRow(i, u, marg, True))
         elif rows is not None:
             rows.append(TraceRow(i, None, None, False))
     return _finish(f, A, start, seed, rows)
+
+
+def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
+                              trace: bool = False) -> RunResult:
+    """Random greedy whose M_i holds the k best positive-marginal elements,
+    ties by smaller id.
+
+    Restricting M_i to positive marginals never lowers its total marginal,
+    so the argmax semantics are preserved.
+    """
+    def top_k(pos):
+        return sorted(pos, key=lambda t: -t[0])[:k]  # stable: ties by id
+
+    return _random_greedy(f, k, seed, top_k, trace)
 
 
 def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
@@ -303,75 +322,29 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
     random-greedy selection rule is then applied to M_i unchanged. For
     modular objectives the buckets collapse and the run coincides with exact
     random greedy under the same seed.
-
-    As in `random_greedy_cardinality`, the marginals are scanned at the start
-    and after each added element; an iteration that adds nothing reuses M_i.
     """
-    n = f.n
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
-    rng, seed = _rng(seed)
-    start = f.eval_count
-    A = 0
-    fA = f.value(0)
-    bucket = None  # M_i of the current A; None after A changed
-    for _ in range(k):
-        if bucket is None:
-            marg = {}
-            vals = {}
-            for u, val in _scan(f, A, range(n)):
-                if val - fA > 0.0:
-                    marg[u] = val - fA
-                    vals[u] = val
-            bucket = []
-            if marg:
-                d = max(marg.values())
-                chosen = set()
-                w = d
-                floor = eps * d / k
-                while len(bucket) < k and w >= floor:
-                    for u in sorted(marg):
-                        if len(bucket) == k:
-                            break
-                        if u not in chosen and marg[u] >= w:
-                            bucket.append(u)
-                            chosen.add(u)
-                    w *= 1.0 - eps
-        if bucket and rng.random() < len(bucket) / k:
-            u = bucket[int(rng.integers(len(bucket)))]
-            A |= 1 << u
-            fA = vals[u]
-            bucket = None
-    return _finish(f, A, start, seed, None)
+
+    def buckets(pos):
+        bucket = []
+        if pos:
+            d = max(t[0] for t in pos)
+            w, floor = d, eps * d / k
+            while len(bucket) < k and w >= floor:
+                bucket += [t for t in pos
+                           if t[0] >= w and t not in bucket][:k - len(bucket)]
+                w *= 1.0 - eps
+        return bucket
+
+    return _random_greedy(f, k, seed, buckets, False)
 
 
 def greedy_matroid(f: SetFunctionOracle, M: Matroid, trace: bool = False) -> RunResult:
     """Greedy under a matroid constraint: repeatedly add the best feasible
     augmentation while its marginal stays non-negative."""
     _same_ground_set(f.n, M)
-    start = f.eval_count
-    rows = [] if trace else None
-    A = 0
-    fA = f.value(0)
-    i = 0
-    while True:
-        i += 1
-        cands = [u for u in range(M.n)
-                 if not (A >> u) & 1 and M.is_independent(A | (1 << u))]
-        if not cands:
-            break
-        val, marg, u = _best_candidate(f, A, fA, cands)
-        if marg < 0.0:
-            if rows is not None:
-                rows.append(TraceRow(i, u, marg, False))
-            break
-        A |= 1 << u
-        fA = val
-        if rows is not None:
-            rows.append(TraceRow(i, u, marg, True))
-    return _finish(f, A, start, None, rows)
+    return _greedy(f, M, trace)
 
 
 def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
@@ -447,9 +420,7 @@ def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
     start = f.eval_count
     n = f.n
     if isinstance(constraint, int):
-        constraint = CardinalityConstraint(n, constraint)
-    if isinstance(constraint, CardinalityConstraint):
-        constraint = UniformMatroid(constraint.n, constraint.k)
+        constraint = UniformMatroid(n, constraint)
     if not isinstance(constraint, Matroid):
         raise ValueError(f"unsupported constraint {constraint!r}")
     _same_ground_set(n, constraint)

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
-_EXACT_CHUNK = 1 << 12  # masks per batch of the exact multilinear enumeration
+_EXACT_CHUNK = 1 << 12  # masks per batch of a 2^n table
 
 
 class SizeLimitError(ValueError):
@@ -252,11 +252,18 @@ def multilinear_exact(f: SetFunctionOracle, x, limit: int = EXACT_MULTILINEAR_LI
     for u in range(n):
         w = np.concatenate([w * (1.0 - x[u]), w * x[u]])
     total = 0.0
-    for lo in range(0, 1 << n, _EXACT_CHUNK):
-        vals = f.values(range(lo, min(lo + _EXACT_CHUNK, 1 << n)))
-        for wm, v in zip(w[lo:lo + _EXACT_CHUNK].tolist(), vals.tolist()):
-            total += wm * v
+    for wm, v in zip(w.tolist(), _f_table(f).tolist()):
+        total += wm * v
     return total
+
+
+def _f_table(f: SetFunctionOracle) -> np.ndarray:
+    """Values of f on all 2^n masks, in mask order, evaluated through
+    `f.values` in chunks so that a `batch_fn` serves them and the unpacked
+    mask matrix stays bounded."""
+    full = 1 << f.n
+    return np.concatenate([f.values(range(lo, min(lo + _EXACT_CHUNK, full)))
+                           for lo in range(0, full, _EXACT_CHUNK)])
 
 
 def _pack_masks(bits: np.ndarray) -> list[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import _EXACT_CHUNK, SetFunctionOracle, SizeLimitError, ids_of
+from .oracle import SetFunctionOracle, SizeLimitError, _f_table, ids_of
 
 __all__ = [
     "RatioReport",
@@ -53,15 +53,6 @@ class RatioReport:
         return f"{self.ratio!r},{self.witness_S},{self.witness_T},{self.eval_count}"
 
     CSV_HEADER = "ratio,witness_s,witness_t,eval_count"
-
-
-def _f_table(f: SetFunctionOracle) -> np.ndarray:
-    """Values of f on all 2^n masks, in mask order, evaluated through
-    `f.values` in chunks so that a `batch_fn` serves them and the unpacked
-    mask matrix stays bounded."""
-    full = 1 << f.n
-    return np.concatenate([f.values(range(lo, min(lo + _EXACT_CHUNK, full)))
-                           for lo in range(0, full, _EXACT_CHUNK)])
 
 
 def _nonnegative_table(f: SetFunctionOracle) -> np.ndarray:

@@ -725,3 +725,12 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
         assert g.bit_generator.state == g_ref.bit_generator.state
         assert got.oracle_calls <= f_ref.eval_count
     assert double_greedy(make(), seed).oracle_calls == 2 * M.n + 3
+    # greedy under k elements is greedy on the uniform matroid of rank k, and
+    # it ends where the textbook greedy, which rescans after a rejection, ends
+    f = make()
+    got = greedy_cardinality(f, k, trace=True)
+    ref = greedy_matroid(make(), UniformMatroid(f.n, k), trace=True)
+    assert ((got.solution, got.value, got.trace, got.oracle_calls)
+            == (ref.solution, ref.value, ref.trace, ref.oracle_calls))
+    table = [f.value(mask) for mask in range(1 << f.n)]
+    assert got.solution == (naive_greedy_trajectory(table, k)[-1] if k else 0)
