@@ -136,34 +136,6 @@ def validate_similarity(s: np.ndarray) -> np.ndarray:
     return s
 
 
-# Float bytes one kernel step may gather: bounds the (rows, L, n) block a
-# kernel builds for rows of set size L.
-_KERNEL_BLOCK_BYTES = 1 << 18
-
-
-def _size_groups(X: np.ndarray):
-    """Split the nonempty rows of a (B, n) boolean mask matrix by set size.
-
-    Yields (rows, ids): row indices into X and the (len(rows), L) array of
-    their sorted element ids, in blocks of at most _KERNEL_BLOCK_BYTES of
-    (len(rows), L, n) floats. Beyond one block, the split itself keeps two
-    int64 per row of X. Rows of one size reduce over equally long axes, so
-    numpy sums each row in the same order as the scalar objective and the
-    batched values equal the scalar ones bit for bit.
-    """
-    n = X.shape[1]
-    sizes = X.sum(axis=1)
-    order = np.argsort(sizes, kind="stable")
-    first = 0
-    for size, count in enumerate(np.bincount(sizes, minlength=n + 1).tolist()):
-        if size and count:
-            step = max(1, _KERNEL_BLOCK_BYTES // (8 * size * n))
-            for lo in range(first, first + count, step):
-                rows = order[lo:min(lo + step, first + count)]
-                yield rows, np.nonzero(X[rows])[1].reshape(len(rows), size)
-        first += count
-
-
 def _pair_sums(s_flat: np.ndarray, n: int, ids: np.ndarray) -> np.ndarray:
     """sum_{u,v in S} s_{u,v} for each row S of ids, from the row-major
     flattened n x n matrix s, summed like the scalar s[np.ix_(idx, idx)].sum()."""
@@ -196,15 +168,13 @@ def movie_objective(s: np.ndarray, lam: float,
         idx = ids_of(mask)
         return max(float(colsum[idx].sum() - lam * s[np.ix_(idx, idx)].sum()), 0.0)
 
-    def batch_fn(X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
-        for rows, ids in _size_groups(X):
-            out[rows] = colsum[ids].sum(axis=1) - lam * _pair_sums(s_flat, n, ids)
-        return np.maximum(out, 0.0)
+    def ids_fn(ids: np.ndarray) -> np.ndarray:
+        pairs = _pair_sums(s_flat, n, ids)
+        return np.maximum(colsum[ids].sum(axis=1) - lam * pairs, 0.0)
 
     ground = GroundSet(n, labels)
     return SetFunctionOracle(ground, fn, memoize=n <= 20, name=f"movie(lam={lam})",
-                             batch_fn=batch_fn)
+                             ids_fn=ids_fn)
 
 
 def image_objective(s: np.ndarray,
@@ -230,16 +200,13 @@ def image_objective(s: np.ndarray,
         cover = s[:, idx].max(axis=1).sum()
         return max(float(cover - s[np.ix_(idx, idx)].sum() / n), 0.0)
 
-    def batch_fn(X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
-        for rows, ids in _size_groups(X):
-            cover = s_cols[ids].max(axis=1).sum(axis=1)
-            out[rows] = cover - _pair_sums(s_flat, n, ids) / n
-        return np.maximum(out, 0.0)
+    def ids_fn(ids: np.ndarray) -> np.ndarray:
+        cover = s_cols[ids].max(axis=1).sum(axis=1)
+        return np.maximum(cover - _pair_sums(s_flat, n, ids) / n, 0.0)
 
     ground = GroundSet(n, labels)
     return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image",
-                             batch_fn=batch_fn)
+                             ids_fn=ids_fn)
 
 
 def mixture_objective(n: int, seed: int) -> SetFunctionOracle:

@@ -258,13 +258,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if spec.objective == "movie":
             lam = value if spec.sweep == "lambda" else spec.lam
             constraint = int(value) if spec.sweep == "k" else spec.k
-            make = lambda: movie_objective(sim, lam)
+            f = movie_objective(sim, lam)
             m_bound = movie_ratio_bound(lam)
         elif spec.objective == "image":
             k = int(value) if spec.sweep == "k" else spec.k
             blocks = _partition_blocks(spec.n, spec.categories)
             constraint = PartitionMatroid(spec.n, blocks, [k] * len(blocks))
-            make = lambda: image_objective(sim)
+            f = image_objective(sim)
             # feasible sets hold up to k elements from each of the categories
             m_bound = image_weak_ratio_bound(min(spec.n, k * spec.categories), spec.n)
         else:  # one instance per point, shared by its trials and its m bound
@@ -274,14 +274,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 alpha=value if spec.sweep == "alpha" else spec.alpha,
                 seed=spec.seed + 10007 * p)
             constraint = inst.polytope()
-            make = lambda: inst
+            f = inst
             m_bound = quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
         row = {"sweep": spec.sweep, "sweep_value": value, "m_bound": m_bound,
                "ub_prev": math.inf, "ub_new": math.inf}
         for name in spec.algorithms:
             alg = ALGORITHMS[name]
-            # each trial gets a fresh oracle and owns base_seed + trial index
-            run_one = lambda seed: alg.call(make(), constraint, seed, spec)
+            # the point's runs share its oracle, each counting its own calls
+            # as an eval_count delta; trial t owns seed + t
+            run_one = lambda seed: alg.call(f, constraint, seed, spec)
             vals = np.array(trial_values(alg, run_one, spec.trials, spec.seed))
             mean = row[f"{name}_mean"] = float(vals.mean())
             row[f"{name}_stderr"] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))

@@ -29,6 +29,9 @@ __all__ = [
 
 EXACT_MULTILINEAR_LIMIT = 20
 _EXACT_CHUNK = 1 << 12  # masks per batch of a 2^n table
+# Float bytes one kernel step may gather: bounds the (rows, L, n) block an
+# `ids_fn` builds for rows of set size L.
+_KERNEL_BLOCK_BYTES = 1 << 18
 
 
 class SizeLimitError(ValueError):
@@ -105,21 +108,25 @@ class SetFunctionOracle:
     recomputation but the counter still advances, so counts stay comparable
     across cached and uncached oracles.
 
-    `batch_fn`, when given, is a vectorized form of `fn`: it receives a
-    (B, n) boolean matrix whose row i has column u set when element u is in
-    the i-th set, and returns B floats equal to `fn` on those sets. `values`
-    and `scan` route batches through it; without it they loop over `value`.
+    `ids_fn`, when given, is a vectorized form of `fn` on nonempty sets of
+    one size: it receives a (B, L) int64 array whose row i holds the L >= 1
+    sorted element ids of the i-th set, and returns B floats equal to `fn`
+    on those sets. It is called with at most _KERNEL_BLOCK_BYTES / (8 L n)
+    rows (at least one), so it may gather a (B, L, n) block. `values`
+    groups its sets by size and `scan` builds its rows of |A| + 1 ids
+    directly; the empty set goes to `fn`, never to `ids_fn`. Without an
+    `ids_fn` both loop over `value`.
 
     Every freshly computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask.
     """
 
     def __init__(self, ground: GroundSet, fn, memoize: bool = False, name: str = "f",
-                 batch_fn=None):
+                 ids_fn=None):
         self.ground = ground
         self.name = name
         self._fn = fn
-        self._batch_fn = batch_fn
+        self._ids_fn = ids_fn
         self._memo: dict | None = {} if memoize else None
         self.eval_count = 0
 
@@ -147,29 +154,45 @@ class SetFunctionOracle:
         """f(A + u) for each candidate element u, in the given order, as a
         list of floats, counting one evaluation per candidate.
 
-        This is the candidate scan of the greedy-type algorithms. Without a
-        `batch_fn` each set goes through `value` (memo, finiteness check and
+        This is the candidate scan of the greedy-type algorithms. Without an
+        `ids_fn` each set goes through `value` (memo, finiteness check and
         counting included) and no numpy array is built: on a handful of
         candidates the array round trip costs more than the evaluations.
-        With a `batch_fn` the scan is one `values` batch.
+        With one, the rows (ids of A, u) sorted go to `ids_fn` directly.
+        A memoized oracle, a candidate already in A (which yields f(A)) and
+        a set outside the ground set (which raises) take the `values` path.
         """
-        if self._batch_fn is not None:
-            return self.values([A | (1 << u) for u in candidates]).tolist()
-        value = self.value
-        return [value(A | (1 << u)) for u in candidates]
+        if self._ids_fn is None:
+            value = self.value
+            return [value(A | (1 << u)) for u in candidates]
+        cands = list(candidates)
+        n = self.n
+        if self._memo is None and cands and not A >> n and min(cands) >= 0 \
+                and max(cands) < n:
+            rows = np.empty((len(cands), A.bit_count() + 1), dtype=np.int64)
+            rows[:, :-1] = ids_of(A)
+            rows[:, -1] = cands
+            rows.sort(axis=1)
+            if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
+                self.eval_count += len(cands)
+                step = max(1, _KERNEL_BLOCK_BYTES // (8 * rows.shape[1] * n))
+                out = np.concatenate([self._kernel(rows[lo:lo + step])
+                                      for lo in range(0, len(rows), step)])
+                return self._finite(out, lambda i: A | (1 << int(cands[i]))).tolist()
+        return self.values([A | (1 << u) for u in cands]).tolist()
 
     def values(self, masks) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.
 
-        `masks` is a sequence of int masks or a (B, n) boolean matrix. With a
-        `batch_fn` the batch is one kernel call (memoized oracles send it only
-        the masks missing from the memo, then store them); otherwise each set
-        goes through `value`.
+        `masks` is a sequence of int masks or a (B, n) boolean matrix. With an
+        `ids_fn` the batch goes to it in one call per set size (memoized
+        oracles send only the masks missing from the memo, then store them);
+        otherwise each set goes through `value`.
         """
         matrix = isinstance(masks, np.ndarray) and masks.ndim == 2
         if matrix and masks.shape[1] != self.n:
             raise ValueError(f"mask matrix needs {self.n} columns, got {masks.shape[1]}")
-        if self._batch_fn is None:
+        if self._ids_fn is None:
             if matrix:
                 masks = _pack_masks(masks)
             value = self.value
@@ -182,23 +205,40 @@ class SetFunctionOracle:
             self.eval_count += len(masks)
         memo = self._memo
         if memo is None:
-            return self._batch(X if matrix else _unpack_masks(masks, self.n))
+            return self._by_size(X if matrix else _unpack_masks(masks, self.n))
         keys = _pack_masks(X) if matrix else masks
         missing = [key for key in dict.fromkeys(keys) if key not in memo]
         if missing:
-            fresh = self._batch(_unpack_masks(missing, self.n))
+            fresh = self._by_size(_unpack_masks(missing, self.n))
             memo.update(zip(missing, fresh.tolist()))
         return np.array([memo[key] for key in keys])  # float64: memo holds floats
 
-    def _batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._batch_fn(X), dtype=float)
-        if out.shape != (len(X),):
-            raise ValueError(f"batch_fn of oracle {self.name} returned shape "
-                             f"{out.shape} for {len(X)} sets")
+    def _by_size(self, X: np.ndarray) -> np.ndarray:
+        """Values of the rows of a (B, n) boolean matrix: one `ids_fn` call
+        per size block, `fn` for the empty set."""
+        out = np.empty(len(X))
+        done = 0
+        for rows, ids in _size_groups(X):
+            out[rows] = self._kernel(ids)
+            done += len(rows)
+        if done < len(X):
+            out[~X.any(axis=1)] = float(self._fn(0))
+        return self._finite(out, lambda i: _pack_masks(X[i:i + 1])[0])
+
+    def _kernel(self, ids: np.ndarray) -> np.ndarray:
+        out = np.asarray(self._ids_fn(ids), dtype=float)
+        if out.shape != (len(ids),):
+            raise ValueError(f"ids_fn of oracle {self.name} returned shape "
+                             f"{out.shape} for {len(ids)} sets")
+        return out
+
+    def _finite(self, out: np.ndarray, mask_at) -> np.ndarray:
+        """`out`, once every entry is finite; else reject the first bad one,
+        whose mask is `mask_at(i)`."""
         bad = ~np.isfinite(out)
         if bad.any():
             i = int(np.argmax(bad))
-            self._reject(float(out[i]), _pack_masks(X[i:i + 1])[0])
+            self._reject(float(out[i]), mask_at(i))
         return out
 
     def _reject(self, v: float, mask: int):
@@ -259,7 +299,7 @@ def multilinear_exact(f: SetFunctionOracle, x, limit: int = EXACT_MULTILINEAR_LI
 
 def _f_table(f: SetFunctionOracle) -> np.ndarray:
     """Values of f on all 2^n masks, in mask order, evaluated through
-    `f.values` in chunks so that a `batch_fn` serves them and the unpacked
+    `f.values` in chunks so that an `ids_fn` serves them and the unpacked
     mask matrix stays bounded."""
     full = 1 << f.n
     return np.concatenate([f.values(range(lo, min(lo + _EXACT_CHUNK, full)))
@@ -279,8 +319,11 @@ def _pack_masks(bits: np.ndarray) -> list[int]:
 def _unpack_masks(masks: list[int], n: int) -> np.ndarray:
     """(B, n) boolean matrix of int masks over an n-element ground set."""
     if n <= 62:
-        arr = np.array(masks, dtype=np.int64).reshape(-1, 1)
-        if np.any(arr >> n):
+        try:
+            arr = np.array(masks, dtype=np.int64).reshape(-1, 1)
+        except OverflowError:  # a mask of 64 bits or more
+            arr = None
+        if arr is None or np.any(arr >> n):
             raise ValueError(f"mask outside the {n}-element ground set")
         return (arr & (1 << np.arange(n, dtype=np.int64))) != 0
     if any(m >> n for m in masks):
@@ -289,6 +332,29 @@ def _unpack_masks(masks: list[int], n: int) -> np.ndarray:
     buf = b"".join(m.to_bytes(width, "little") for m in masks)
     rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def _size_groups(X: np.ndarray):
+    """Split the nonempty rows of a (B, n) boolean mask matrix by set size.
+
+    Yields (rows, ids): row indices into X and the (len(rows), L) array of
+    their sorted element ids, in blocks of at most _KERNEL_BLOCK_BYTES of
+    (len(rows), L, n) floats. Beyond one block, the split itself keeps two
+    int64 per row of X. Rows of one size reduce over equally long axes, so
+    numpy sums each row in the same order as the scalar objective and the
+    batched values equal the scalar ones bit for bit.
+    """
+    n = X.shape[1]
+    sizes = X.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    first = 0
+    for size, count in enumerate(np.bincount(sizes, minlength=n + 1).tolist()):
+        if size and count:
+            step = max(1, _KERNEL_BLOCK_BYTES // (8 * size * n))
+            for lo in range(first, first + count, step):
+                rows = order[lo:min(lo + step, first + count)]
+                yield rows, np.nonzero(X[rows])[1].reshape(len(rows), size)
+        first += count
 
 
 def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[float, float]:

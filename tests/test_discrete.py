@@ -504,8 +504,14 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
 def test_random_baseline_sizes():
     f, _ = mixture_oracle(6, seed=0)
     for seed in range(10):
-        assert random_baseline(f, 3, seed=seed).size == 3
+        run = random_baseline(f, 3, seed=seed)
+        assert run.size == 3
+        # an int k draws as the uniform matroid of rank k does
+        assert run.solution == random_baseline(f, UniformMatroid(6, 3), seed=seed).solution
     assert random_baseline(f, 0, seed=1).solution == 0
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            random_baseline(f, k, seed=0)
 
     M = PartitionMatroid(6, [[0, 1, 2], [3, 4, 5]], [1, 1])
     for seed in range(10):

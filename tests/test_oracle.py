@@ -18,7 +18,7 @@ from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        random_greedy_cardinality, random_greedy_matroid,
                        random_similarity, sample_greedy, threshold_greedy,
                        threshold_random_greedy)
-from monoratio.apps import _KERNEL_BLOCK_BYTES, _size_groups
+from monoratio.oracle import _KERNEL_BLOCK_BYTES, _size_groups
 
 
 def test_mask_helpers():
@@ -220,12 +220,12 @@ def as_matrix(masks: list[int], n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 12, 50, 70])
 def test_batched_values_equal_scalar(n):
     for f in objectives(n, seed=n):
-        assert f._batch_fn is not None
+        assert f._ids_fn is not None
         # 30 full sets overflow one kernel block at n=70
         masks = random_masks(n, 200, seed=n) + [(1 << n) - 1] * 30
         scalar = np.array([f._fn(m) for m in masks])
         memo = SetFunctionOracle(f.ground, f._fn, memoize=True,
-                                 batch_fn=f._batch_fn)
+                                 ids_fn=f._ids_fn)
         for batch in (masks, as_matrix(masks, n)):
             got = f.values(batch)
             # rows are grouped by set size, so every row sums in the scalar
@@ -247,14 +247,14 @@ def test_batched_values_count_one_evaluation_per_set():
 
 
 def test_memoized_batch_computes_only_misses_and_stores_them():
-    computed = []
+    computed, scalar = [], []
 
-    def batch_fn(X):
-        computed.extend(X.tolist())
-        return X.sum(axis=1) * 1.5
+    def ids_fn(ids):
+        computed.extend(ids.tolist())
+        return np.full(len(ids), ids.shape[1] * 1.5)
 
-    f = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() * 1.5,
-                          memoize=True, batch_fn=batch_fn)
+    f = SetFunctionOracle(GroundSet(4), lambda m: scalar.append(m) or m.bit_count() * 1.5,
+                          memoize=True, ids_fn=ids_fn)
     ref = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() * 1.5,
                             memoize=True)
     f.value(0b0011)
@@ -263,18 +263,21 @@ def test_memoized_batch_computes_only_misses_and_stores_them():
     got = f.values(masks)
     np.testing.assert_array_equal(got, ref.values(masks))
     assert f.eval_count == ref.eval_count == 6
-    # the hit is served from the memo and the repeated miss is computed once
-    assert sorted(computed) == sorted([[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+    # the hit is served from the memo and the repeated miss is computed once;
+    # the empty set goes to fn, never to the kernel
+    assert sorted(computed) == sorted([[0, 2], [0, 1, 2, 3]])
+    assert scalar == [0b0011, 0b0000]
     computed.clear()
     f.values(as_matrix(masks, 4))
-    assert computed == []
+    assert computed == [] and scalar == [0b0011, 0b0000]
     assert f.eval_count == ref.eval_count + len(masks)
     assert f.value(0b0101) == 3.0 and computed == []
+    assert f.scan(0b0001, [1, 2]) == [3.0, 3.0] and computed == []
 
 
 def test_oracle_without_kernel_returns_its_scalar_values():
     f, table = mixture_oracle(5, seed=4)
-    assert f._batch_fn is None
+    assert f._ids_fn is None
     masks = random_masks(5, 30, seed=2)
     for batch in (masks, as_matrix(masks, 5)):
         got = f.values(batch)
@@ -286,12 +289,22 @@ def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
     f = objectives(6)[0]
     with pytest.raises(ValueError, match="6 columns"):
         f.values(np.zeros((3, 5), dtype=bool))
-    for n, bad in ((6, 1 << 6), (6, -1), (70, 1 << 70), (70, -1)):
+    for n, bad in ((6, 1 << 6), (6, -1), (6, 1 << 63), (6, -(1 << 64)), (70, 1 << 70),
+                   (70, -1)):
         with pytest.raises(ValueError, match="outside"):
             objectives(n)[1].values([0, bad])
-    g = SetFunctionOracle(GroundSet(3), float, batch_fn=lambda X: np.zeros(1))
+    g = SetFunctionOracle(GroundSet(3), float, ids_fn=lambda ids: np.zeros(1))
     with pytest.raises(ValueError, match="shape"):
         g.values([1, 2])
+    with pytest.raises(ValueError, match="shape"):
+        g.scan(1, [1, 2])
+
+
+def test_a_bool_matrix_kernel_keyword_is_rejected():
+    # the (B, n) boolean-matrix hook is gone; its old keyword must not
+    # reach an oracle that would misread id rows as masks
+    with pytest.raises(TypeError, match="batch_fn"):
+        SetFunctionOracle(GroundSet(3), float, batch_fn=lambda X: X.sum(axis=1))
 
 
 def test_kernel_blocks_cover_every_nonempty_row_within_the_gather_bound():
@@ -312,10 +325,10 @@ def test_kernel_blocks_cover_every_nonempty_row_within_the_gather_bound():
 def test_scan_equals_values_on_every_oracle_kind(n):
     for obj in objectives(n, seed=n):
         for memoize in (False, True):
-            for kernel in (None, obj._batch_fn):
+            for kernel in (None, obj._ids_fn):
                 def make():
                     return SetFunctionOracle(obj.ground, obj._fn, memoize=memoize,
-                                             batch_fn=kernel, name=obj.name)
+                                             ids_fn=kernel, name=obj.name)
 
                 scanned, batched = make(), make()
                 rng = np.random.default_rng(n)
@@ -409,6 +422,34 @@ def test_batched_equals_scalar_property(data, n, seed, lam, psd):
         assert f.eval_count == len(masks)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.0, 1.0), memoize=st.booleans())
+def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam, memoize):
+    s = random_similarity(n, seed=seed)
+    A = data.draw(st.integers(0, (1 << n) - 1), label="A")
+    # unsorted, possibly repeated, possibly empty, possibly members of A
+    cands = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 3), label="cands")
+    members = ids_of(A)
+    if members and data.draw(st.booleans(), label="add a member of A"):
+        cands.insert(data.draw(st.integers(0, len(cands))), members[-1])
+    for obj in (movie_objective(s, lam), image_objective(s)):
+        f = SetFunctionOracle(obj.ground, obj._fn, memoize=memoize,
+                              ids_fn=obj._ids_fn, name=obj.name)
+        plain = scalar_twin(obj)
+        got = f.scan(A, cands)
+        ref = [plain.value(A | (1 << u)) for u in cands]
+        # a candidate in A yields f(A)
+        assert type(got) is list and all(type(v) is float for v in got)
+        np.testing.assert_array_equal(np.array(got, dtype=float).view(np.int64),
+                                      np.array(ref, dtype=float).view(np.int64))
+        assert f.eval_count == plain.eval_count == len(cands)
+        assert f.scan(A, []) == [] and f.eval_count == len(cands)
+        for bad in (n, n + data.draw(st.integers(1, 70), label="beyond"), -1):
+            with pytest.raises(ValueError, match="outside|negative shift"):
+                f.scan(A, cands + [bad])
+
+
 # ------------------------------------------------------- non-finite values
 
 def test_non_finite_values_raise_and_name_the_mask():
@@ -424,15 +465,20 @@ def test_non_finite_values_raise_and_name_the_mask():
         inf.value(5)
 
 
+def has(ids, u):
+    """Rows of an id array that hold element u."""
+    return (ids == u).any(axis=1)
+
+
 def test_batched_non_finite_values_raise_and_name_the_mask():
-    def batch_fn(X):
-        out = X.sum(axis=1).astype(float)
-        out[X[:, 0] & X[:, 2]] = np.nan
+    def ids_fn(ids):
+        out = np.full(len(ids), float(ids.shape[1]))
+        out[has(ids, 0) & has(ids, 2)] = np.nan
         return out
 
     for memoize in (False, True):
         f = SetFunctionOracle(GroundSet(3), lambda m: float(m.bit_count()),
-                              memoize=memoize, batch_fn=batch_fn, name="holey")
+                              memoize=memoize, ids_fn=ids_fn, name="holey")
         assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
         with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
             f.values([0, 7, 5])
@@ -442,15 +488,15 @@ def test_scan_non_finite_values_raise_and_name_the_mask():
     def fn(mask):
         return math.nan if mask == 5 else float(mask.bit_count())
 
-    def batch_fn(X):
-        out = X.sum(axis=1).astype(float)
-        out[X[:, 0] & ~X[:, 1] & X[:, 2]] = np.nan
+    def ids_fn(ids):
+        out = np.full(len(ids), float(ids.shape[1]))
+        out[has(ids, 0) & ~has(ids, 1) & has(ids, 2)] = np.nan
         return out
 
     for memoize in (False, True):
-        for kernel in (None, batch_fn):
+        for kernel in (None, ids_fn):
             f = SetFunctionOracle(GroundSet(3), fn, memoize=memoize,
-                                  batch_fn=kernel, name="holey")
+                                  ids_fn=kernel, name="holey")
             assert f.scan(1, [1]) == [2.0]
             with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
                 f.scan(1, [1, 2])

@@ -111,10 +111,10 @@ def test_certifier_reports_same_with_and_without_kernel_property(n, seed, lam, k
     s = psd_similarity(n, seed)
     for f in (movie_objective(s, lam), image_objective(s)):
         reports = set()
-        for batch_fn in (f._batch_fn, None):
+        for ids_fn in (f._ids_fn, None):
             for memoize in (False, True):
                 g = SetFunctionOracle(f.ground, f._fn, memoize=memoize,
-                                      batch_fn=batch_fn, name=f.name)
+                                      ids_fn=ids_fn, name=f.name)
                 reports.add((
                     exact_monotonicity_ratio(g),
                     exact_weak_monotonicity_ratio(g, lambda m: m.bit_count() <= k),
