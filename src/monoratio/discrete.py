@@ -328,20 +328,17 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
         raise ValueError("eps must be in (0,1)")
 
     def buckets(pos):
-        if not pos:
-            return []
-        desc = sorted(pos, key=itemgetter(0), reverse=True)  # stable: ties by id
-        w = desc[0][0]
-        floor = eps * w / k
-        bucket, i = [], 0
-        while len(bucket) < k and w >= floor:
-            # the elements whose marginal first reaches w, in id order
-            j = i
-            while j < len(desc) and desc[j][0] >= w:
-                j += 1
-            bucket += sorted(desc[i:j], key=itemgetter(1))
-            i = j
-            w *= 1.0 - eps
+        bucket = []
+        if pos:
+            desc = sorted(pos, key=itemgetter(0), reverse=True)  # ties by id
+            w = desc[0][0]
+            floor, i = eps * w / k, 0
+            while len(bucket) < k and w >= floor:
+                j = i  # desc[i:j]: the elements first reaching w, taken by id
+                while j < len(desc) and desc[j][0] >= w:
+                    j += 1
+                bucket += sorted(desc[i:j], key=itemgetter(1))
+                i, w = j, w * (1.0 - eps)
         return bucket[:k]
 
     return _random_greedy(f, k, seed, buckets, False)
@@ -426,17 +423,12 @@ def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
     rng, seed = _rng(seed)
     start = f.eval_count
     n = f.n
-    sol = 0
     if isinstance(constraint, int):
-        if not 0 <= constraint <= n:
-            raise ValueError("need 0 <= k <= n")
-        if constraint > 0:
-            for u in rng.choice(n, size=constraint, replace=False):
-                sol |= 1 << int(u)
-        return _finish(f, sol, start, seed, None)
+        constraint = UniformMatroid(n, constraint)
     if not isinstance(constraint, Matroid):
         raise ValueError(f"unsupported constraint {constraint!r}")
     _same_ground_set(n, constraint)
+    sol = 0
     if isinstance(constraint, PartitionMatroid):
         for bmask, cap in zip(constraint.blocks, constraint.capacities):
             ids = ids_of(bmask)

@@ -111,11 +111,10 @@ class SetFunctionOracle:
     `ids_fn`, when given, is a vectorized form of `fn` on nonempty sets of
     one size: it receives a (B, L) int64 array whose row i holds the L >= 1
     sorted element ids of the i-th set, and returns B floats equal to `fn`
-    on those sets. It is called with at most _KERNEL_BLOCK_BYTES / (8 L n)
-    rows (at least one), so it may gather a (B, L, n) block. `values`
-    groups its sets by size and `scan` builds its rows of |A| + 1 ids
-    directly; the empty set goes to `fn`, never to `ids_fn`. Without an
-    `ids_fn` both loop over `value`.
+    on those sets. It is called with at most `_block_rows(L, n)` rows, so
+    it may gather a (B, L, n) block. `values` groups its sets by size and
+    `scan` builds its rows of |A| + 1 ids directly; the empty set goes to
+    `fn`, never to `ids_fn`. Without an `ids_fn` both loop over `value`.
 
     Every freshly computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask.
@@ -175,7 +174,7 @@ class SetFunctionOracle:
             rows.sort(axis=1)
             if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
                 self.eval_count += len(cands)
-                step = max(1, _KERNEL_BLOCK_BYTES // (8 * rows.shape[1] * n))
+                step = _block_rows(rows.shape[1], n)
                 out = np.concatenate([self._kernel(rows[lo:lo + step])
                                       for lo in range(0, len(rows), step)])
                 return self._finite(out, lambda i: A | (1 << int(cands[i]))).tolist()
@@ -334,6 +333,12 @@ def _unpack_masks(masks: list[int], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def _block_rows(L: int, n: int) -> int:
+    """Rows of set size L per `ids_fn` call: at most _KERNEL_BLOCK_BYTES of
+    (rows, L, n) floats, and at least one row."""
+    return max(1, _KERNEL_BLOCK_BYTES // (8 * L * n))
+
+
 def _size_groups(X: np.ndarray):
     """Split the nonempty rows of a (B, n) boolean mask matrix by set size.
 
@@ -350,7 +355,7 @@ def _size_groups(X: np.ndarray):
     first = 0
     for size, count in enumerate(np.bincount(sizes, minlength=n + 1).tolist()):
         if size and count:
-            step = max(1, _KERNEL_BLOCK_BYTES // (8 * size * n))
+            step = _block_rows(size, n)
             for lo in range(first, first + count, step):
                 rows = order[lo:min(lo + step, first + count)]
                 yield rows, np.nonzero(X[rows])[1].reshape(len(rows), size)
