@@ -15,8 +15,8 @@ from .apps import (FeatureMatrix, QuadraticInstance, generate_quadratic_instance
 from .bounds import (GuaranteeCurve, cardinality_hardness, evaluate_curve,
                      guarantee, matroid_hardness, smallest_grid_crossing,
                      symmetry_gap_unconstrained, upper_bound_from_output)
-from .constraints import (CardinalityConstraint, DownClosedPolytope, Matroid,
-                          OracleMatroid, PartitionMatroid, UniformMatroid,
+from .constraints import (DownClosedPolytope, Matroid, OracleMatroid,
+                          PartitionMatroid, UniformMatroid,
                           linear_maximize_matroid, linear_maximize_polytope,
                           matroid_polytope, partition_matroid_from_text)
 from .continuous import (FWConfig, FWResult, MCGConfig, MCGResult,
@@ -31,9 +31,8 @@ from .experiments import ExperimentSpec, run_experiment
 from .oracle import (GroundSet, SampleConfig, SetFunctionOracle, SizeLimitError,
                      ids_of, indicator, lovasz_extension, marginal, mask_of,
                      mask_from_indicator, multilinear_exact, multilinear_sampled)
-from .ratio import (RatioReport, continuous_ratio_grid_bound,
-                    exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
-                    image_weak_ratio_bound, is_submodular, movie_ratio_bound,
-                    quadratic_ratio_bound)
+from .ratio import (RatioReport, exact_monotonicity_ratio,
+                    exact_weak_monotonicity_ratio, image_weak_ratio_bound,
+                    is_submodular, movie_ratio_bound, quadratic_ratio_bound)
 
 __version__ = "0.1.0"

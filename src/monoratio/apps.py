@@ -112,13 +112,12 @@ def inner_product_similarity(X: FeatureMatrix, clip_negative: bool = False) -> n
     return s
 
 
-def random_similarity(n: int, seed: int = 0, d: int | None = None,
-                      psd: bool = True) -> np.ndarray:
+def random_similarity(n: int, seed: int = 0, psd: bool = True) -> np.ndarray:
     """Random non-negative symmetric similarity matrix; psd=True builds it as
-    a Gram matrix of non-negative features."""
+    a Gram matrix of max(2, n // 2) non-negative features."""
     rng = np.random.default_rng(seed)
     if psd:
-        feats = rng.random((n, d if d is not None else max(2, n // 2)))
+        feats = rng.random((n, max(2, n // 2)))
         return feats @ feats.T
     s = rng.random((n, n))
     s = np.triu(s) + np.triu(s, 1).T
@@ -143,8 +142,7 @@ def _pair_sums(s_flat: np.ndarray, n: int, ids: np.ndarray) -> np.ndarray:
     return block.reshape(len(ids), -1).sum(axis=1)
 
 
-def movie_objective(s: np.ndarray, lam: float,
-                    labels: tuple[str, ...] | None = None) -> SetFunctionOracle:
+def movie_objective(s: np.ndarray, lam: float) -> SetFunctionOracle:
     """Coverage-minus-diversity recommendation objective
 
         f(S) = sum_{u in N} sum_{v in S} s_{u,v} - lam * sum_{u,v in S} s_{u,v},
@@ -172,13 +170,11 @@ def movie_objective(s: np.ndarray, lam: float,
         pairs = _pair_sums(s_flat, n, ids)
         return np.maximum(colsum[ids].sum(axis=1) - lam * pairs, 0.0)
 
-    ground = GroundSet(n, labels)
-    return SetFunctionOracle(ground, fn, memoize=n <= 20, name=f"movie(lam={lam})",
+    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name=f"movie(lam={lam})",
                              ids_fn=ids_fn)
 
 
-def image_objective(s: np.ndarray,
-                    labels: tuple[str, ...] | None = None) -> SetFunctionOracle:
+def image_objective(s: np.ndarray) -> SetFunctionOracle:
     """Max-similarity summarization objective
 
         f(S) = sum_{u in N} max_{v in S} s_{u,v} - (1/n) sum_{u,v in S} s_{u,v}
@@ -204,8 +200,7 @@ def image_objective(s: np.ndarray,
         cover = s_cols[ids].max(axis=1).sum(axis=1)
         return np.maximum(cover - _pair_sums(s_flat, n, ids) / n, 0.0)
 
-    ground = GroundSet(n, labels)
-    return SetFunctionOracle(ground, fn, memoize=n <= 20, name="image",
+    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name="image",
                              ids_fn=ids_fn)
 
 
@@ -309,14 +304,13 @@ def _quad_part(H, h, X: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,ij->i", X @ H, X) + X @ h
 
 
-def min_box_quadratic(H, h, u, starts: int = 200, pgd_iters: int = 300,
-                      seed: int = 0) -> float:
+def min_box_quadratic(H, h, u, seed: int = 0) -> float:
     """Approximate global minimum of x'Hx/2 + h'x over the box [0, u].
 
-    Combines all 2^n box vertices, multi-start projected gradient descent,
-    and coordinate-wise exact polishing (each coordinate slice is concave for
-    entrywise non-positive H, so slice minima sit at the box endpoints) and
-    returns the best value found.
+    Combines all 2^n box vertices, projected gradient descent (300 steps
+    from each of 200 random starts), and coordinate-wise exact polishing
+    (each coordinate slice is concave for entrywise non-positive H, so slice
+    minima sit at the box endpoints) and returns the best value found.
     """
     H = np.asarray(H, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -332,10 +326,10 @@ def min_box_quadratic(H, h, u, starts: int = 200, pgd_iters: int = 300,
 
     # (2) multi-start projected gradient descent
     rng = np.random.default_rng(seed)
-    X = rng.random((starts, n)) * u
+    X = rng.random((200, n)) * u
     lip = float(np.linalg.norm(H, 2)) + 1e-9
     step = 1.0 / lip
-    for _ in range(pgd_iters):
+    for _ in range(300):
         X -= step * (X @ H + h)
         np.clip(X, 0.0, u, out=X)
     best = min(best, float(_quad_part(H, h, X).min()))
@@ -360,10 +354,10 @@ def min_box_quadratic(H, h, u, starts: int = 200, pgd_iters: int = 300,
     return best
 
 
-def generate_quadratic_instance(n: int, v: float = 0.01, beta: float = 0.1,
-                                alpha: float = 0.3, seed: int = 0) -> QuadraticInstance:
+def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
+                                seed: int = 0) -> QuadraticInstance:
     """Draw a random instance: H symmetric with entries uniform on [-1,0],
-    A positive with entries uniform on [v, v+1], b all ones,
+    A positive with entries uniform on [v, v+1] for v = 0.01, b all ones,
     u_j = min_i b_i / A_{ij}, h = -beta H'u, and c = -M + alpha|M| for the
     box minimum M (making F non-negative on the whole box)."""
     if n < 1:
@@ -375,6 +369,7 @@ def generate_quadratic_instance(n: int, v: float = 0.01, beta: float = 0.1,
     rng = np.random.default_rng(seed)
     upper = rng.uniform(-1.0, 0.0, size=(n, n))
     H = np.triu(upper) + np.triu(upper, 1).T
+    v = 0.01
     A = rng.uniform(v, v + 1.0, size=(n, n))
     b = np.ones(n)
     u = (b[:, None] / A).min(axis=0)

@@ -29,6 +29,7 @@ __all__ = [
 
 _INV_E = math.exp(-1.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
+_RESOLUTION = 2001  # default grid points per axis of the hardness curves
 
 
 def _check_m(m: float) -> float:
@@ -62,12 +63,6 @@ def _g_greedy_matroid(m):
     return m / 2.0
 
 
-def _g_mcg(m, T=1.0):
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    return m * (1.0 - math.exp(-T)) + (1.0 - m) * T * math.exp(-T)
-
-
 def _g_rgm(m):
     if m >= 1.0:
         return 0.5
@@ -80,17 +75,17 @@ GUARANTEE_KINDS = {
     "greedy_card": _g_greedy_card,
     "random_greedy_card": _g_random_greedy_card,
     "greedy_matroid": _g_greedy_matroid,
-    "mcg": _g_mcg,
+    # m(1-e^-T) + (1-m)T e^-T of measured continuous greedy, at T = 1
+    "mcg": _g_random_greedy_card,
     "rgm": _g_rgm,
 }
 
 
-def guarantee(kind: str, m: float, extra: float | None = None) -> float:
+def guarantee(kind: str, m: float) -> float:
     """Closed-form guarantee (or hardness) value for one expression kind.
 
     Kinds: unconstrained_alg, unconstrained_hard, greedy_card,
-    random_greedy_card, greedy_matroid, mcg (extra = time horizon T,
-    default 1), rgm.
+    random_greedy_card, greedy_matroid, mcg (at time horizon T = 1), rgm.
     """
     m = _check_m(m)
     try:
@@ -98,18 +93,17 @@ def guarantee(kind: str, m: float, extra: float | None = None) -> float:
     except KeyError:
         raise ValueError(f"unknown guarantee kind {kind!r}; "
                          f"known: {sorted(GUARANTEE_KINDS)}") from None
-    if kind == "mcg":
-        return fn(m, 1.0 if extra is None else float(extra))
     return fn(m)
 
 
-def golden_section_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
+def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] in 40 steps; returns
+    (argmax, max)."""
     a, b = lo, hi
     x1 = b - _PHI * (b - a)
     x2 = a + _PHI * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(40):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _PHI * (b - a)
@@ -139,7 +133,7 @@ def _refined_max(fn, xs: np.ndarray, vals: np.ndarray, rounds: int):
     for _ in range(rounds):
         a = max(lo, best_x - span)
         b = min(hi, best_x + span)
-        x, v = golden_section_max(scalar, a, b, iters=40)
+        x, v = golden_section_max(scalar, a, b)
         if v > best_v:
             best_x, best_v = x, v
         span /= 50.0
@@ -192,14 +186,15 @@ def _nested_min_max(term_a, term_b, denom, x_hi: float,
     for _ in range(rounds):
         a = max(0.0, best_a - span)
         b = min(1.0, best_a + span)
-        x, v = golden_section_max(lambda t: -outer(t), a, b, iters=40)
+        x, v = golden_section_max(lambda t: -outer(t), a, b)
         if -v < best_v:
             best_a, best_v = x, -v
         span /= 50.0
     return best_v
 
 
-def cardinality_hardness(m: float, resolution: int = 2001, rounds: int = 3) -> float:
+def cardinality_hardness(m: float, resolution: int = _RESOLUTION,
+                         rounds: int = 3) -> float:
     """Numeric value of the cardinality-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1]}
@@ -212,7 +207,8 @@ def cardinality_hardness(m: float, resolution: int = 2001, rounds: int = 3) -> f
     return _nested_min_max(term_a, term_b, denom, 1.0, resolution, rounds)
 
 
-def matroid_hardness(m: float, resolution: int = 2001, rounds: int = 3) -> float:
+def matroid_hardness(m: float, resolution: int = _RESOLUTION,
+                     rounds: int = 3) -> float:
     """Numeric value of the matroid-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1/2]}
@@ -226,7 +222,8 @@ def matroid_hardness(m: float, resolution: int = 2001, rounds: int = 3) -> float
     return _nested_min_max(term_a, term_b, denom, 0.5, resolution, rounds)
 
 
-def symmetry_gap_unconstrained(m: float, resolution: int = 2001, rounds: int = 3) -> float:
+def symmetry_gap_unconstrained(m: float, resolution: int = _RESOLUTION,
+                               rounds: int = 3) -> float:
     """Numeric maximum of 2y - (2-m)y^2 over y in [0,1] (the symmetric relaxation
     value of the two-element gap instance); equals 1/(2-m) analytically."""
     m = _check_m(m)
@@ -261,7 +258,6 @@ class GuaranteeCurve:
     expression_id: str
     points: list[tuple[float, float]]
     resolution: int
-    refine_rounds: int = 0
 
     CSV_HEADER = "m,value,expression_id,resolution"
 
@@ -272,20 +268,18 @@ class GuaranteeCurve:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_curve(expression_id: str, num_points: int = 101,
-                   resolution: int = 2001, rounds: int = 3,
-                   mcg_T: float = 1.0) -> GuaranteeCurve:
-    """Evaluate one expression on a uniform m-grid of num_points in [0,1]."""
+def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
+    """Evaluate one expression on a uniform m-grid of num_points in [0,1]
+    (the mcg curve at time horizon T = 1, the hardness curves at their
+    default resolution and rounds)."""
     ms = np.linspace(0.0, 1.0, num_points)
     if expression_id in GUARANTEE_KINDS:
-        extra = mcg_T if expression_id == "mcg" else None
-        pts = [(float(m), guarantee(expression_id, float(m), extra)) for m in ms]
+        pts = [(float(m), guarantee(expression_id, float(m))) for m in ms]
         return GuaranteeCurve(expression_id, pts, resolution=num_points)
     if expression_id in _HARDNESS_IDS:
         fn = _HARDNESS_IDS[expression_id]
-        pts = [(float(m), fn(float(m), resolution, rounds)) for m in ms]
-        return GuaranteeCurve(expression_id, pts, resolution=resolution,
-                              refine_rounds=rounds)
+        pts = [(float(m), fn(float(m))) for m in ms]
+        return GuaranteeCurve(expression_id, pts, resolution=_RESOLUTION)
     raise ValueError(f"unknown expression id {expression_id!r}; known: {CURVE_IDS}")
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 
@@ -21,8 +20,9 @@ from .apps import (image_objective, inner_product_similarity, load_features_csv,
                    random_similarity)
 from .bounds import CURVE_IDS, evaluate_curve
 from .constraints import UniformMatroid, partition_matroid_from_text
-from .experiments import (ALGORITHMS, ExperimentSpec, SpecValidationError,
-                          algorithm, run_experiment, trial_values)
+from .experiments import (_OBJECTIVES, ALGORITHMS, ExperimentSpec,
+                          SpecValidationError, _mean_stderr, algorithm,
+                          run_experiment, trial_values)
 from .oracle import GroundSet, SetFunctionOracle
 from .ratio import RatioReport, exact_monotonicity_ratio, exact_weak_monotonicity_ratio
 
@@ -155,9 +155,9 @@ def cmd_run(args) -> int:
         print(f"{args.alg},{r.value:.10g},{r.size},{r.oracle_calls},{args.seed},{ids}")
     else:
         vals = np.array(trial_values(alg, run_one, args.trials, args.seed))
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+        mean, stderr = _mean_stderr(vals)
         print("alg,trials,mean_value,stderr,min_value,max_value")
-        print(f"{args.alg},{args.trials},{vals.mean():.10g},{stderr:.10g},"
+        print(f"{args.alg},{args.trials},{mean:.10g},{stderr:.10g},"
               f"{vals.min():.10g},{vals.max():.10g}")
     return 0
 
@@ -166,25 +166,20 @@ def cmd_experiment(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
             payload = json.load(fh)
-        known = {f.name for f in fields(ExperimentSpec)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - _SPEC_FIELDS)
         if unknown:
             print(f"error: unknown spec fields: {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
         spec = ExperimentSpec(**payload)
     else:
-        if args.objective is None or args.sweep is None or args.grid is None:
+        given = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+        if not {"objective", "sweep", "grid"} <= given.keys():
             print("error: need --objective, --sweep and --grid (or --spec)",
                   file=sys.stderr)
             return 2
-        spec = ExperimentSpec(
-            objective=args.objective, sweep=args.sweep,
-            grid=[float(g) for g in args.grid.split(",") if g.strip()],
-            n=args.n, k=args.k if args.k is not None else 10, lam=args.lam,
-            categories=args.categories, alpha=args.alpha, beta=args.beta,
-            algorithms=args.alg or [], trials=args.trials, seed=args.seed,
-            eps=args.eps)
+        given["grid"] = [float(g) for g in given["grid"].split(",") if g.strip()]
+        spec = ExperimentSpec(**given)
     try:
         result = run_experiment(spec)
     except SpecValidationError as exc:
@@ -215,6 +210,7 @@ def _add_objective_flags(p, default_n):
 
 _RUN_ALGS = [name.replace("_", "-") for name, alg in ALGORITHMS.items()
              if not alg.experiment_only]
+_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,23 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("experiment", help="upper-bound-on-OPT sweep")
+    # a spec flag that is not given stays off the namespace, so the
+    # ExperimentSpec defaults are the only ones
+    p = sub.add_parser("experiment", help="upper-bound-on-OPT sweep",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--spec", default=None, help="JSON experiment spec file")
-    p.add_argument("--objective", choices=["movie", "image", "quadratic"])
-    p.add_argument("--sweep", choices=["lambda", "k", "alpha", "beta", "n"])
-    p.add_argument("--grid", default=None, help="comma-separated sweep values")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.75)
-    p.add_argument("--categories", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--beta", type=float, default=0.2)
-    p.add_argument("--alg", action="append", default=None,
+    p.add_argument("--objective", choices=list(_OBJECTIVES))
+    p.add_argument("--sweep", choices=list(dict.fromkeys(
+        s for _, sweeps, _ in _OBJECTIVES.values() for s in sweeps)))
+    p.add_argument("--grid", help="comma-separated sweep values")
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--categories", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--alg", dest="algorithms", action="append", metavar="ALG",
                    help="algorithm list (repeatable); defaults per objective; "
                    "one of " + ", ".join(sorted(ALGORITHMS)))
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eps", type=float)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_experiment)

@@ -20,7 +20,6 @@ from scipy.optimize import linprog
 from .oracle import ids_of, mask_of
 
 __all__ = [
-    "CardinalityConstraint",
     "Matroid",
     "UniformMatroid",
     "PartitionMatroid",
@@ -60,9 +59,6 @@ class Matroid:
 
     def is_independent(self, mask: int) -> bool:
         raise NotImplementedError
-
-    def is_feasible(self, mask: int) -> bool:
-        return self.is_independent(mask)
 
     def _padded_independent(self, mask: int) -> bool:
         """Independence in M padded with dummies (the elements >= n)."""
@@ -210,9 +206,6 @@ class UniformMatroid(PartitionMatroid):
 
     def __repr__(self):
         return f"UniformMatroid(n={self.n}, k={self.k})"
-
-
-CardinalityConstraint = UniformMatroid
 
 
 class OracleMatroid(Matroid):

@@ -23,7 +23,6 @@ __all__ = [
     "FWConfig",
     "FWResult",
     "frank_wolfe_nonmonotone",
-    "mcg_trace_to_csv",
 ]
 
 
@@ -57,13 +56,6 @@ class MCGResult:
     y: np.ndarray
     discretization_bound: float
     trace: list[tuple[float, float, float, float]] | None = None
-
-
-def mcg_trace_to_csv(trace) -> str:
-    lines = ["t,y_inf_norm,F_estimate,stderr"]
-    for t, ynorm, fest, se in trace:
-        lines.append(f"{t:.10g},{ynorm:.10g},{fest:.10g},{se:.10g}")
-    return "\n".join(lines) + "\n"
 
 
 def _gain_estimates(f: SetFunctionOracle, y: np.ndarray, samples: int, rng):

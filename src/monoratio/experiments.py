@@ -119,12 +119,19 @@ def trial_values(alg: Algorithm, run_one, trials: int, seed: int) -> list[float]
     return [run_one(seed + t).value for t in range(trials)]
 
 
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Mean of trial values and its standard error (0 for a single trial)."""
+    if len(vals) < 2:
+        return float(vals.mean()), 0.0
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
 # objective -> (the constraint its sweeps run algorithms under, its sweep
 # parameters, its default algorithms)
 _OBJECTIVES = {
-    "movie": ("cardinality", {"lambda", "k"}, ["threshold_random_greedy", "random"]),
-    "image": ("matroid", {"k"}, ["random_greedy_matroid", "mcg_rounding", "random"]),
-    "quadratic": ("polytope", {"alpha", "beta", "n"}, ["frank_wolfe"]),
+    "movie": ("cardinality", ("lambda", "k"), ["threshold_random_greedy", "random"]),
+    "image": ("matroid", ("k",), ["random_greedy_matroid", "mcg_rounding", "random"]),
+    "quadratic": ("polytope", ("alpha", "beta", "n"), ["frank_wolfe"]),
 }
 
 
@@ -161,7 +168,7 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Return a normalized copy; raises SpecValidationError listing every
     problem at once."""
     problems = []
-    need, sweeps, defaults = _OBJECTIVES.get(spec.objective, (None, set(), []))
+    need, sweeps, defaults = _OBJECTIVES.get(spec.objective, (None, (), []))
     if need is None:
         problems.append(f"unknown objective {spec.objective!r} "
                         f"(choose from {sorted(_OBJECTIVES)})")
@@ -284,9 +291,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             # as an eval_count delta; trial t owns seed + t
             run_one = lambda seed: alg.call(f, constraint, seed, spec)
             vals = np.array(trial_values(alg, run_one, spec.trials, spec.seed))
-            mean = row[f"{name}_mean"] = float(vals.mean())
-            row[f"{name}_stderr"] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                                     if len(vals) > 1 else 0.0)
+            mean, row[f"{name}_stderr"] = _mean_stderr(vals)
+            row[f"{name}_mean"] = mean
             if alg.guarantee is None:
                 continue
             g0 = guarantee(alg.guarantee, 0.0)

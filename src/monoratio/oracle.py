@@ -66,13 +66,13 @@ def indicator(mask: int, n: int) -> np.ndarray:
     return x
 
 
-def mask_from_indicator(x, tol: float = 1e-9) -> int:
-    """Inverse of `indicator`; raises if any coordinate is not 0/1 within tol."""
+def mask_from_indicator(x) -> int:
+    """Inverse of `indicator`; raises if any coordinate is not 0/1 within 1e-9."""
     m = 0
     for u, v in enumerate(x):
-        if v > 1.0 - tol:
+        if v > 1.0 - 1e-9:
             m |= 1 << u
-        elif v > tol:
+        elif v > 1e-9:
             raise ValueError(f"coordinate {u} = {v} is fractional")
     return m
 
@@ -82,22 +82,14 @@ class GroundSet:
     """A ground set of n elements with dense stable ids 0..n-1."""
 
     n: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set needs at least one element")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal n")
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def label(self, u: int) -> str:
-        if self.labels is None:
-            return str(u)
-        return self.labels[u]
 
 
 class SetFunctionOracle:
@@ -117,23 +109,24 @@ class SetFunctionOracle:
     `fn`, never to `ids_fn`. Without an `ids_fn` both loop over `value`.
 
     Every freshly computed value must be finite; a NaN or infinity raises
-    ValueError naming the oracle and the offending mask.
+    ValueError naming the oracle and the offending mask. A mask outside the
+    ground set (negative, or with a bit at n or above) raises ValueError
+    instead of reaching `fn`, `ids_fn` or the memo.
     """
 
     def __init__(self, ground: GroundSet, fn, memoize: bool = False, name: str = "f",
                  ids_fn=None):
         self.ground = ground
+        self.n = ground.n
         self.name = name
         self._fn = fn
         self._ids_fn = ids_fn
         self._memo: dict | None = {} if memoize else None
         self.eval_count = 0
 
-    @property
-    def n(self) -> int:
-        return self.ground.n
-
     def value(self, mask: int) -> float:
+        if mask >> self.n:  # nonzero for a negative mask too
+            raise ValueError(f"mask {mask} outside the {self.n}-element ground set")
         self.eval_count += 1
         memo = self._memo
         if memo is None:
@@ -196,20 +189,23 @@ class SetFunctionOracle:
                 masks = _pack_masks(masks)
             value = self.value
             return np.array([value(m) for m in masks])  # float64: value() gives floats
+        # the batch is counted once _unpack_masks has checked it
         if matrix:
             X = masks.astype(bool, copy=False)
-            self.eval_count += len(X)
         else:
             masks = [int(m) for m in masks]
-            self.eval_count += len(masks)
         memo = self._memo
         if memo is None:
-            return self._by_size(X if matrix else _unpack_masks(masks, self.n))
+            if not matrix:
+                X = _unpack_masks(masks, self.n)
+            self.eval_count += len(X)
+            return self._by_size(X)
         keys = _pack_masks(X) if matrix else masks
         missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        X = _unpack_masks(missing, self.n) if missing else None
+        self.eval_count += len(keys)
         if missing:
-            fresh = self._by_size(_unpack_masks(missing, self.n))
-            memo.update(zip(missing, fresh.tolist()))
+            memo.update(zip(missing, self._by_size(X).tolist()))
         return np.array([memo[key] for key in keys])  # float64: memo holds floats
 
     def _by_size(self, X: np.ndarray) -> np.ndarray:
@@ -268,16 +264,16 @@ def marginal(f: SetFunctionOracle, u: int, mask: int) -> float:
     return f.value(mask | bit) - f.value(mask)
 
 
-def multilinear_exact(f: SetFunctionOracle, x, limit: int = EXACT_MULTILINEAR_LIMIT) -> float:
+def multilinear_exact(f: SetFunctionOracle, x) -> float:
     """Exact multilinear extension F(x) = sum_S f(S) prod x_u prod (1-x_u).
 
-    Enumerates all 2^n subsets, so the ground set must have at most `limit`
-    elements; use `multilinear_sampled` beyond that.
+    Enumerates all 2^n subsets, so the ground set must have at most
+    EXACT_MULTILINEAR_LIMIT elements; use `multilinear_sampled` beyond that.
     """
     n = f.n
-    if n > limit:
+    if n > EXACT_MULTILINEAR_LIMIT:
         raise SizeLimitError(
-            f"exact multilinear enumeration capped at n={limit}; "
+            f"exact multilinear enumeration capped at n={EXACT_MULTILINEAR_LIMIT}; "
             f"use multilinear_sampled for n={n}"
         )
     x = np.asarray(x, dtype=float)

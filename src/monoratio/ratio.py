@@ -26,7 +26,6 @@ __all__ = [
     "movie_ratio_bound",
     "image_weak_ratio_bound",
     "quadratic_ratio_bound",
-    "continuous_ratio_grid_bound",
 ]
 
 MONOTONICITY_DP_LIMIT = 16
@@ -68,18 +67,20 @@ def _nonnegative_table(f: SetFunctionOracle) -> np.ndarray:
     return fv
 
 
-def exact_monotonicity_ratio(f: SetFunctionOracle, limit: int = MONOTONICITY_DP_LIMIT) -> RatioReport:
+def exact_monotonicity_ratio(f: SetFunctionOracle) -> RatioReport:
     """Exact monotonicity ratio by downward DP in O(n 2^n).
 
     Computes g(S) = min over supersets T of f(T) via the superset-min
     transform, then minimizes g(S)/f(S) with the f(S)=0 -> 1 convention.
     Witnesses break ties toward lexicographically smaller masks (S first,
     then T), matching a naive ascending all-pairs scan. Raises ValueError
-    when f is negative anywhere.
+    when f is negative anywhere, and SizeLimitError above
+    MONOTONICITY_DP_LIMIT elements.
     """
     n = f.n
-    if n > limit:
-        raise SizeLimitError(f"exact ratio DP capped at n={limit}, got n={n}")
+    if n > MONOTONICITY_DP_LIMIT:
+        raise SizeLimitError(f"exact ratio DP capped at n={MONOTONICITY_DP_LIMIT}, "
+                             f"got n={n}")
     start_calls = f.eval_count
     fv = _nonnegative_table(f)
     full = 1 << n
@@ -106,19 +107,18 @@ def exact_monotonicity_ratio(f: SetFunctionOracle, limit: int = MONOTONICITY_DP_
                        eval_count=f.eval_count - start_calls)
 
 
-def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible,
-                                  limit: int = WEAK_RATIO_LIMIT) -> RatioReport:
+def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible) -> RatioReport:
     """Exact weak monotonicity ratio: min over feasible S, T of f(S|T)/f(S).
 
     `feasible` is a predicate over masks, or an iterable of feasible masks,
     each in [0, 2^n) (else ValueError, before any evaluation). With
     everything feasible this equals the monotonicity ratio, since every
     superset of S is S|T for some T. Raises ValueError when f is negative
-    anywhere.
+    anywhere, and SizeLimitError above WEAK_RATIO_LIMIT elements.
     """
     n = f.n
-    if n > limit:
-        raise SizeLimitError(f"weak ratio scan capped at n={limit}, got n={n}")
+    if n > WEAK_RATIO_LIMIT:
+        raise SizeLimitError(f"weak ratio scan capped at n={WEAK_RATIO_LIMIT}, got n={n}")
     if callable(feasible):
         fam = np.array([m for m in range(1 << n) if feasible(m)], dtype=np.int64)
     else:
@@ -150,8 +150,7 @@ def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible,
                        eval_count=f.eval_count - start_calls)
 
 
-def is_submodular(f: SetFunctionOracle, tol: float = 1e-9, witness: bool = False,
-                  limit: int = SUBMODULARITY_LIMIT):
+def is_submodular(f: SetFunctionOracle, witness: bool = False):
     """Exhaustive submodularity check.
 
     Uses the local characterization f(T+u)+f(T+v) >= f(T+u+v)+f(T) for all T
@@ -159,10 +158,13 @@ def is_submodular(f: SetFunctionOracle, tol: float = 1e-9, witness: bool = False
     inequality over all nested pairs; f may take either sign. With
     witness=True returns (ok, (S, T, u)) where f(u|S) < f(u|T) for S = T'
     and T = T'+v exhibits the violation (witness is None when submodular).
+    A violation must exceed 1e-9 times max(1, max |f|), which absorbs
+    rounding. Raises SizeLimitError above SUBMODULARITY_LIMIT elements.
     """
     n = f.n
-    if n > limit:
-        raise SizeLimitError(f"submodularity check capped at n={limit}, got n={n}")
+    if n > SUBMODULARITY_LIMIT:
+        raise SizeLimitError(f"submodularity check capped at n={SUBMODULARITY_LIMIT}, "
+                             f"got n={n}")
     fv = _f_table(f)
     scale = max(1.0, float(np.max(np.abs(fv))))
     masks = np.arange(1 << n, dtype=np.int64)
@@ -173,7 +175,7 @@ def is_submodular(f: SetFunctionOracle, tol: float = 1e-9, witness: bool = False
             base = masks[(masks & (bu | bv)) == 0]
             lhs = fv[base | bu] + fv[base | bv]
             rhs = fv[base | bu | bv] + fv[base]
-            bad = lhs < rhs - tol * scale
+            bad = lhs < rhs - 1e-9 * scale
             if np.any(bad):
                 if not witness:
                     return False
@@ -209,26 +211,3 @@ def quadratic_ratio_bound(alpha: float, beta: float, min_nonneg: bool) -> float:
         raise ValueError("alpha must be positive")
     base = 1.0 - 2.0 * beta
     return base if min_nonneg else base * alpha / (1.0 + alpha)
-
-
-def continuous_ratio_grid_bound(F, u, points_per_axis: int = 5) -> float:
-    """Grid-sampled upper bound on the continuous monotonicity ratio.
-
-    Samples ordered pairs x <= y on a regular grid of the box [0, u] and
-    returns min F(y)/F(x) (zero convention). The true infimum ranges over all
-    pairs, so this is an upper bound on m only.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    if points_per_axis < 2:
-        raise ValueError("need at least 2 points per axis")
-    axes = [np.linspace(0.0, u[j], points_per_axis) for j in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    vals = np.array([F(x) for x in grid])
-    best = 1.0
-    for i in range(grid.shape[0]):
-        if vals[i] <= 0.0:
-            continue
-        ge = np.all(grid >= grid[i] - 1e-12, axis=1)
-        best = min(best, float(np.min(vals[ge]) / vals[i]))
-    return best

@@ -11,7 +11,7 @@ import numpy as np
 from monoratio import GroundSet, SetFunctionOracle, ids_of, mixture_objective
 
 
-def table_oracle(table, name="table", count_offset=False) -> SetFunctionOracle:
+def table_oracle(table, name="table") -> SetFunctionOracle:
     """Oracle backed by an explicit value table indexed by mask."""
     vals = [float(v) for v in table]
     ground = GroundSet((len(vals) - 1).bit_length())
@@ -97,6 +97,29 @@ def naive_weak_ratio(table, family):
             r = 1.0 if fS <= 0.0 else table[S | T] / fS
             best = min(best, r)
     return float(best)
+
+
+def continuous_ratio_grid_bound(F, u, points_per_axis: int = 5) -> float:
+    """Grid-sampled upper bound on the continuous monotonicity ratio.
+
+    Samples ordered pairs x <= y on a regular grid of the box [0, u] and
+    returns min F(y)/F(x) (zero convention). The true infimum ranges over all
+    pairs, so this is an upper bound on m only.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    if points_per_axis < 2:
+        raise ValueError("need at least 2 points per axis")
+    axes = [np.linspace(0.0, u[j], points_per_axis) for j in range(n)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    vals = np.array([F(x) for x in grid])
+    best = 1.0
+    for i in range(grid.shape[0]):
+        if vals[i] <= 0.0:
+            continue
+        ge = np.all(grid >= grid[i] - 1e-12, axis=1)
+        best = min(best, float(np.min(vals[ge]) / vals[i]))
+    return best
 
 
 def naive_greedy_trajectory(table, k):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import psd_similarity
-from monoratio import (QuadraticInstance, continuous_ratio_grid_bound,
-                       exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
+from helpers import continuous_ratio_grid_bound, psd_similarity
+from monoratio import (QuadraticInstance, exact_monotonicity_ratio,
+                       exact_weak_monotonicity_ratio,
                        generate_quadratic_instance, image_objective,
                        image_weak_ratio_bound, inner_product_similarity,
                        is_submodular, load_features_csv, mask_of,

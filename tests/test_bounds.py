@@ -29,9 +29,8 @@ def test_guarantee_closed_forms():
     assert guarantee("unconstrained_alg", 0.1) == pytest.approx(0.525)
     assert guarantee("greedy_card", 1.0) == pytest.approx(1 - INV_E)
     assert guarantee("greedy_matroid", 0.8) == pytest.approx(0.4)
-    assert guarantee("mcg", 0.0, 1.0) == pytest.approx(INV_E)
-    assert guarantee("mcg", 1.0, 1.0) == pytest.approx(1 - INV_E)
-    assert guarantee("mcg", 0.3, 0.0) == 0.0
+    assert guarantee("mcg", 0.0) == pytest.approx(INV_E)
+    assert guarantee("mcg", 1.0) == pytest.approx(1 - INV_E)
     with pytest.raises(ValueError):
         guarantee("nope", 0.5)
     with pytest.raises(ValueError):
@@ -82,7 +81,7 @@ def test_consistency_alg_below_hardness():
     for m, h in mh.items():
         cap = min(h, 1 - INV_E)
         assert guarantee("greedy_matroid", float(m)) <= cap + 1e-9
-        assert guarantee("mcg", float(m), 1.0) <= cap + 1e-9
+        assert guarantee("mcg", float(m)) <= cap + 1e-9
         assert guarantee("rgm", float(m)) <= cap + 1e-9
 
 

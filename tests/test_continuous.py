@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (brute_opt, coverage_table, mixture_oracle, modular_oracle,
                      table_oracle)
-from monoratio import (CardinalityConstraint, DownClosedPolytope, FWConfig,
-                       MCGConfig, PartitionMatroid,
-                       UniformMatroid, frank_wolfe_nonmonotone,
+from monoratio import (DownClosedPolytope, FWConfig, MCGConfig,
+                       PartitionMatroid, UniformMatroid, frank_wolfe_nonmonotone,
                        generate_quadratic_instance, ids_of, mask_of,
                        matroid_polytope, measured_continuous_greedy,
                        multilinear_exact, swap_rounding)
@@ -81,8 +80,7 @@ def test_mcg_config_validation():
 
 def test_mcg_rejects_a_constraint_on_another_ground_set():
     f = modular_oracle([1.0] * 5)
-    for constraint in (UniformMatroid(3, 1), CardinalityConstraint(3, 1),
-                       matroid_polytope(UniformMatroid(3, 1))):
+    for constraint in (UniformMatroid(3, 1), matroid_polytope(UniformMatroid(3, 1))):
         with pytest.raises(ValueError, match="5 elements against 3"):
             measured_continuous_greedy(f, constraint, MCGConfig(steps=1, samples=1))
     assert f.eval_count == 0

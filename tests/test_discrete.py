@@ -9,8 +9,8 @@ from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectati
                      gap_oracle, mixture_oracle, modular_oracle,
                      naive_greedy_trajectory, psd_similarity, table_oracle,
                      union_find_forest_indep)
-from monoratio import (CardinalityConstraint, Matroid, OracleMatroid,
-                       PartitionMatroid, TraceRow, UniformMatroid, best_of_with_ground,
+from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
+                       UniformMatroid, best_of_with_ground,
                        double_greedy, exact_monotonicity_ratio, greedy_cardinality,
                        greedy_matroid, ids_of, image_objective, mask_of,
                        movie_objective, random_baseline,
@@ -532,7 +532,7 @@ def test_random_baseline_uniformity():
 def test_random_baseline_rejects_a_constraint_on_another_ground_set():
     f, _ = mixture_oracle(5, seed=0)
     for constraint in (PartitionMatroid(8, [[0, 1, 2, 3], [4, 5, 6, 7]], [1, 1]),
-                       UniformMatroid(8, 2), CardinalityConstraint(8, 2)):
+                       UniformMatroid(8, 2)):
         with pytest.raises(ValueError, match="5 elements against 8"):
             random_baseline(f, constraint, seed=0)
 

@@ -13,8 +13,8 @@ from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        double_greedy, exact_monotonicity_ratio,
                        greedy_cardinality, greedy_matroid, ids_of,
                        image_objective, lovasz_extension, marginal, mask_of,
-                       measured_continuous_greedy, movie_objective,
-                       multilinear_exact, multilinear_sampled,
+                       measured_continuous_greedy, mixture_objective,
+                       movie_objective, multilinear_exact, multilinear_sampled,
                        random_greedy_cardinality, random_greedy_matroid,
                        random_similarity, sample_greedy, threshold_greedy,
                        threshold_random_greedy)
@@ -37,11 +37,7 @@ def test_ids_of_rejects_a_negative_mask():
 def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
-    with pytest.raises(ValueError):
-        GroundSet(2, labels=("a",))
-    g = GroundSet(3, labels=("a", "b", "c"))
-    assert g.full_mask == 0b111
-    assert g.label(1) == "b"
+    assert GroundSet(3).full_mask == 0b111
 
 
 def test_marginal_examples():
@@ -298,6 +294,42 @@ def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
         g.values([1, 2])
     with pytest.raises(ValueError, match="shape"):
         g.scan(1, [1, 2])
+
+
+def test_a_mask_outside_the_ground_set_raises_on_every_path():
+    # with and without a kernel, memoized or not: no path may drop the
+    # extra bits, index past a table or count the set. A kernel batch is
+    # checked whole before anything is counted; the scalar loop evaluates,
+    # and counts, only the sets before the bad one
+    n = 5
+    s = random_similarity(n, seed=3)
+    table_f, _ = mixture_oracle(n, seed=0)
+    bases = [movie_objective(s, 0.75), image_objective(s), mixture_objective(n, 0),
+             table_f]
+    assert [b._ids_fn is None for b in bases] == [False, False, True, True]
+    for base in bases:
+        for memoize in (False, True):
+            f = SetFunctionOracle(base.ground, base._fn, memoize=memoize,
+                                  ids_fn=base._ids_fn, name=base.name)
+            for bad in (1 << n, (1 << n) | 0b101, 1 << 70, -1, -(1 << 70)):
+                count = f.eval_count
+                with pytest.raises(ValueError, match=f"^mask {bad} outside the "
+                                   f"{n}-element ground set$"):
+                    f.value(bad)
+                assert f.eval_count == count
+                scalar = f._ids_fn is None
+                for batch in ([bad], [0, 1, bad]):
+                    count = f.eval_count
+                    with pytest.raises(ValueError, match=f"outside the {n}-element"):
+                        f.values(batch)
+                    assert f.eval_count == count + scalar * (len(batch) - 1)
+                for A, cands, before in ((bad, [1], 0), (0, [1, n], 1),
+                                         (0b11, [n + 3, 2], 0)):
+                    count = f.eval_count
+                    with pytest.raises(ValueError, match=f"outside the {n}-element"):
+                        f.scan(A, cands)
+                    assert f.eval_count == count + scalar * before
+            assert all(0 <= m < 1 << n for m in f._memo or {})
 
 
 def test_a_bool_matrix_kernel_keyword_is_rejected():

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (directed_cut_edge, gap_oracle, mixture_oracle,
-                     mixture_table, modular_oracle, naive_monotonicity_ratio,
-                     naive_weak_ratio, psd_similarity, table_oracle)
+from helpers import (continuous_ratio_grid_bound, directed_cut_edge,
+                     gap_oracle, mixture_oracle, mixture_table, modular_oracle,
+                     naive_monotonicity_ratio, naive_weak_ratio, psd_similarity,
+                     table_oracle)
 from monoratio import (SetFunctionOracle, SizeLimitError,
-                       continuous_ratio_grid_bound, exact_monotonicity_ratio,
-                       exact_weak_monotonicity_ratio, image_objective,
-                       image_weak_ratio_bound, is_submodular, movie_objective,
-                       movie_ratio_bound, quadratic_ratio_bound)
+                       exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
+                       image_objective, image_weak_ratio_bound, is_submodular,
+                       movie_objective, movie_ratio_bound, quadratic_ratio_bound)
 
 
 def test_ratio_examples():
