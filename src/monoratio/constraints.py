@@ -15,7 +15,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .oracle import ids_of, mask_of
 
@@ -400,6 +399,14 @@ def _finite_vector(x, n: int, name: str) -> np.ndarray:
     return x
 
 
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on the first call: importing scipy.optimize
+    costs about 0.6 s and 40 MB, and only a polytope above the vertex budget
+    needs it."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     """Optimal vertex of max{w.x : x in P}.
 
@@ -407,7 +414,9 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     down-closed). A small P answers from its cached vertex list: among the
     vertices that are 0 on every pinned coordinate, the lexicographically
     smallest one whose value w+.x is within a relative 1e-12 of the maximum.
-    A P above the vertex budget hands the LP to the HiGHS solver instead.
+    A P above the vertex budget hands the LP to the HiGHS solver instead;
+    scipy.optimize is imported only then, so a process that never solves
+    such an LP starts without it.
     """
     w = _finite_vector(w, P.n, "w")
     V = P._vertices

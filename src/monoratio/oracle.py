@@ -152,15 +152,23 @@ class SetFunctionOracle:
         candidates the array round trip costs more than the evaluations.
         With one, the rows (ids of A, u) sorted go to `ids_fn` directly.
         A memoized oracle, a candidate already in A (which yields f(A)) and
-        a set outside the ground set (which raises) take the `values` path.
+        an A outside the ground set (which raises) take the `values` path.
+        A candidate outside 0..n-1 raises ValueError naming it, and the
+        rejected scan counts nothing.
         """
         if self._ids_fn is None:
             value = self.value
-            return [value(A | (1 << u)) for u in candidates]
+            count = self.eval_count
+            try:
+                return [value(A | (1 << u)) for u in candidates]
+            except ValueError:
+                self._check_candidates(candidates, count)
+                raise
         cands = list(candidates)
         n = self.n
-        if self._memo is None and cands and not A >> n and min(cands) >= 0 \
-                and max(cands) < n:
+        if cands and (min(cands) < 0 or max(cands) >= n):
+            self._check_candidates(cands, self.eval_count)
+        if self._memo is None and cands and not A >> n:
             rows = np.empty((len(cands), A.bit_count() + 1), dtype=np.int64)
             rows[:, :-1] = ids_of(A)
             rows[:, -1] = cands
@@ -172,6 +180,16 @@ class SetFunctionOracle:
                                       for lo in range(0, len(rows), step)])
                 return self._finite(out, lambda i: A | (1 << int(cands[i]))).tolist()
         return self.values([A | (1 << u) for u in cands]).tolist()
+
+    def _check_candidates(self, candidates, count: int) -> None:
+        """Unless every candidate is an element 0..n-1: reset `eval_count` to
+        `count` and raise ValueError naming the oracle and the first bad
+        candidate."""
+        for u in candidates:
+            if not 0 <= u < self.n:
+                self.eval_count = count
+                raise ValueError(f"candidate {u} of oracle {self.name} is outside "
+                                 f"the {self.n}-element ground set")
 
     def values(self, masks) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,8 +300,9 @@ def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
 def test_a_mask_outside_the_ground_set_raises_on_every_path():
     # with and without a kernel, memoized or not: no path may drop the
     # extra bits, index past a table or count the set. A kernel batch is
-    # checked whole before anything is counted; the scalar loop evaluates,
-    # and counts, only the sets before the bad one
+    # checked whole before anything is counted; the scalar `values` loop
+    # evaluates, and counts, only the sets before the bad one; a rejected
+    # scan counts nothing on either path
     n = 5
     s = random_similarity(n, seed=3)
     table_f, _ = mixture_oracle(n, seed=0)
@@ -323,12 +325,11 @@ def test_a_mask_outside_the_ground_set_raises_on_every_path():
                     with pytest.raises(ValueError, match=f"outside the {n}-element"):
                         f.values(batch)
                     assert f.eval_count == count + scalar * (len(batch) - 1)
-                for A, cands, before in ((bad, [1], 0), (0, [1, n], 1),
-                                         (0b11, [n + 3, 2], 0)):
+                for A, cands in ((bad, [1]), (0, [1, n]), (0b11, [n + 3, 2])):
                     count = f.eval_count
                     with pytest.raises(ValueError, match=f"outside the {n}-element"):
                         f.scan(A, cands)
-                    assert f.eval_count == count + scalar * before
+                    assert f.eval_count == count
             assert all(0 <= m < 1 << n for m in f._memo or {})
 
 
@@ -478,8 +479,13 @@ def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam, memoize):
         assert f.eval_count == plain.eval_count == len(cands)
         assert f.scan(A, []) == [] and f.eval_count == len(cands)
         for bad in (n, n + data.draw(st.integers(1, 70), label="beyond"), -1):
-            with pytest.raises(ValueError, match="outside|negative shift"):
-                f.scan(A, cands + [bad])
+            for g in (f, plain):
+                count = g.eval_count
+                with pytest.raises(ValueError, match=f"^candidate {bad} of oracle "
+                                   f"{re.escape(obj.name)} is outside the "
+                                   f"{n}-element ground set$"):
+                    g.scan(A, cands + [bad])
+                assert g.eval_count == count
 
 
 # ------------------------------------------------------- non-finite values
