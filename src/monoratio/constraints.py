@@ -105,15 +105,17 @@ class Matroid:
         with their sorted ids.
 
         Makes the draws of permutation(|S|), permutation(|B|) and
-        integers(|B|), in that order, and returns the partner the full
-        bijection gives u: S and B are shuffled; each element of B, in
-        shuffled order, takes the next element of S in its own class while
-        one is left; the leftovers then pair, in shuffled order, with the
-        unused elements of S grouped by class in order of first appearance
-        in shuffled S. Oracle matroids take g from a maximum matching on the
-        exchange graph of the shuffled bases. A random pairing, unlike a
-        fixed one, cannot trap the swap process in a sub-optimal absorbing
-        state: it matches any improving pair with probability >= 1/k.
+        integers(|B|), in that order, through the `shuffle` and `integers`
+        methods of `rng` (a numpy Generator, or a replay of one), and
+        returns the partner the full bijection gives u: S and B are
+        shuffled; each element of B, in shuffled order, takes the next
+        element of S in its own class while one is left; the leftovers then
+        pair, in shuffled order, with the unused elements of S grouped by
+        class in order of first appearance in shuffled S. Oracle matroids
+        take g from a maximum matching on the exchange graph of the shuffled
+        bases. A random pairing, unlike a fixed one, cannot trap the swap
+        process in a sub-optimal absorbing state: it matches any improving
+        pair with probability >= 1/k.
         """
         s_order, b_order = s_ids[:], b_ids[:]
         # shuffling a list makes exactly the draws of permutation(len(list))

@@ -13,6 +13,7 @@ import numpy as np
 from .constraints import (DownClosedPolytope, Matroid, PartitionMatroid,
                           _finite_vector, _same_ground_set,
                           linear_maximize_matroid, linear_maximize_polytope)
+from .discrete import _rng
 from .oracle import SetFunctionOracle, ids_of, indicator, mask_from_indicator
 
 __all__ = [
@@ -92,7 +93,7 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     discretization and sampling error.
     """
     n = f.n
-    rng = np.random.default_rng(cfg.seed)
+    rng, _ = _rng(cfg.seed)
     delta = cfg.T / cfg.steps
     if not isinstance(constraint, (Matroid, DownClosedPolytope)):
         raise ValueError(f"unsupported constraint {constraint!r}")
@@ -149,7 +150,7 @@ def swap_rounding(y, M: Matroid, seed=None) -> int:
     which is exact because these matroids are direct sums of uniform ones).
     Integral input rounds to its own set deterministically.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng, _ = _rng(seed)
     if not isinstance(M, PartitionMatroid):
         raise ValueError("swap rounding supports uniform and partition matroids")
     y = _finite_vector(y, M.n, "y")

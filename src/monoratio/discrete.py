@@ -11,7 +11,9 @@ run. All randomness flows through explicitly seeded numpy generators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -72,9 +74,99 @@ class RunResult:
 
 
 def _rng(seed) -> tuple[np.random.Generator, int | None]:
+    """The generator of a run and the seed it reports: a caller's Generator
+    is used as is (seed None); any other seed makes a fresh generator whose
+    stream and state equal those of `np.random.default_rng(seed)`.
+
+    A non-negative Python int seed skips the seed hashing: PCG64 reads the
+    cached words of `SeedSequence(seed)` (`_seed_words`).
+    """
     if isinstance(seed, np.random.Generator):
         return seed, None
+    if type(seed) is int and seed >= 0:
+        return np.random.Generator(np.random.PCG64(_seed_words(seed))), seed
     return np.random.default_rng(seed), seed
+
+
+@cache
+def _cached_seed_sequence():
+    """The ISeedSequence class behind `_seed_words`, defined on first use so
+    that importing the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class CachedSeedSequence(ISeedSequence):
+        def __init__(self, seed: int):
+            self.words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            self.words.flags.writeable = False
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for these 4 uint64 words only
+
+    return CachedSeedSequence
+
+
+# larger than the 5,000 seeds that one guarantee check loops over
+@lru_cache(maxsize=8192)
+def _seed_words(seed: int):
+    """A seed sequence for PCG64 holding the state words of
+    `SeedSequence(seed)`, hashed once per seed."""
+    return _cached_seed_sequence()(seed)
+
+
+_DRAW_BLOCK = 2048  # most raw 64-bit words `_RawDraws` holds at a time
+
+
+class _RawDraws:
+    """`shuffle` of a list and `integers(k)` of a fresh, private numpy
+    Generator, replayed in Python from its bit generator's raw words, with
+    the same results and the same consumption of the stream.
+
+    The 64-bit words come in blocks of at most `_DRAW_BLOCK`, each split into
+    two 32-bit values, low half first, as numpy's buffered next_uint32 splits
+    them. The generator's own state is left behind, so it must not be used
+    again after a replay.
+    """
+
+    __slots__ = ("_raw", "_block", "_values")
+
+    def __init__(self, bit_generator, block: int):
+        self._raw = bit_generator.random_raw
+        self._block = min(block, _DRAW_BLOCK)
+        self._values = iter(())
+
+    def _next32(self) -> int:
+        value = next(self._values, None)
+        if value is None:
+            words = self._raw(self._block).view(np.uint32)
+            if sys.byteorder == "big":  # each word views as (high, low)
+                words = words.reshape(-1, 2)[:, ::-1].ravel()
+            self._values = iter(words.tolist())
+            value = next(self._values)
+        return value
+
+    def shuffle(self, x: list) -> None:
+        """Generator.shuffle of a list: for i from len(x)-1 down to 1, swap
+        x[i] with x[j], j uniform on [0, i] by masked rejection (numpy's
+        random_interval)."""
+        next32 = self._next32
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = next32() & mask
+            while j > i:
+                j = next32() & mask
+            x[i], x[j] = x[j], x[i]
+
+    def integers(self, k: int) -> int:
+        """Generator.integers(k) for 1 <= k < 2**32, by numpy's 32-bit Lemire
+        method (buffered_bounded_lemire_uint32); k = 1 draws nothing."""
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (1 << 32) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
 
 
 def _finish(f: SetFunctionOracle, solution: int, start_calls: int,
@@ -105,6 +197,9 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     Y = (1 << n) - 1
     fX = f.value(X)
     fY = f.value(Y)
+    # one call draws the same values, and leaves the same state, as n
+    # scalar random() calls
+    uniforms = rng.random(n).tolist()
     for u in range(n):
         bit = 1 << u
         fXu = f.value(X | bit)
@@ -113,7 +208,7 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
         b = fYu - fY
         ap, bp = max(a, 0.0), max(b, 0.0)
         p_add = 1.0 if ap + bp == 0.0 else ap / (ap + bp)
-        take = rng.random() < p_add
+        take = uniforms[u] < p_add
         if take:
             X |= bit
             fX = fXu
@@ -369,6 +464,13 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     integers(k) for the position of u in M_i sorted by id. Only the partner
     of u is computed (`Matroid.partner`), never the whole bijection.
 
+    A generator made from `seed` is private to the run, so its draws are
+    replayed in Python from blocks of its raw 64-bit words (`_RawDraws`):
+    the shuffles by numpy's masked rejection, integers(k) by numpy's 32-bit
+    Lemire method, with the outputs a numpy Generator would give. A
+    Generator passed as `seed` keeps numpy's own methods, so its state
+    advances exactly as the three draws advance it.
+
     The marginals and M_i are functions of the solution alone, so they are
     computed at the start and after each accepted swap; an iteration whose
     swap is rejected reuses both. An iteration then makes one oracle call,
@@ -378,6 +480,7 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
+    private = not isinstance(seed, np.random.Generator)
     rng, seed = _rng(seed)
     start = f.eval_count
     rows = [] if trace else None
@@ -388,6 +491,10 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     free = 2 * k
     real_mask = (1 << n) - 1
     iterations = math.ceil(k / eps)
+    if private:
+        # an iteration's three draws take fewer than 3k - 1 32-bit values
+        # on average, so most runs pull a single block
+        rng = _RawDraws(rng.bit_generator, iterations * (3 * k - 1) // 2)
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
     fS = f.value(S & real_mask)

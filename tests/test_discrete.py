@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
                        sample_greedy, threshold_greedy, threshold_random_greedy,
                        trace_to_csv)
 from monoratio.constraints import _matching_exchange
+from monoratio.discrete import _RawDraws, _rng
 
 INV_E = math.exp(-1.0)
 
@@ -740,3 +742,105 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
             == (ref.solution, ref.value, ref.trace, ref.oracle_calls))
     table = [f.value(mask) for mask in range(1 << f.n)]
     assert got.solution == (naive_greedy_trajectory(table, k)[-1] if k else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=differential_cases(), seed=st.integers(0, 2**64))
+def test_replayed_random_greedy_matroid_matches_the_reference_on_int_seeds(case, seed):
+    """An int seed makes a private generator whose draws are replayed from
+    raw words; the reference draws from numpy's Generator of the same seed."""
+    make, _, eps, M = case
+    got = random_greedy_matroid(make(), M, eps, seed, trace=True)
+    f_ref = make()
+    solution, rows = rescanning_random_greedy_matroid(
+        f_ref, M, eps, np.random.default_rng(seed))
+    assert (got.solution, got.value, got.trace, got.seed) == (
+        solution, f_ref.value(solution), tuple(rows), seed)
+
+
+# ----------------------------------------------------------------- seeded draws
+
+def test_raw_draws_replay_generator_shuffle_and_integers():
+    """Same permutations and integers as numpy's Generator, from the same
+    stream values: a one-word block pulls one raw word per two values, so the
+    bit generators end in the same state."""
+    steps = used = 0  # over the one-word-block runs
+    for seed in range(200):
+        for k in range(1, 13):
+            for block in (1, 2048):
+                g = np.random.default_rng(seed)
+                bits = np.random.default_rng(seed).bit_generator
+                pulls = []
+                raw = SimpleNamespace(random_raw=lambda size: pulls.append(size)
+                                      or bits.random_raw(size))
+                draws = _RawDraws(raw, block)
+                for _ in range(3):
+                    for _ in range(2):
+                        a, b = list(range(k)), list(range(k))
+                        g.shuffle(a)
+                        draws.shuffle(b)
+                        assert a == b, (seed, k, block)
+                    x = draws.integers(k)
+                    assert type(x) is int and x == g.integers(k), (seed, k, block)
+                state = g.bit_generator.state
+                if block == 1:
+                    assert bits.state["state"] == state["state"], (seed, k)
+                    used += 2 * len(pulls) - state["has_uint32"]
+                    steps += 3 * (2 * (k - 1) + (k > 1))
+                else:
+                    assert len(pulls) == (k > 1), (seed, k)
+    # every step takes one value unless a shuffle's masked rejection redraws
+    assert used > steps
+
+
+@pytest.mark.parametrize("leftover", [0, 3, 4, 6])
+def test_raw_draws_lemire_rejection_branch_against_numpy(leftover):
+    """integers(7) maps a value x to (7x) >> 32 unless (7x) mod 2**32 is
+    below 2**32 mod 7 = 4, where numpy draws again. Random streams almost
+    never get there, so the first value is set by hand: numpy's generator
+    returns a held half-word first, and the replay reads it from a crafted
+    first word."""
+    k, threshold = 7, (1 << 32) % 7
+    x = leftover * pow(k, -1, 1 << 32) % (1 << 32)
+    assert threshold == 4 and x * k % (1 << 32) == leftover
+    g = np.random.default_rng(11)
+    stream = np.random.default_rng(11).bit_generator.random_raw(16).view(np.uint32)
+    crafted = np.concatenate([[x], stream[:-1]]).astype(np.uint32).view(np.uint64)
+    draws = _RawDraws(SimpleNamespace(random_raw=lambda size: crafted), 16)
+    state = g.bit_generator.state
+    g.bit_generator.state = {**state, "has_uint32": 1, "uinteger": x}
+    assert draws.integers(k) == g.integers(k)
+    # numpy drew a fresh 64-bit word, and holds its high half, only on rejection
+    assert g.bit_generator.state["has_uint32"] == (leftover < threshold)
+    a, b = list(range(6)), list(range(6))
+    g.shuffle(a)
+    draws.shuffle(b)
+    assert a == b
+
+
+def test_raw_draws_lemire_redraws_until_the_leftover_clears_the_threshold():
+    inv7 = pow(7, -1, 1 << 32)
+    values = [0, 2 * inv7 % (1 << 32), 4 * inv7 % (1 << 32), 5]
+    words = np.array(values, dtype=np.uint32).view(np.uint64)
+    draws = _RawDraws(SimpleNamespace(random_raw=lambda size: words), 2)
+    assert draws.integers(7) == (values[2] * 7) >> 32
+    assert draws.integers(1) == 0  # integers(1) consumes nothing
+    assert draws.integers(7) == (5 * 7) >> 32
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, np.int64(12345), None])
+def test_rng_matches_default_rng(seed):
+    for _ in range(2):  # the second int call reads the cached seed words
+        g, reported = _rng(seed)
+        ref = np.random.default_rng(seed)
+        assert reported is seed
+        if seed is None:
+            continue
+        assert g.bit_generator.state == ref.bit_generator.state
+        assert g.random(5).tolist() == ref.random(5).tolist()
+        assert g.integers(1 << 40, size=5).tolist() == ref.integers(1 << 40, size=5).tolist()
+        assert g.bit_generator.state == ref.bit_generator.state
+    own = np.random.default_rng(3)
+    assert _rng(own) == (own, None)
+    with pytest.raises(ValueError):
+        _rng(-1)

@@ -60,3 +60,16 @@ def test_readme_cli_lines_start_without_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # seeded runs load numpy.random on first use (discrete._rng); importing
+    # the package must not, on numpy versions whose own import does not
+    script = ("import sys, numpy\n"
+              "loaded = 'numpy.random' in sys.modules\n"
+              "import monoratio, monoratio.cli\n"
+              "assert ('numpy.random' in sys.modules) is loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(monoratio.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
