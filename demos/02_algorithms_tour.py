@@ -39,7 +39,7 @@ def value(mask):
     return total
 
 
-f = SetFunctionOracle(GroundSet(n), value, memoize=True, name="demo-mixture")
+f = SetFunctionOracle(GroundSet(n), value, name="demo-mixture")
 m = exact_monotonicity_ratio(f).ratio
 opt_card = max(value(mask) for mask in range(1 << n) if mask.bit_count() <= k)
 M = PartitionMatroid(n, [[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1])

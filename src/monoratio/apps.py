@@ -170,8 +170,7 @@ def movie_objective(s: np.ndarray, lam: float) -> SetFunctionOracle:
         pairs = _pair_sums(s_flat, n, ids)
         return np.maximum(colsum[ids].sum(axis=1) - lam * pairs, 0.0)
 
-    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name=f"movie(lam={lam})",
-                             ids_fn=ids_fn)
+    return SetFunctionOracle(GroundSet(n), fn, name=f"movie(lam={lam})", ids_fn=ids_fn)
 
 
 def image_objective(s: np.ndarray) -> SetFunctionOracle:
@@ -200,8 +199,7 @@ def image_objective(s: np.ndarray) -> SetFunctionOracle:
         cover = s_cols[ids].max(axis=1).sum(axis=1)
         return np.maximum(cover - _pair_sums(s_flat, n, ids) / n, 0.0)
 
-    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name="image",
-                             ids_fn=ids_fn)
+    return SetFunctionOracle(GroundSet(n), fn, name="image", ids_fn=ids_fn)
 
 
 def mixture_objective(n: int, seed: int) -> SetFunctionOracle:
@@ -238,8 +236,7 @@ def mixture_objective(n: int, seed: int) -> SetFunctionOracle:
             val += float(cut_w[np.ix_(ins, outs)].sum())
         return val
 
-    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20,
-                             name=f"mixture(seed={seed})")
+    return SetFunctionOracle(GroundSet(n), fn, name=f"mixture(seed={seed})")
 
 
 @dataclass(frozen=True)

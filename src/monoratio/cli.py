@@ -37,7 +37,7 @@ def _directed_cut_chain(n: int) -> SetFunctionOracle:
         return float(sum(1 for i in range(n - 1)
                          if (mask >> i) & 1 and not (mask >> (i + 1)) & 1))
 
-    return SetFunctionOracle(GroundSet(n), fn, memoize=n <= 20, name="cut-chain")
+    return SetFunctionOracle(GroundSet(n), fn, name="cut-chain")
 
 
 def _build_objective(args) -> SetFunctionOracle:
@@ -165,21 +165,24 @@ def cmd_run(args) -> int:
 def cmd_experiment(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
-            payload = json.load(fh)
-        unknown = sorted(set(payload) - _SPEC_FIELDS)
+            given = json.load(fh)
+        if not isinstance(given, dict):
+            print("error: the spec file must hold a JSON object", file=sys.stderr)
+            return 2
+        unknown = sorted(set(given) - _SPEC_FIELDS)
         if unknown:
             print(f"error: unknown spec fields: {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
-        spec = ExperimentSpec(**payload)
     else:
         given = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
-        if not {"objective", "sweep", "grid"} <= given.keys():
-            print("error: need --objective, --sweep and --grid (or --spec)",
-                  file=sys.stderr)
-            return 2
-        given["grid"] = [float(g) for g in given["grid"].split(",") if g.strip()]
-        spec = ExperimentSpec(**given)
+        if "grid" in given:
+            given["grid"] = [float(g) for g in given["grid"].split(",") if g.strip()]
+    if not {"objective", "sweep", "grid"} <= given.keys():
+        print("error: need --objective, --sweep and --grid (or a --spec with all three)",
+              file=sys.stderr)
+        return 2
+    spec = ExperimentSpec(**given)
     try:
         result = run_experiment(spec)
     except SpecValidationError as exc:

@@ -11,7 +11,8 @@ bought by the monotonicity ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -164,10 +165,36 @@ class ExperimentSpec:
     feature_dim: int = 25
 
 
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# declared type of an ExperimentSpec field (a string: annotations are
+# postponed) -> (test of a value, what the value must be)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (_finite, "a finite number"),
+    "list[float]": (lambda v: isinstance(v, list) and v and all(map(_finite, v)),
+                    "a non-empty list of finite numbers"),
+    "list[str]": (lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+                  "a list of names"),
+}
+
+
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Return a normalized copy; raises SpecValidationError listing every
-    problem at once."""
+    problem at once: first each field whose value has the wrong type, else
+    each value out of range or unsupported."""
     problems = []
+    for f in fields(spec):
+        test, kind = _FIELD_TYPES[f.type]
+        v = getattr(spec, f.name)
+        if not test(v):
+            problems.append(f"{f.name} must be {kind}, got {v!r}")
+    if problems:  # the checks below compare values of the declared types
+        raise SpecValidationError(problems)
     need, sweeps, defaults = _OBJECTIVES.get(spec.objective, (None, (), []))
     if need is None:
         problems.append(f"unknown objective {spec.objective!r} "
@@ -175,17 +202,17 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     elif spec.sweep not in sweeps:
         problems.append(f"sweep {spec.sweep!r} unsupported for "
                         f"{spec.objective} (choose from {sorted(sweeps)})")
-    if not spec.grid:
-        problems.append("sweep grid is empty")
     if spec.trials < 1:
         problems.append("trials must be >= 1")
     if spec.n < 1:
         problems.append("n must be >= 1")
+    if spec.categories < 1:
+        problems.append("categories must be >= 1")
     if not 0 < spec.eps < 1:
         problems.append("eps must be in (0,1)")
     if not 0 < spec.fw_eps < 1:
         problems.append("fw_eps must be in (0,1)")
-    algs = [str(a).replace("-", "_") for a in spec.algorithms] or list(defaults)
+    algs = [a.replace("-", "_") for a in spec.algorithms] or list(defaults)
     for a in algs:
         alg = ALGORITHMS.get(a)
         if alg is None:
@@ -228,16 +255,19 @@ class ExperimentResult:
 
     def to_svg(self) -> str:
         xs = [row["sweep_value"] for row in self.rows]
-        lo = [row["ub_new"] for row in self.rows]
-        cap = 2.0 * max(lo) if lo and max(lo) > 0 else 1.0  # clamp inf bounds
-        hi = [cap if math.isinf(row["ub_prev"]) else row["ub_prev"]
-              for row in self.rows]
-        series = []
-        for alg in self.spec.algorithms:
-            series.append((alg, xs, [row[f"{alg}_mean"] for row in self.rows]))
-        series.append(("ub_prev", xs, hi))
-        series.append(("ub_new", xs, lo))
-        return _svg.line_chart(series, band=(xs, lo, hi),
+        series = [(alg, xs, [row[f"{alg}_mean"] for row in self.rows])
+                  for alg in self.spec.algorithms]
+        band = None
+        # ub_new <= ub_prev, so a row has a finite bound iff its ub_new is
+        # finite; without one (no algorithm has a guarantee) there is no band
+        finite = [row["ub_new"] for row in self.rows if not math.isinf(row["ub_new"])]
+        if finite:
+            cap = 2.0 * max(finite) if max(finite) > 0 else 1.0  # clamp inf bounds
+            lo, hi = ([cap if math.isinf(row[c]) else row[c] for row in self.rows]
+                      for c in ("ub_new", "ub_prev"))
+            series += [("ub_prev", xs, hi), ("ub_new", xs, lo)]
+            band = (xs, lo, hi)
+        return _svg.line_chart(series, band=band,
                                title=f"{self.spec.objective} sweep over {self.spec.sweep}",
                                xlabel=self.spec.sweep, ylabel="value")
 

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
+# Oracles on at most this many elements cache `fn` in a memo, which bounds
+# the memo at 2^20 masks.
+_MEMO_MAX_N = 20
 _EXACT_CHUNK = 1 << 12  # masks per batch of a 2^n table
 # Float bytes one kernel step may gather: bounds the (rows, L, n) block an
 # `ids_fn` builds for rows of set size L.
@@ -96,9 +99,10 @@ class SetFunctionOracle:
     """Counted black-box access to a set function f: 2^N -> R.
 
     `fn` receives a bitmask and must be deterministic. `eval_count` increases
-    by one per logical evaluation; with memoize=True repeated masks skip the
-    recomputation but the counter still advances, so counts stay comparable
-    across cached and uncached oracles.
+    by one per logical evaluation. On a ground set of at most `_MEMO_MAX_N`
+    elements `value` caches `fn` in a memo: a repeated mask skips the
+    recomputation but the counter still advances, so counts do not depend on
+    the memo.
 
     `ids_fn`, when given, is a vectorized form of `fn` on nonempty sets of
     one size: it receives a (B, L) int64 array whose row i holds the L >= 1
@@ -106,7 +110,8 @@ class SetFunctionOracle:
     on those sets. It is called with at most `_block_rows(L, n)` rows, so
     it may gather a (B, L, n) block. `values` groups its sets by size and
     `scan` builds its rows of |A| + 1 ids directly; the empty set goes to
-    `fn`, never to `ids_fn`. Without an `ids_fn` both loop over `value`.
+    `fn`, never to `ids_fn`. These kernel batches neither read nor write the
+    memo. Without an `ids_fn` both loop over `value` and share its memo.
 
     Every freshly computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask. A mask outside the
@@ -114,14 +119,13 @@ class SetFunctionOracle:
     instead of reaching `fn`, `ids_fn` or the memo.
     """
 
-    def __init__(self, ground: GroundSet, fn, memoize: bool = False, name: str = "f",
-                 ids_fn=None):
+    def __init__(self, ground: GroundSet, fn, name: str = "f", ids_fn=None):
         self.ground = ground
         self.n = ground.n
         self.name = name
         self._fn = fn
         self._ids_fn = ids_fn
-        self._memo: dict | None = {} if memoize else None
+        self._memo: dict | None = {} if ground.n <= _MEMO_MAX_N else None
         self.eval_count = 0
 
     def value(self, mask: int) -> float:
@@ -151,8 +155,8 @@ class SetFunctionOracle:
         counting included) and no numpy array is built: on a handful of
         candidates the array round trip costs more than the evaluations.
         With one, the rows (ids of A, u) sorted go to `ids_fn` directly.
-        A memoized oracle, a candidate already in A (which yields f(A)) and
-        an A outside the ground set (which raises) take the `values` path.
+        An empty scan, an A outside the ground set (which raises) and a
+        candidate already in A (which yields f(A)) take the `values` path.
         A candidate outside 0..n-1 raises ValueError naming it, and the
         rejected scan counts nothing.
         """
@@ -168,7 +172,7 @@ class SetFunctionOracle:
         n = self.n
         if cands and (min(cands) < 0 or max(cands) >= n):
             self._check_candidates(cands, self.eval_count)
-        if self._memo is None and cands and not A >> n:
+        if cands and not A >> n:
             rows = np.empty((len(cands), A.bit_count() + 1), dtype=np.int64)
             rows[:, :-1] = ids_of(A)
             rows[:, -1] = cands
@@ -195,9 +199,8 @@ class SetFunctionOracle:
         """Evaluate a batch of sets, counting one evaluation per set.
 
         `masks` is a sequence of int masks or a (B, n) boolean matrix. With an
-        `ids_fn` the batch goes to it in one call per set size (memoized
-        oracles send only the masks missing from the memo, then store them);
-        otherwise each set goes through `value`.
+        `ids_fn` the batch goes to it in one call per set size; otherwise
+        each set goes through `value`.
         """
         matrix = isinstance(masks, np.ndarray) and masks.ndim == 2
         if matrix and masks.shape[1] != self.n:
@@ -211,20 +214,9 @@ class SetFunctionOracle:
         if matrix:
             X = masks.astype(bool, copy=False)
         else:
-            masks = [int(m) for m in masks]
-        memo = self._memo
-        if memo is None:
-            if not matrix:
-                X = _unpack_masks(masks, self.n)
-            self.eval_count += len(X)
-            return self._by_size(X)
-        keys = _pack_masks(X) if matrix else masks
-        missing = [key for key in dict.fromkeys(keys) if key not in memo]
-        X = _unpack_masks(missing, self.n) if missing else None
-        self.eval_count += len(keys)
-        if missing:
-            memo.update(zip(missing, self._by_size(X).tolist()))
-        return np.array([memo[key] for key in keys])  # float64: memo holds floats
+            X = _unpack_masks([int(m) for m in masks], self.n)
+        self.eval_count += len(X)
+        return self._by_size(X)
 
     def _by_size(self, X: np.ndarray) -> np.ndarray:
         """Values of the rows of a (B, n) boolean matrix: one `ids_fn` call

@@ -22,8 +22,7 @@ def modular_oracle(weights) -> SetFunctionOracle:
     w = [float(x) for x in weights]
     ground = GroundSet(len(w))
     return SetFunctionOracle(
-        ground, lambda m: sum(w[u] for u in ids_of(m)), memoize=True,
-        name="modular")
+        ground, lambda m: sum(w[u] for u in ids_of(m)), name="modular")
 
 
 def gap_oracle(m: float) -> SetFunctionOracle:

@@ -308,6 +308,55 @@ def test_experiment_spec_file(capsys, tmp_path):
     assert main(["experiment", "--spec", str(spec)]) == 2
 
 
+def test_experiment_spec_file_with_bad_types_reports_each_field(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    good = {"objective": "image", "sweep": "k", "grid": [1], "n": 6}
+    for bad, field in (({"n": "12"}, "n"), ({"grid": 0.6}, "grid"),
+                       ({"grid": []}, "grid"), ({"grid": [1, "2"]}, "grid"),
+                       ({"grid": [1, True]}, "grid"), ({"trials": True}, "trials"),
+                       ({"k": 2.5}, "k"), ({"eps": "0.1"}, "eps"),
+                       ({"lam": None}, "lam"), ({"algorithms": "random"}, "algorithms"),
+                       ({"algorithms": ["random", 3]}, "algorithms"),
+                       ({"categories": 0}, "categories")):
+        spec.write_text(json.dumps({**good, **bad}))
+        code, out, err = run_cli(capsys, "experiment", "--spec", str(spec))
+        assert (code, out) == (2, ""), bad
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert field in lines[0], err
+    # every badly typed field is reported, one line each; range problems
+    # are reported once every field has its declared type
+    for bad, fields in (({"n": "12", "grid": 0.6, "alpha": [], "algorithms": None},
+                         ["grid", "n", "alpha", "algorithms"]),
+                        ({"categories": 0, "trials": 0}, ["trials", "categories"])):
+        spec.write_text(json.dumps({**good, **bad}))
+        code, _, err = run_cli(capsys, "experiment", "--spec", str(spec))
+        assert code == 2
+        assert [line.split()[1] for line in err.splitlines()] == fields
+    for payload, message in (([1], "JSON object"), ({"objective": "movie"},
+                                                    "a --spec with all three")):
+        spec.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "experiment", "--spec", str(spec))
+        assert code == 2 and message in err
+
+
+def test_experiment_svg_without_a_finite_bound_has_no_nan(capsys, tmp_path):
+    # `random` carries no guarantee, so every ub_new and ub_prev is infinite
+    for algs in (["random"], ["random", "threshold_random_greedy"]):
+        svg = tmp_path / "band.svg"
+        args = ["experiment", "--objective", "movie", "--sweep", "lambda",
+                "--grid", "0.6,0.9", "--n", "12", "--k", "3", "--trials", "2",
+                "--svg", str(svg)]
+        for alg in algs:
+            args += ["--alg", alg]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and ("inf" in out) == (len(algs) == 1)
+        text = svg.read_text().lower()
+        assert text.startswith("<svg")
+        assert "nan" not in text and "inf" not in text
+        assert ("<polygon" in text) == (len(algs) == 2)
+
+
 def test_experiment_image_matroid_small(capsys):
     code, out, _ = run_cli(capsys, "experiment", "--objective", "image",
                            "--sweep", "k", "--grid", "1,2", "--n", "9",

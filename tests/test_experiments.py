@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 import monoratio.experiments as experiments
 from monoratio import ExperimentSpec, run_experiment
 from monoratio.bounds import GUARANTEE_KINDS
-from monoratio.experiments import (ALGORITHMS, SpecValidationError, algorithm,
-                                   validate_spec)
+from monoratio.experiments import (ALGORITHMS, ExperimentResult,
+                                   SpecValidationError, algorithm, validate_spec)
 
 # run_experiment output for this spec, computed when every trial and the m
 # bound generated their own copy of the sweep point's instance
@@ -86,3 +88,13 @@ def test_validate_spec_checks_constraints_and_normalizes_names():
     assert any("'greedy'" in p for p in problems)
     assert any("'random'" in p for p in problems)
     assert any("unknown algorithm 'nope'" in p for p in problems)
+
+
+def test_svg_draws_an_infinite_bound_at_a_finite_cap():
+    spec = validate_spec(ExperimentSpec(objective="movie", sweep="lambda",
+                                        grid=[0.5, 0.9], algorithms=["random_greedy"]))
+    rows = [{"sweep_value": 0.5, "random_greedy_mean": 1.0, "ub_prev": 4.0, "ub_new": 2.0},
+            {"sweep_value": 0.9, "random_greedy_mean": 1.0, "ub_prev": math.inf,
+             "ub_new": math.inf}]
+    text = ExperimentResult(spec, [], rows).to_svg().lower()
+    assert "nan" not in text and "inf" not in text and "<polygon" in text

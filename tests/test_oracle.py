@@ -63,8 +63,7 @@ def test_marginal_counts_two_calls_and_precondition():
 
 def test_memoization_keeps_counting():
     calls = []
-    f = SetFunctionOracle(GroundSet(2), lambda m: calls.append(m) or float(m),
-                          memoize=True)
+    f = SetFunctionOracle(GroundSet(2), lambda m: calls.append(m) or float(m))
     assert f.value(3) == f.value(3)
     assert f.eval_count == 2      # logical evaluations
     assert len(calls) == 1        # actual computations
@@ -193,7 +192,7 @@ def test_union_with_random_set_lower_bound():
 # ------------------------------------------------------------ batched oracle
 
 def scalar_twin(f: SetFunctionOracle) -> SetFunctionOracle:
-    """The same objective without its vectorized kernel (and without memo)."""
+    """The same objective without its vectorized kernel."""
     return SetFunctionOracle(f.ground, f._fn, name=f.name)
 
 
@@ -221,14 +220,11 @@ def test_batched_values_equal_scalar(n):
         # 30 full sets overflow one kernel block at n=70
         masks = random_masks(n, 200, seed=n) + [(1 << n) - 1] * 30
         scalar = np.array([f._fn(m) for m in masks])
-        memo = SetFunctionOracle(f.ground, f._fn, memoize=True,
-                                 ids_fn=f._ids_fn)
         for batch in (masks, as_matrix(masks, n)):
             got = f.values(batch)
             # rows are grouped by set size, so every row sums in the scalar
             # order and the values agree bit for bit
             np.testing.assert_array_equal(got, scalar)
-            np.testing.assert_array_equal(memo.values(batch), scalar)
             np.testing.assert_array_equal(scalar_twin(f).values(batch), scalar)
 
 
@@ -243,33 +239,58 @@ def test_batched_values_count_one_evaluation_per_set():
         assert f.eval_count == 2 * len(masks)
 
 
-def test_memoized_batch_computes_only_misses_and_stores_them():
+def test_memo_caches_fn_and_kernel_batches_bypass_it():
+    # the memo rule: on at most 20 elements `value` caches `fn`; `values` and
+    # `scan` of a kernel oracle send every row to the kernel and neither read
+    # nor write the memo; without a kernel all three share it. eval_count
+    # counts logical evaluations on every path.
     computed, scalar = [], []
+
+    def fn(mask):
+        scalar.append(mask)
+        return mask.bit_count() * 1.5
 
     def ids_fn(ids):
         computed.extend(ids.tolist())
         return np.full(len(ids), ids.shape[1] * 1.5)
 
-    f = SetFunctionOracle(GroundSet(4), lambda m: scalar.append(m) or m.bit_count() * 1.5,
-                          memoize=True, ids_fn=ids_fn)
-    ref = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() * 1.5,
-                            memoize=True)
-    f.value(0b0011)
-    ref.value(0b0011)
     masks = [0b0011, 0b0101, 0b0101, 0b1111, 0b0000]
-    got = f.values(masks)
-    np.testing.assert_array_equal(got, ref.values(masks))
-    assert f.eval_count == ref.eval_count == 6
-    # the hit is served from the memo and the repeated miss is computed once;
-    # the empty set goes to fn, never to the kernel
-    assert sorted(computed) == sorted([[0, 2], [0, 1, 2, 3]])
-    assert scalar == [0b0011, 0b0000]
+    f = SetFunctionOracle(GroundSet(4), fn, ids_fn=ids_fn)
+    assert f.value(0b0011) == f.value(0b0011) == 3.0
+    assert scalar == [0b0011] and f.eval_count == 2
+    for batch in (masks, as_matrix(masks, 4)):
+        computed.clear()
+        scalar.clear()
+        assert f.values(batch).tolist() == [3.0, 3.0, 3.0, 6.0, 0.0]
+        # the cached set and the repeated one reach the kernel too; the
+        # empty set goes to fn, never to the kernel
+        assert sorted(computed) == [[0, 1], [0, 1, 2, 3], [0, 2], [0, 2]]
+        assert scalar == [0]
     computed.clear()
-    f.values(as_matrix(masks, 4))
-    assert computed == [] and scalar == [0b0011, 0b0000]
-    assert f.eval_count == ref.eval_count + len(masks)
-    assert f.value(0b0101) == 3.0 and computed == []
-    assert f.scan(0b0001, [1, 2]) == [3.0, 3.0] and computed == []
+    assert f.scan(0b0001, [1, 2, 1]) == [3.0, 3.0, 3.0]
+    assert computed == [[0, 1], [0, 2], [0, 1]]
+    assert f.eval_count == 2 + 2 * len(masks) + 3
+    assert f._memo == {0b0011: 3.0}
+    scalar.clear()
+    assert f.value(0b0011) == 3.0 and scalar == []
+
+    g = SetFunctionOracle(GroundSet(4), fn)
+    g.value(0b0011)
+    g.values(masks)
+    g.values(as_matrix(masks, 4))
+    assert g.scan(0b0001, [1, 2, 3]) == [3.0, 3.0, 3.0]
+    assert scalar == [0b0011, 0b0101, 0b1111, 0b0000, 0b1001]  # once per mask
+    assert g.eval_count == 1 + 2 * len(masks) + 3
+
+    assert SetFunctionOracle(GroundSet(20), fn)._memo == {}
+    scalar.clear()
+    h = SetFunctionOracle(GroundSet(21), fn)
+    assert h._memo is None
+    h.value(3)
+    h.value(3)
+    h.values([3, 3])
+    assert h.scan(1, [1, 1]) == [3.0, 3.0]
+    assert scalar == [3] * 6 and h.eval_count == 6
 
 
 def test_oracle_without_kernel_returns_its_scalar_values():
@@ -298,39 +319,36 @@ def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
 
 
 def test_a_mask_outside_the_ground_set_raises_on_every_path():
-    # with and without a kernel, memoized or not: no path may drop the
-    # extra bits, index past a table or count the set. A kernel batch is
-    # checked whole before anything is counted; the scalar `values` loop
-    # evaluates, and counts, only the sets before the bad one; a rejected
-    # scan counts nothing on either path
+    # with and without a kernel: no path may drop the extra bits, index past
+    # a table or count the set. A kernel batch is checked whole before
+    # anything is counted; the scalar `values` loop evaluates, and counts,
+    # only the sets before the bad one; a rejected scan counts nothing on
+    # either path
     n = 5
     s = random_similarity(n, seed=3)
     table_f, _ = mixture_oracle(n, seed=0)
     bases = [movie_objective(s, 0.75), image_objective(s), mixture_objective(n, 0),
              table_f]
     assert [b._ids_fn is None for b in bases] == [False, False, True, True]
-    for base in bases:
-        for memoize in (False, True):
-            f = SetFunctionOracle(base.ground, base._fn, memoize=memoize,
-                                  ids_fn=base._ids_fn, name=base.name)
-            for bad in (1 << n, (1 << n) | 0b101, 1 << 70, -1, -(1 << 70)):
+    for f in bases:
+        for bad in (1 << n, (1 << n) | 0b101, 1 << 70, -1, -(1 << 70)):
+            count = f.eval_count
+            with pytest.raises(ValueError, match=f"^mask {bad} outside the "
+                               f"{n}-element ground set$"):
+                f.value(bad)
+            assert f.eval_count == count
+            scalar = f._ids_fn is None
+            for batch in ([bad], [0, 1, bad]):
                 count = f.eval_count
-                with pytest.raises(ValueError, match=f"^mask {bad} outside the "
-                                   f"{n}-element ground set$"):
-                    f.value(bad)
+                with pytest.raises(ValueError, match=f"outside the {n}-element"):
+                    f.values(batch)
+                assert f.eval_count == count + scalar * (len(batch) - 1)
+            for A, cands in ((bad, [1]), (0, [1, n]), (0b11, [n + 3, 2])):
+                count = f.eval_count
+                with pytest.raises(ValueError, match=f"outside the {n}-element"):
+                    f.scan(A, cands)
                 assert f.eval_count == count
-                scalar = f._ids_fn is None
-                for batch in ([bad], [0, 1, bad]):
-                    count = f.eval_count
-                    with pytest.raises(ValueError, match=f"outside the {n}-element"):
-                        f.values(batch)
-                    assert f.eval_count == count + scalar * (len(batch) - 1)
-                for A, cands in ((bad, [1]), (0, [1, n]), (0b11, [n + 3, 2])):
-                    count = f.eval_count
-                    with pytest.raises(ValueError, match=f"outside the {n}-element"):
-                        f.scan(A, cands)
-                    assert f.eval_count == count
-            assert all(0 <= m < 1 << n for m in f._memo or {})
+        assert all(0 <= m < 1 << n for m in f._memo)
 
 
 def test_a_bool_matrix_kernel_keyword_is_rejected():
@@ -357,29 +375,28 @@ def test_kernel_blocks_cover_every_nonempty_row_within_the_gather_bound():
 @pytest.mark.parametrize("n", [6, 12])
 def test_scan_equals_values_on_every_oracle_kind(n):
     for obj in objectives(n, seed=n):
-        for memoize in (False, True):
-            for kernel in (None, obj._ids_fn):
-                def make():
-                    return SetFunctionOracle(obj.ground, obj._fn, memoize=memoize,
-                                             ids_fn=kernel, name=obj.name)
+        for kernel in (None, obj._ids_fn):
+            def make():
+                return SetFunctionOracle(obj.ground, obj._fn, ids_fn=kernel,
+                                         name=obj.name)
 
-                scanned, batched = make(), make()
-                rng = np.random.default_rng(n)
-                for A in random_masks(n, 20, seed=n):
-                    # any order, and repeated candidates hit the memo
-                    cands = [u for u in rng.permutation(n).tolist() if not (A >> u) & 1]
-                    cands += cands[:2]
-                    got = scanned.scan(A, cands)
-                    ref = batched.values([A | (1 << u) for u in cands])
-                    assert type(got) is list and all(type(v) is float for v in got)
-                    np.testing.assert_array_equal(np.array(got).view(np.int64),
-                                                  ref.view(np.int64))
-                    assert got == [obj._fn(A | (1 << u)) for u in cands]
-                    assert scanned.eval_count == batched.eval_count
-                assert scanned._memo == batched._memo
-                calls = scanned.eval_count
-                assert scanned.scan((1 << n) - 1, []) == []
-                assert scanned.eval_count == calls
+            scanned, batched = make(), make()
+            rng = np.random.default_rng(n)
+            for A in random_masks(n, 20, seed=n):
+                # any order, and repeated candidates
+                cands = [u for u in rng.permutation(n).tolist() if not (A >> u) & 1]
+                cands += cands[:2]
+                got = scanned.scan(A, cands)
+                ref = batched.values([A | (1 << u) for u in cands])
+                assert type(got) is list and all(type(v) is float for v in got)
+                np.testing.assert_array_equal(np.array(got).view(np.int64),
+                                              ref.view(np.int64))
+                assert got == [obj._fn(A | (1 << u)) for u in cands]
+                assert scanned.eval_count == batched.eval_count
+            assert scanned._memo == batched._memo
+            calls = scanned.eval_count
+            assert scanned.scan((1 << n) - 1, []) == []
+            assert scanned.eval_count == calls
 
 
 def test_candidate_scans_evaluate_only_non_members():
@@ -457,8 +474,8 @@ def test_batched_equals_scalar_property(data, n, seed, lam, psd):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
-       lam=st.floats(0.0, 1.0), memoize=st.booleans())
-def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam, memoize):
+       lam=st.floats(0.0, 1.0))
+def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam):
     s = random_similarity(n, seed=seed)
     A = data.draw(st.integers(0, (1 << n) - 1), label="A")
     # unsorted, possibly repeated, possibly empty, possibly members of A
@@ -466,10 +483,8 @@ def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam, memoize):
     members = ids_of(A)
     if members and data.draw(st.booleans(), label="add a member of A"):
         cands.insert(data.draw(st.integers(0, len(cands))), members[-1])
-    for obj in (movie_objective(s, lam), image_objective(s)):
-        f = SetFunctionOracle(obj.ground, obj._fn, memoize=memoize,
-                              ids_fn=obj._ids_fn, name=obj.name)
-        plain = scalar_twin(obj)
+    for f in (movie_objective(s, lam), image_objective(s)):
+        plain = scalar_twin(f)
         got = f.scan(A, cands)
         ref = [plain.value(A | (1 << u)) for u in cands]
         # a candidate in A yields f(A)
@@ -482,7 +497,7 @@ def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam, memoize):
             for g in (f, plain):
                 count = g.eval_count
                 with pytest.raises(ValueError, match=f"^candidate {bad} of oracle "
-                                   f"{re.escape(obj.name)} is outside the "
+                                   f"{re.escape(f.name)} is outside the "
                                    f"{n}-element ground set$"):
                     g.scan(A, cands + [bad])
                 assert g.eval_count == count
@@ -497,7 +512,7 @@ def test_non_finite_values_raise_and_name_the_mask():
     with pytest.raises(ValueError, match="mask 2"):
         double_greedy(table_oracle(nan_table), seed=0)
     inf = SetFunctionOracle(GroundSet(3), lambda m: math.inf if m == 5 else 1.0,
-                            memoize=True, name="inf")
+                            name="inf")
     assert inf.value(4) == 1.0
     with pytest.raises(ValueError, match="oracle inf .* mask 5"):
         inf.value(5)
@@ -514,12 +529,11 @@ def test_batched_non_finite_values_raise_and_name_the_mask():
         out[has(ids, 0) & has(ids, 2)] = np.nan
         return out
 
-    for memoize in (False, True):
-        f = SetFunctionOracle(GroundSet(3), lambda m: float(m.bit_count()),
-                              memoize=memoize, ids_fn=ids_fn, name="holey")
-        assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
-        with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
-            f.values([0, 7, 5])
+    f = SetFunctionOracle(GroundSet(3), lambda m: float(m.bit_count()),
+                          ids_fn=ids_fn, name="holey")
+    assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
+        f.values([0, 7, 5])
 
 
 def test_scan_non_finite_values_raise_and_name_the_mask():
@@ -531,10 +545,8 @@ def test_scan_non_finite_values_raise_and_name_the_mask():
         out[has(ids, 0) & ~has(ids, 1) & has(ids, 2)] = np.nan
         return out
 
-    for memoize in (False, True):
-        for kernel in (None, ids_fn):
-            f = SetFunctionOracle(GroundSet(3), fn, memoize=memoize,
-                                  ids_fn=kernel, name="holey")
-            assert f.scan(1, [1]) == [2.0]
-            with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
-                f.scan(1, [1, 2])
+    for kernel in (None, ids_fn):
+        f = SetFunctionOracle(GroundSet(3), fn, ids_fn=kernel, name="holey")
+        assert f.scan(1, [1]) == [2.0]
+        with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
+            f.scan(1, [1, 2])
