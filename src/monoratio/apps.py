@@ -296,18 +296,12 @@ class QuadraticInstance:
                    D=float(d["D"]))
 
 
-def _quad_part(H, h, X: np.ndarray) -> np.ndarray:
-    # rows of X -> x'Hx/2 + h'x, vectorized
-    return 0.5 * np.einsum("ij,ij->i", X @ H, X) + X @ h
+def min_box_quadratic(H, h, u) -> float:
+    """Global minimum of x'Hx/2 + h'x over the box [0, u], for H with a
+    non-positive diagonal, by a scan of all 2^n box vertices.
 
-
-def min_box_quadratic(H, h, u, seed: int = 0) -> float:
-    """Approximate global minimum of x'Hx/2 + h'x over the box [0, u].
-
-    Combines all 2^n box vertices, projected gradient descent (300 steps
-    from each of 200 random starts), and coordinate-wise exact polishing
-    (each coordinate slice is concave for entrywise non-positive H, so slice
-    minima sit at the box endpoints) and returns the best value found.
+    With H[j, j] <= 0 every coordinate slice is concave, so a minimum over
+    the box sits at a vertex; a positive diagonal entry raises ValueError.
     """
     H = np.asarray(H, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -315,40 +309,13 @@ def min_box_quadratic(H, h, u, seed: int = 0) -> float:
     n = u.size
     if n > MIN_BOX_LIMIT:
         raise ValueError(f"vertex enumeration capped at n={MIN_BOX_LIMIT}")
-
-    # (1) all box vertices
+    for j in range(n):
+        if H[j, j] > 0.0:
+            raise ValueError(f"H[{j}, {j}] = {H[j, j]:g} > 0: coordinate {j} "
+                             f"is not concave, so the vertex scan is not exact")
     masks = np.arange(1 << n)
-    verts = ((masks[:, None] >> np.arange(n)) & 1) * u
-    best = float(_quad_part(H, h, verts).min())
-
-    # (2) multi-start projected gradient descent
-    rng = np.random.default_rng(seed)
-    X = rng.random((200, n)) * u
-    lip = float(np.linalg.norm(H, 2)) + 1e-9
-    step = 1.0 / lip
-    for _ in range(300):
-        X -= step * (X @ H + h)
-        np.clip(X, 0.0, u, out=X)
-    best = min(best, float(_quad_part(H, h, X).min()))
-
-    # (3) coordinate-wise polish of the PGD endpoints
-    for x in X[np.argsort(_quad_part(H, h, X))[:20]]:
-        x = x.copy()
-        for _ in range(n):
-            changed = False
-            for j in range(n):
-                rest = H[j] @ x - H[j, j] * x[j] + h[j]
-                lo = 0.0
-                hi = 0.5 * H[j, j] * u[j] ** 2 + rest * u[j]
-                want = 0.0 if lo <= hi else u[j]
-                if x[j] != want:
-                    x[j] = want
-                    changed = True
-            if not changed:
-                break
-        val = float(0.5 * x @ H @ x + h @ x)
-        best = min(best, val)
-    return best
+    X = ((masks[:, None] >> np.arange(n)) & 1) * u  # one vertex per row
+    return float((0.5 * np.einsum("ij,ij->i", X @ H, X) + X @ h).min())
 
 
 def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
@@ -371,7 +338,7 @@ def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
     b = np.ones(n)
     u = (b[:, None] / A).min(axis=0)
     h = -beta * (H.T @ u)
-    M = min_box_quadratic(H, h, u, seed=seed + 1)
+    M = min_box_quadratic(H, h, u)
     c = -M + alpha * abs(M)
     L = 1.01 * float(np.linalg.norm(H, 2))
     D = float(np.linalg.norm(u))

@@ -121,19 +121,18 @@ def _refined_max(fn, xs: np.ndarray, vals: np.ndarray, rounds: int):
     (vals = fn(xs)), then golden-section refinement rounds around the
     incumbent, each round shrinking the bracket.
 
-    The golden-section steps call fn on Python floats: the curve terms use
-    only arithmetic and np.exp, which round a float exactly as they round
-    the same float inside an array, at a fraction of the cost of a
-    one-element array per step."""
+    The golden-section steps call fn on Python floats, and the curve terms
+    return Python floats: they use only arithmetic and _exp, and np.exp
+    rounds a float exactly as it rounds the same float inside an array. So
+    a step costs a few float operations, not a chain of numpy scalars."""
     lo, hi = float(xs[0]), float(xs[-1])
     j = int(np.argmax(vals))
     best_x, best_v = float(xs[j]), float(vals[j])
     span = (hi - lo) / (len(xs) - 1)
-    scalar = lambda x: float(fn(x))
     for _ in range(rounds):
         a = max(lo, best_x - span)
         b = min(hi, best_x + span)
-        x, v = golden_section_max(scalar, a, b)
+        x, v = golden_section_max(fn, a, b)
         if v > best_v:
             best_x, best_v = x, v
         span /= 50.0
@@ -143,6 +142,14 @@ def _refined_max(fn, xs: np.ndarray, vals: np.ndarray, rounds: int):
 # Float bytes of one row block of the (alpha, x) grid: bounds each
 # temporary _grid_row_max builds.
 _GRID_BLOCK_BYTES = 1 << 18
+# Columns per block of the row bounds that prune the (alpha, x) grid.
+_PRUNE_STRIDE = 16
+
+
+def _exp(x):
+    """np.exp, as a Python float for a scalar (math.exp rounds differently)."""
+    y = np.exp(x)
+    return float(y) if y.ndim == 0 else y
 
 
 def _grid_row_max(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -160,21 +167,39 @@ def _grid_row_max(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> np.ndarra
     return out
 
 
+def _first_min_row(A: np.ndarray, B: np.ndarray, alphas: np.ndarray,
+                   d: np.ndarray) -> int:
+    """First i minimizing max_j (alphas[i]*A[j] + (1-alphas[i])*B[j]) / d[i].
+
+    With alpha, 1 - alpha >= 0 and d > 0, rounding is monotone, so block
+    maxima of A and B (_PRUNE_STRIDE columns a block) bound every row from
+    above, and every _PRUNE_STRIDE-th column bounds it from below. A row whose
+    lower bound exceeds the smallest upper bound lies strictly above the
+    minimum; only the other rows, every tie included, are evaluated in full,
+    so the result is the full grid's first argmin bit for bit."""
+    starts = np.arange(0, len(A), _PRUNE_STRIDE)
+    upper = _grid_row_max(np.maximum.reduceat(A, starts),
+                          np.maximum.reduceat(B, starts), alphas) / d
+    lower = _grid_row_max(A[starts], B[starts], alphas) / d
+    rows = np.flatnonzero(lower <= upper.min())
+    return int(rows[np.argmin(_grid_row_max(A, B, alphas[rows]) / d[rows])])
+
+
 def _nested_min_max(term_a, term_b, denom, x_hi: float,
                     resolution: int, rounds: int) -> float:
     """min over alpha in [0,1] of [max over x in [0,x_hi] of
     alpha*term_a(x) + (1-alpha)*term_b(x)] / denom(alpha).
 
-    Grid-evaluates the (alpha, x) rectangle in row blocks (the inner
-    expression is linear in alpha), then refines first x and finally alpha by
-    golden section. The x grid and its two terms are computed once.
+    Takes the first (alpha, x) grid row minimizing its max over denom
+    (_first_min_row evaluates only the rows that can), then refines first x
+    and finally alpha by golden section. The x grid and its terms are built
+    once.
     """
     _check_resolution(resolution)
     xs = np.linspace(0.0, x_hi, resolution)
     A, B = term_a(xs), term_b(xs)
     alphas = np.linspace(0.0, 1.0, resolution)
-    ratios = _grid_row_max(A, B, alphas) / denom(alphas)
-    j = int(np.argmin(ratios))
+    j = _first_min_row(A, B, alphas, denom(alphas))
 
     def outer(alpha: float) -> float:
         f = lambda x: alpha * term_a(x) + (1.0 - alpha) * term_b(x)
@@ -202,7 +227,7 @@ def cardinality_hardness(m: float, resolution: int = _RESOLUTION,
     """
     m = _check_m(m)
     term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
-    term_b = lambda x: 2.0 * (1.0 - np.exp(x - 1.0)) * (1.0 - (1.0 - m) * x)
+    term_b = lambda x: 2.0 * (1.0 - _exp(x - 1.0)) * (1.0 - (1.0 - m) * x)
     denom = lambda a: np.maximum(1.0, 2.0 * (1.0 - a))
     return _nested_min_max(term_a, term_b, denom, 1.0, resolution, rounds)
 

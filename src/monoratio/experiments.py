@@ -21,7 +21,7 @@ from . import _svg
 from .apps import (generate_quadratic_instance, image_objective,
                    inner_product_similarity, movie_objective,
                    random_feature_matrix)
-from .bounds import guarantee
+from .bounds import guarantee, upper_bound_from_output
 from .constraints import PartitionMatroid
 from .continuous import FWConfig, MCGConfig, frank_wolfe_nonmonotone, \
     measured_continuous_greedy, swap_rounding
@@ -222,6 +222,11 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             problems.append(f"algorithm {a!r} ({alg.constraint} constraint) "
                             f"does not fit the {need} constraint of "
                             f"{spec.objective} sweeps")
+    if spec.sweep in ("k", "n"):
+        bad = [g for g in spec.grid if not (g >= 1 and g == int(g))]
+        if bad:
+            problems.append(f"{spec.sweep} sweep grid values must be positive "
+                            f"integers, got {bad}")
     if spec.objective == "movie" and not 0 <= spec.lam <= 1:
         problems.append("lambda must be in [0,1]")
     if spec.objective == "quadratic":
@@ -325,12 +330,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             row[f"{name}_mean"] = mean
             if alg.guarantee is None:
                 continue
-            g0 = guarantee(alg.guarantee, 0.0)
-            gm = guarantee(alg.guarantee, m_bound)
-            if g0 > 0:
-                row["ub_prev"] = min(row["ub_prev"], mean / g0)
-            if gm > 0:
-                row["ub_new"] = min(row["ub_new"], mean / gm)
+            for col, m in (("ub_prev", 0.0), ("ub_new", m_bound)):
+                g = guarantee(alg.guarantee, m)
+                if g > 0:
+                    row[col] = min(row[col], upper_bound_from_output(mean, g))
         rows.append(row)
 
     columns = ["sweep", "sweep_value"]

@@ -145,22 +145,26 @@ def test_min_box_quadratic_examples():
         == pytest.approx(-1.5)
     assert min_box_quadratic(np.zeros((2, 2)), np.array([1.0, 2.0]),
                              np.ones(2)) == pytest.approx(0.0)
+    # a convex coordinate slice can have its minimum inside the box
+    with pytest.raises(ValueError, match=r"H\[1, 1\] = 0.5 > 0"):
+        min_box_quadratic(np.diag([-1.0, 0.5]), np.array([0.0, -0.5]), np.ones(2))
 
 
 def test_min_box_quadratic_matches_grid():
+    # the grid holds every vertex, and a minimum sits at one (every
+    # coordinate slice is concave), so the scan equals the grid minimum
     rng = np.random.default_rng(9)
-    for seed in range(5):
-        upper = np.random.default_rng(seed).uniform(-1, 0, (2, 2))
-        H = np.triu(upper) + np.triu(upper, 1).T
-        h = rng.normal(size=2) * 0.5
-        u = rng.random(2) + 0.5
-        got = min_box_quadratic(H, h, u)
-        xs = np.linspace(0, u[0], 401)
-        ys = np.linspace(0, u[1], 401)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        vals = (0.5 * (H[0, 0] * gx ** 2 + 2 * H[0, 1] * gx * gy
-                       + H[1, 1] * gy ** 2) + h[0] * gx + h[1] * gy)
-        assert got <= vals.min() + 1e-4
+    for n, points in ((2, 401), (3, 61)):
+        for seed in range(5):
+            upper = np.random.default_rng(seed).uniform(-1, 0, (n, n))
+            H = np.triu(upper) + np.triu(upper, 1).T
+            h = rng.normal(size=n) * 0.5
+            u = rng.random(n) + 0.5
+            axes = [np.linspace(0, u[j], points) for j in range(n)]
+            X = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+            vals = 0.5 * np.einsum("ij,jk,ik->i", X, H, X) + X @ h
+            assert min_box_quadratic(H, h, u) \
+                == pytest.approx(vals.min(), rel=1e-12, abs=1e-12), (n, seed)
 
 
 def test_generate_quadratic_instance_structure():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,9 +160,19 @@ def test_hardness_golden_values(name):
         assert HARDNESS[name](m).hex() == expected, (name, m)
 
 
+DENOMS = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a)),
+          "matroid_hardness": np.ones_like}
+
+
+def full_row_max(A, B, alphas):
+    return (alphas[:, None] * A[None, :]
+            + (1.0 - alphas)[:, None] * B[None, :]).max(axis=1)
+
+
 @pytest.mark.parametrize("rows", [1, 7, 1000])
 def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
-    # 61 is not a multiple of 7, and 1000 rows hold the whole grid in one block
+    # 61 is not a multiple of 7, and 1000 rows hold the whole grid in one
+    # block; every call is checked: the two row bounds and the exact rows
     resolution = 61
     seen = []
     blocked = bounds._grid_row_max
@@ -173,17 +184,53 @@ def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
 
     monkeypatch.setattr(bounds, "_GRID_BLOCK_BYTES", 8 * resolution * rows)
     monkeypatch.setattr(bounds, "_grid_row_max", spy)
-    denoms = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a)),
-              "matroid_hardness": np.ones_like}
     for m in (0.0, 0.2, 0.361872, 0.75, 1.0):
-        for name, denom in denoms.items():
+        for name, denom in DENOMS.items():
             seen.clear()
             HARDNESS[name](m, resolution=resolution, rounds=1)
-            (A, B, alphas, got), = seen
-            full = (alphas[:, None] * A[None, :]
-                    + (1.0 - alphas)[:, None] * B[None, :]).max(axis=1)
-            assert np.array_equal(got, full), (name, m)
-            assert np.argmin(got / denom(alphas)) == np.argmin(full / denom(alphas))
+            assert seen, (name, m)
+            for A, B, alphas, got in seen:
+                full = full_row_max(A, B, alphas)
+                assert np.array_equal(got, full), (name, m)
+                assert np.argmin(got / denom(alphas)) == np.argmin(full / denom(alphas))
+
+
+def chosen_rows(name, m, resolution):
+    """(A, B, alphas, d, j) of every row choice one hardness point makes."""
+    calls = []
+    pruned = bounds._first_min_row
+
+    def spy(A, B, alphas, d):
+        j = pruned(A, B, alphas, d)
+        calls.append((A, B, alphas, d, j))
+        return j
+
+    with mock.patch.object(bounds, "_first_min_row", spy):
+        HARDNESS[name](m, resolution=resolution, rounds=0)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(DENOMS)), m=st.floats(0.0, 1.0),
+       resolution=st.sampled_from([2, 3, 17, 61, 501]))
+def test_pruned_row_equals_full_grid_argmin_property(name, m, resolution):
+    (A, B, alphas, d, j), = chosen_rows(name, m, resolution)
+    assert np.array_equal(d, DENOMS[name](alphas))
+    assert j == np.argmin(full_row_max(A, B, alphas) / d), (name, m, resolution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cols=st.integers(1, 70), rows=st.integers(1, 40))
+def test_pruned_row_equals_full_grid_argmin_with_ties_property(data, cols, rows):
+    # few distinct values, so rows tie and many bounds meet the minimum
+    values = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+    A = np.array(data.draw(st.lists(values, min_size=cols, max_size=cols)))
+    B = np.array(data.draw(st.lists(values, min_size=cols, max_size=cols)))
+    alphas = np.linspace(0.0, 1.0, rows)
+    d = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                    min_size=rows, max_size=rows)))
+    assert bounds._first_min_row(A, B, alphas, d) \
+        == np.argmin(full_row_max(A, B, alphas) / d)
 
 
 @pytest.mark.parametrize("fn", [cardinality_hardness, matroid_hardness])

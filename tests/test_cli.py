@@ -386,6 +386,15 @@ def test_experiment_rejects_algorithms_under_the_wrong_constraint(capsys):
     assert "'greedy_matroid'" in err and "'double_greedy'" in err
 
 
+def test_experiment_rejects_fractional_and_zero_k_grid_values(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--objective", "movie",
+                             "--sweep", "k", "--grid", "2.5,0", "--n", "10",
+                             "--trials", "1", "--alg", "greedy")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: k sweep grid values must be positive integers, got [2.5, 0.0]"]
+
+
 def test_experiment_accepts_both_spellings(capsys):
     base = ["experiment", "--objective", "movie", "--sweep", "lambda",
             "--grid", "0.6", "--n", "10", "--k", "3", "--trials", "2"]

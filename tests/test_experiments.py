@@ -90,6 +90,18 @@ def test_validate_spec_checks_constraints_and_normalizes_names():
     assert any("unknown algorithm 'nope'" in p for p in problems)
 
 
+def test_validate_spec_rejects_k_and_n_grid_values_that_are_not_positive_integers():
+    for objective, sweep in (("movie", "k"), ("image", "k"), ("quadratic", "n")):
+        assert validate_spec(ExperimentSpec(objective=objective, sweep=sweep,
+                                            grid=[1, 2.0, 3])).grid == [1, 2.0, 3]
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(ExperimentSpec(objective=objective, sweep=sweep,
+                                         grid=[2.5, 0, 4, -1]))
+        assert exc.value.problems == [
+            f"{sweep} sweep grid values must be positive integers, "
+            f"got [2.5, 0, -1]"]
+
+
 def test_svg_draws_an_infinite_bound_at_a_finite_cap():
     spec = validate_spec(ExperimentSpec(objective="movie", sweep="lambda",
                                         grid=[0.5, 0.9], algorithms=["random_greedy"]))
