@@ -97,57 +97,75 @@ class Matroid:
             spare ^= low
         return out
 
-    def partner(self, S: int, s_ids: list[int], b_ids: list[int], rng,
-                free: int = 0) -> tuple[int, int]:
-        """Draw u uniformly from the base B and return (u, g(u)), where g is
-        a random exchange bijection B -> S, so S - g(u) + u is independent.
-        S and B are disjoint bases of M padded with `free` dummies, given
-        with their sorted ids.
+    def exchange_law(self, S: int, B: int, free: int = 0):
+        """The table `partner` draws from, for disjoint bases S and B of M
+        padded with `free` dummies; build it once per pair of bases.
 
-        Makes the draws of permutation(|S|), permutation(|B|) and
-        integers(|B|), in that order, through the `shuffle` and `integers`
-        methods of `rng` (a numpy Generator, or a replay of one), and
-        returns the partner the full bijection gives u: S and B are
-        shuffled; each element of B, in shuffled order, takes the next
-        element of S in its own class while one is left; the leftovers then
-        pair, in shuffled order, with the unused elements of S grouped by
-        class in order of first appearance in shuffled S. Oracle matroids
-        take g from a maximum matching on the exchange graph of the shuffled
-        bases. A random pairing, unlike a fixed one, cannot trap the swap
-        process in a sub-optimal absorbing state: it matches any improving
-        pair with probability >= 1/k.
+        Block matroids hold, for each element of B in id order, its class's
+        elements of S and its class's count in B, and the list of spare
+        classes; oracle matroids hold the bases themselves.
         """
-        s_order, b_order = s_ids[:], b_ids[:]
-        # shuffling a list makes exactly the draws of permutation(len(list))
-        # and permutes it alike, at a fraction of the cost
-        rng.shuffle(s_order)
-        rng.shuffle(b_order)
-        u = b_ids[rng.integers(len(b_ids))]
+        s_ids, b_ids = ids_of(S), ids_of(B)
         if self.key is None:
-            return u, _matching_exchange(self._padded_independent, S, s_order, b_order)[u]
+            return S, s_ids, b_ids
         key = self._padded_keys.get(free)
         if key is None:
             key = self._padded_keys[free] = self.key + [self.dummy_key] * free
-        pool: dict[int, list[int]] = {}
-        for s in s_order:
-            pool.setdefault(key[s], []).append(s)
-        used = dict.fromkeys(pool, 0)
-        slot = leftovers = 0
-        for b in b_order:
-            c = key[b]
-            t = used.get(c)
-            if t is not None and t < len(pool[c]):
-                if b == u:
-                    return u, pool[c][t]
-                used[c] = t + 1
-            else:
-                if b == u:
-                    slot = leftovers
-                leftovers += 1
-        # u is a leftover: the spare list exists only once every element of
-        # B has taken its partner from its own class
-        spare = [s for c, lst in pool.items() for s in lst[used[c]:]]
-        return u, spare[slot]
+        pools: dict[int, list[int]] = {}  # S by class
+        for s in s_ids:
+            pools.setdefault(key[s], []).append(s)
+        counts: dict[int, int] = {}  # B by class
+        for b in b_ids:
+            counts[key[b]] = counts.get(key[b], 0) + 1
+        rows = [(b, pools.get(key[b], ()), counts[key[b]]) for b in b_ids]
+        # S in class c once per spare element: n_c - m_c times when positive
+        spares = [pool for c, pool in pools.items()
+                  for _ in range(len(pool) - counts.get(c, 0))]
+        return rows, spares
+
+    def partner(self, law, x, rng) -> tuple[int, int]:
+        """Draw u uniformly from the base B and return (u, g(u)), where g is
+        a random exchange bijection B -> S drawn independently of u, so that
+        S - g(u) + u is independent. `law` is `exchange_law(S, B, free)`
+        and x four uniforms in [0, 1).
+
+        For block matroids g is the law that, in each class c with n_c
+        elements of S and m_c of B, pairs min(n_c, m_c) random elements of
+        B with random elements of S, then maps the leftovers of B onto the
+        spare elements of S by a uniform bijection. A leftover u of class c
+        has n_c < m_c <= capacity, so every pair is an exchange. Only the
+        marginal of (u, g(u)) is sampled, from x alone:
+        - u = B[int(x0 k)], with B sorted by id;
+        - if x1 m_c < n_c (always when m_c <= n_c), g(u) is the element
+          int(x2 n_c) of S in class c;
+        - otherwise a spare class c' is drawn with probability
+          (n_c' - m_c') / L from x2, L the sum of the positive
+          n_c' - m_c', and g(u) is the element int(x3 n_c') of S in c'.
+        int(x n) is uniform on range(n) up to a bias below n 2^-53. Given
+        u, g(u) is each element of S in u's class with probability
+        1 / max(n_c, m_c), while an element of another class may have
+        probability 0 even when its swap would improve.
+
+        Oracle matroids take u the same way and g from a maximum matching on
+        the exchange graph of the bases shuffled by `rng`, which draws
+        permutation(|S|) and then permutation(|B|); block matroids draw
+        nothing from `rng`.
+        """
+        if self.key is None:
+            S, s_ids, b_ids = law
+            u = b_ids[int(x[0] * len(b_ids))]
+            s_order, b_order = s_ids[:], b_ids[:]
+            # shuffling a list makes exactly the draws of permutation(len(list))
+            rng.shuffle(s_order)
+            rng.shuffle(b_order)
+            return u, _matching_exchange(self._padded_independent, S, s_order, b_order)[u]
+        rows, spares = law
+        u, pool, m = rows[int(x[0] * len(rows))]
+        n_c = len(pool)
+        if x[1] * m < n_c:
+            return u, pool[int(x[2] * n_c)]
+        pool = spares[int(x[2] * len(spares))]
+        return u, pool[int(x[3] * len(pool))]
 
 
 class PartitionMatroid(Matroid):

@@ -11,7 +11,6 @@ run. All randomness flows through explicitly seeded numpy generators.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import itemgetter
@@ -111,62 +110,6 @@ def _seed_words(seed: int):
     """A seed sequence for PCG64 holding the state words of
     `SeedSequence(seed)`, hashed once per seed."""
     return _cached_seed_sequence()(seed)
-
-
-_DRAW_BLOCK = 2048  # most raw 64-bit words `_RawDraws` holds at a time
-
-
-class _RawDraws:
-    """`shuffle` of a list and `integers(k)` of a fresh, private numpy
-    Generator, replayed in Python from its bit generator's raw words, with
-    the same results and the same consumption of the stream.
-
-    The 64-bit words come in blocks of at most `_DRAW_BLOCK`, each split into
-    two 32-bit values, low half first, as numpy's buffered next_uint32 splits
-    them. The generator's own state is left behind, so it must not be used
-    again after a replay.
-    """
-
-    __slots__ = ("_raw", "_block", "_values")
-
-    def __init__(self, bit_generator, block: int):
-        self._raw = bit_generator.random_raw
-        self._block = min(block, _DRAW_BLOCK)
-        self._values = iter(())
-
-    def _next32(self) -> int:
-        value = next(self._values, None)
-        if value is None:
-            words = self._raw(self._block).view(np.uint32)
-            if sys.byteorder == "big":  # each word views as (high, low)
-                words = words.reshape(-1, 2)[:, ::-1].ravel()
-            self._values = iter(words.tolist())
-            value = next(self._values)
-        return value
-
-    def shuffle(self, x: list) -> None:
-        """Generator.shuffle of a list: for i from len(x)-1 down to 1, swap
-        x[i] with x[j], j uniform on [0, i] by masked rejection (numpy's
-        random_interval)."""
-        next32 = self._next32
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = next32() & mask
-            while j > i:
-                j = next32() & mask
-            x[i], x[j] = x[j], x[i]
-
-    def integers(self, k: int) -> int:
-        """Generator.integers(k) for 1 <= k < 2**32, by numpy's 32-bit Lemire
-        method (buffered_bounded_lemire_uint32); k = 1 draws nothing."""
-        if k == 1:
-            return 0
-        m = self._next32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (1 << 32) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * k
-        return m >> 32
 
 
 def _finish(f: SetFunctionOracle, solution: int, start_calls: int,
@@ -458,29 +401,23 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     and swap u in only when the swap strictly improves f. Dummies are
     stripped from the returned solution.
 
-    Seeded outputs depend on the draw order. Each iteration makes exactly
-    three draws from the generator: permutation(k) of the solution,
-    permutation(k) of M_i (the two shuffles of the bijection), then
-    integers(k) for the position of u in M_i sorted by id. Only the partner
-    of u is computed (`Matroid.partner`), never the whole bijection.
+    A run draws one block up front, rng.random((ceil(k/eps), 4)): iteration
+    i reads row i, four uniforms from which `Matroid.partner` draws u and
+    its partner under the exchange bijection law (see there).
+    Int seeds and passed Generators draw alike; a passed Generator advances
+    by exactly 4 ceil(k/eps) doubles, plus, for oracle matroids only, the
+    two permutations of the bases that `partner` draws per iteration.
 
-    A generator made from `seed` is private to the run, so its draws are
-    replayed in Python from blocks of its raw 64-bit words (`_RawDraws`):
-    the shuffles by numpy's masked rejection, integers(k) by numpy's 32-bit
-    Lemire method, with the outputs a numpy Generator would give. A
-    Generator passed as `seed` keeps numpy's own methods, so its state
-    advances exactly as the three draws advance it.
-
-    The marginals and M_i are functions of the solution alone, so they are
-    computed at the start and after each accepted swap; an iteration whose
-    swap is rejected reuses both. An iteration then makes one oracle call,
-    for the candidate swap, plus the scan of the reals outside the solution
-    when the previous swap was accepted.
+    The marginals, M_i and the table `partner` draws from are functions of
+    the solution alone, so they are computed at the start and after each
+    accepted swap; an iteration whose swap is rejected reuses them. An
+    iteration then makes one oracle call, for the candidate swap, plus the
+    scan of the reals outside the solution when the previous swap was
+    accepted.
     """
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    private = not isinstance(seed, np.random.Generator)
     rng, seed = _rng(seed)
     start = f.eval_count
     rows = [] if trace else None
@@ -490,24 +427,19 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
         return _finish(f, 0, start, seed, rows)
     free = 2 * k
     real_mask = (1 << n) - 1
-    iterations = math.ceil(k / eps)
-    if private:
-        # an iteration's three draws take fewer than 3k - 1 32-bit values
-        # on average, so most runs pull a single block
-        rng = _RawDraws(rng.bit_generator, iterations * (3 * k - 1) // 2)
+    draws = rng.random((math.ceil(k / eps), 4)).tolist()
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
     fS = f.value(S & real_mask)
-    s_ids = ids_of(S)
     outside = list(range(n))  # the reals outside S
-    b_ids = None  # M_i of the current S; None after S changed
-    for i in range(1, iterations + 1):
-        if b_ids is None:
+    law = None  # exchange law of S and its M_i; None after S changed
+    for i, x in enumerate(draws, 1):
+        if law is None:
             w = [0.0] * n
             for u, val in zip(outside, f.scan(S & real_mask, outside)):
                 w[u] = val - fS
-            b_ids = ids_of(M.greedy(w, S, free))
-        u, out = M.partner(S, s_ids, b_ids, rng, free)
+            law = M.exchange_law(S, M.greedy(w, S, free), free)
+        u, out = M.partner(law, x, rng)
         cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real_mask)
         delta = cand_val - fS
@@ -515,9 +447,8 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
         if improved:
             S = cand
             fS = cand_val
-            s_ids = ids_of(S)
             outside = [v for v in range(n) if not (S >> v) & 1]
-            b_ids = None
+            law = None
         if rows is not None:
             rows.append(TraceRow(i, u if u < n else None, delta, improved))
     return _finish(f, S & real_mask, start, seed, rows)

@@ -168,7 +168,7 @@ RUN_GOLDEN = {
     ("image", "threshold-random-greedy"): "26.83983395,2,25,3,7|11",
     ("image", "double-greedy"): "24.08145692,5,27,3,0|1|4|7|11",
     ("image", "greedy-matroid"): "26.83983395,2,29,3,7|11",
-    ("image", "random-greedy-matroid"): "26.78094841,1,86,3,11",
+    ("image", "random-greedy-matroid"): "26.78094841,1,96,3,11",
     ("image", "random"): "22.04780134,4,1,3,3|4|7|8",
 }
 CARDINALITY_ALGS = {"greedy", "random-greedy", "threshold-greedy",

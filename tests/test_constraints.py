@@ -113,8 +113,12 @@ def test_max_weight_base_properties():
 
 def _partners(M, S, B, seeds=range(40)):
     """Every (u, partner of u) that `partner` draws over the seeds."""
-    s_ids, b_ids = ids_of(S), ids_of(B)
-    return {M.partner(S, s_ids, b_ids, np.random.default_rng(seed)) for seed in seeds}
+    law = M.exchange_law(S, B)
+    pairs = set()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        pairs.add(M.partner(law, rng.random(4).tolist(), rng))
+    return pairs
 
 
 def test_exchange_map_uniform_and_partition():

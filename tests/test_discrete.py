@@ -1,5 +1,7 @@
 import math
-from types import SimpleNamespace
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
                        sample_greedy, threshold_greedy, threshold_random_greedy,
                        trace_to_csv)
 from monoratio.constraints import _matching_exchange
-from monoratio.discrete import _RawDraws, _rng
+from monoratio.discrete import _rng
 
 INV_E = math.exp(-1.0)
 
@@ -312,32 +314,47 @@ def pairing_key(M):
     return None
 
 
-def full_bijection_partner(M, S, B, rng):
-    """Reference for `Matroid.partner`: the random exchange bijection B -> S
-    built whole (shuffle both bases, pair within classes, then pair the
-    leftovers), followed by the draw of u."""
-    s_ids, b_ids = ids_of(S), ids_of(B)
-    s_ids = [s_ids[j] for j in rng.permutation(len(s_ids))]
-    b_ids = [b_ids[j] for j in rng.permutation(len(b_ids))]
+def full_bijections(M, S, s_order, b_order):
+    """Reference for the law that `Matroid.partner` samples: the exchange
+    bijections B -> S built whole from orders of both bases. Each element of
+    B, in b_order, takes the next element of S of its own class, in s_order,
+    while one is left; every bijection of the leftovers onto the unused
+    elements of S is then yielded once. Oracle matroids yield the maximum
+    matching on the ordered bases."""
     key = pairing_key(M)
     if key is None:
-        g = _matching_exchange(padded_independent(M), S, s_ids, b_ids)
-    else:
-        pool = {}
-        for s in s_ids:
-            pool.setdefault(key(s), []).append(s)
-        g = {}
-        leftover = []
-        for u in b_ids:
-            if pool.get(key(u)):
-                g[u] = pool[key(u)].pop(0)
-            else:
-                leftover.append(u)
-        spare = [s for lst in pool.values() for s in lst]
-        g.update(zip(leftover, spare))
-    sorted_b = ids_of(B)
-    u = sorted_b[int(rng.integers(len(sorted_b)))]
-    return u, g[u]
+        yield _matching_exchange(padded_independent(M), S, s_order, b_order)
+        return
+    pool = {}
+    for s in s_order:
+        pool.setdefault(key(s), []).append(s)
+    g, leftover = {}, []
+    for u in b_order:
+        if pool.get(key(u)):
+            g[u] = pool[key(u)].pop(0)
+        else:
+            leftover.append(u)
+    spare = [s for lst in pool.values() for s in lst]
+    for order in permutations(spare):
+        yield {**g, **dict(zip(leftover, order))}
+
+
+def exact_bijection_law(M, S, B):
+    """P(u, g(u)) as Fractions for u uniform in B and g uniform over the
+    bijections of `full_bijections` on all orders of both bases."""
+    s_ids, b_ids = ids_of(S), ids_of(B)
+    counts, total = Counter(), 0
+    for s_order in permutations(s_ids):
+        for b_order in permutations(b_ids):
+            for g in full_bijections(M, S, s_order, b_order):
+                counts.update(g.items())
+                total += 1
+    return {pair: Fraction(c, total * len(b_ids)) for pair, c in counts.items()}
+
+
+# midpoints of twelve equal cells: int(x * n) and x * m < c split them exactly
+# for every n, m <= 4, so the grid gives the sampler's exact law at rank <= 4
+GRID = list(product([(j + 0.5) / 12 for j in range(12)], repeat=4))
 
 
 def full_order_greedy(M, w, exclude):
@@ -371,30 +388,43 @@ def random_base(M, exclude, rng):
 @pytest.mark.parametrize("M", [
     UniformMatroid(7, 3),
     PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1]),
-    PartitionMatroid(9, [[0, 1, 2], [3, 4], [5, 6, 7, 8]], [1, 2, 2]),
+    PartitionMatroid(9, [[0, 1, 2], [3, 4], [5, 6, 7, 8]], [1, 1, 2]),
     OracleMatroid(6, union_find_forest_indep([(0, 1), (0, 2), (0, 3),
                                               (1, 2), (1, 3), (2, 3)])),
 ], ids=["uniform", "partition2", "partition3", "graphic"])
 def test_partner_matches_full_bijection(M):
+    """The sampled (u, g(u)) follows the law of the whole bijection exactly,
+    on the all-dummy base every run starts from and on random bases (the
+    first 40; the exact law is slow), and greedy matches its reference."""
     free = 2 * M.rank
     indep = padded_independent(M)
     key = pairing_key(M)
     rng = np.random.default_rng(12)
     cross = 0
-    for seed in range(300):
-        S = random_base(M, 0, rng)
+    for trial in range(300):
+        S = random_base(M, 0, rng) if trial else ((1 << M.rank) - 1) << M.n
         B = random_base(M, S, rng)
-        ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
-        u, s = M.partner(S, ids_of(S), ids_of(B), rng_, free)
-        assert (u, s) == full_bijection_partner(M, S, B, ref_rng)
-        # same draws, so the stream continues identically
-        assert rng_.bit_generator.state == ref_rng.bit_generator.state
-        assert (B >> u) & 1 and (S >> s) & 1
-        assert indep((S & ~(1 << s)) | (1 << u))
-        if key is not None and key(u) != key(s):
-            cross += 1
+        law = M.exchange_law(S, B, free)
+        if key is None:
+            ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
+            x = rng.random(4).tolist()
+            u, s = M.partner(law, x, rng_)
+            s_order, b_order = ref_rng.permutation(ids_of(S)), ref_rng.permutation(ids_of(B))
+            (g,) = full_bijections(M, S, s_order.tolist(), b_order.tolist())
+            assert (u, s) == (ids_of(B)[int(x[0] * M.rank)], g[u])
+            # the two shuffles are the only draws
+            assert rng_.bit_generator.state == ref_rng.bit_generator.state
+            assert indep((S & ~(1 << s)) | (1 << u))
+        elif trial < 40:
+            sampled = Counter(M.partner(law, x, None) for x in GRID)
+            law_of_pairs = exact_bijection_law(M, S, B)
+            assert {p: Fraction(c, len(GRID)) for p, c in sampled.items()} == law_of_pairs
+            for u, s in law_of_pairs:
+                assert (B >> u) & 1 and (S >> s) & 1
+                assert indep((S & ~(1 << s)) | (1 << u))
+                cross += key(u) != key(s)
         # integer weights make ties, which must break toward smaller ids
-        w = (rng.normal(size=M.n) if seed % 2 else
+        w = (rng.normal(size=M.n) if trial % 2 else
              rng.integers(-1, 3, size=M.n).astype(float)).tolist()
         greedy = M.greedy(w, S, free)
         assert greedy == full_order_greedy(M, w, S)
@@ -438,41 +468,38 @@ def test_matroid_axioms_and_partner_exchange_property(M, seed):
     for _ in range(10):
         S = random_base(M, 0, rng)
         B = random_base(M, S, rng)
+        law = M.exchange_law(S, B, 2 * M.rank)
+        x = rng.random(4).tolist()
         state = rng.bit_generator.state
-        ref = np.random.default_rng()
-        ref.bit_generator.state = state
-        u, s = M.partner(S, ids_of(S), ids_of(B), rng, 2 * M.rank)
+        u, s = M.partner(law, x, rng)
         assert (B >> u) & 1 and (S >> s) & 1
         assert indep((S & ~(1 << s)) | (1 << u))
-        ref.permutation(M.rank)
-        ref.permutation(M.rank)
-        ref.integers(M.rank)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state == state  # block matroids draw from x only
 
 
 def test_random_greedy_matroid_golden():
-    """Seeded runs pinned to solutions and values computed with the
-    full-bijection exchange that `partner` replaced. The call counts are
-    those of scanning only after an accepted swap."""
+    """Seeded runs pinned to solutions and values drawn from the exchange
+    law, one block of four uniforms per iteration. The call counts are those
+    of scanning only after an accepted swap."""
     f, _ = mixture_oracle(7, seed=8)
     M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(f, M, 0.1, seed=s) for s in range(6))]
-    assert got == [(67, 8.772044191282124, 59), (70, 8.816112893706094, 59),
-                   (20, 9.256046344562186, 50), (20, 9.256046344562186, 65),
-                   (21, 10.531033574483407, 58), (21, 10.531033574483407, 54)]
+    assert got == [(20, 9.256046344562186, 50), (21, 10.531033574483407, 54),
+                   (20, 9.256046344562186, 60), (67, 8.772044191282124, 58),
+                   (20, 9.256046344562186, 55), (67, 8.772044191282124, 54)]
 
     img = image_objective(psd_similarity(30, seed=2, d=10))
     P = PartitionMatroid(30, [range(0, 10), range(10, 20), range(20, 30)], [2, 2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, P, 0.2, seed=s) for s in range(4))]
-    assert got == [(8352, 97.01004593767361, 141), (10280, 96.11774526246582, 246),
-                   (8352, 97.01004593767361, 222), (160, 96.60012950088941, 114)]
+    assert got == [(8352, 97.01004593767361, 301), (8352, 97.01004593767361, 141),
+                   (8352, 97.01004593767361, 168), (8352, 97.01004593767361, 194)]
     U = UniformMatroid(30, 4)
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, U, 0.2, seed=s) for s in range(4))]
-    assert got == [(270376, 96.4151893784956, 162), (270376, 96.4151893784956, 162),
-                   (2208, 96.74681935424461, 190), (8352, 97.01004593767361, 164)]
+    assert got == [(8352, 97.01004593767361, 218), (8352, 97.01004593767361, 163),
+                   (8352, 97.01004593767361, 136), (272416, 96.48078919794668, 162)]
 
 
 def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch):
@@ -496,9 +523,9 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
         assert len(r.trace) == 30 and accepted > 0
         assert len(calls) == 1 + accepted
         got.append((r.solution, r.value, r.oracle_calls))
-    assert got == [(67, 8.772044191282124, 59), (70, 8.816112893706094, 59),
-                   (20, 9.256046344562186, 50), (20, 9.256046344562186, 65),
-                   (21, 10.531033574483407, 58), (21, 10.531033574483407, 54)]
+    assert got == [(20, 9.256046344562186, 50), (21, 10.531033574483407, 54),
+                   (20, 9.256046344562186, 60), (67, 8.772044191282124, 58),
+                   (20, 9.256046344562186, 55), (67, 8.772044191282124, 54)]
 
 
 # ---------------------------------------------------------------------- baseline
@@ -662,11 +689,11 @@ def rescanning_random_greedy_matroid(f, M, eps, rng):
     S = ((1 << k) - 1) << n
     fS = f.value(0)
     rows = []
-    for i in range(1, math.ceil(k / eps) + 1):
+    for i, x in enumerate(rng.random((math.ceil(k / eps), 4)).tolist(), 1):
         w = [0.0 if (S >> u) & 1 else f.value((S & real) | (1 << u)) - fS
              for u in range(n)]
-        B = M.greedy(w, S, 2 * k)
-        u, out = M.partner(S, ids_of(S), ids_of(B), rng, 2 * k)
+        law = M.exchange_law(S, M.greedy(w, S, 2 * k), 2 * k)
+        u, out = M.partner(law, x, rng)
         cand = (S & ~(1 << out)) | (1 << u)
         cand_val = f.value(cand & real)
         improved = cand_val > fS
@@ -679,8 +706,8 @@ def rescanning_random_greedy_matroid(f, M, eps, rng):
 @st.composite
 def differential_cases(draw):
     """A fixture oracle factory (a mixture table without a kernel, or an
-    image or movie objective with one), k, eps and a partition or uniform
-    matroid, on n <= 8 elements."""
+    image or movie objective with one), k, eps and a uniform, partition or
+    graphic matroid, on n <= 8 elements."""
     n = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10_000))
     kind = draw(st.sampled_from(["mixture", "image", "movie"]))
@@ -694,12 +721,17 @@ def differential_cases(draw):
         make = lambda: movie_objective(psd_similarity(n, seed), lam)
     k = draw(st.integers(0, n))
     eps = draw(st.sampled_from([0.1, 0.3, 0.6]))
-    if draw(st.booleans()):
+    matroid = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if matroid == "uniform":
         M = UniformMatroid(n, draw(st.integers(0, n)))
-    else:
+    elif matroid == "partition":
         labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
         M = PartitionMatroid(n, blocks, [draw(st.integers(0, len(b))) for b in blocks])
+    else:  # n edges, parallel ones allowed, on four vertices
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(4), 2))),
+                              min_size=n, max_size=n))
+        M = OracleMatroid(n, union_find_forest_indep(edges))
     return make, k, eps, M
 
 
@@ -746,9 +778,9 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(case=differential_cases(), seed=st.integers(0, 2**64))
-def test_replayed_random_greedy_matroid_matches_the_reference_on_int_seeds(case, seed):
-    """An int seed makes a private generator whose draws are replayed from
-    raw words; the reference draws from numpy's Generator of the same seed."""
+def test_random_greedy_matroid_int_seed_matches_the_reference(case, seed):
+    """An int seed draws what numpy's Generator of the same seed draws, as
+    the reference does."""
     make, _, eps, M = case
     got = random_greedy_matroid(make(), M, eps, seed, trace=True)
     f_ref = make()
@@ -759,74 +791,6 @@ def test_replayed_random_greedy_matroid_matches_the_reference_on_int_seeds(case,
 
 
 # ----------------------------------------------------------------- seeded draws
-
-def test_raw_draws_replay_generator_shuffle_and_integers():
-    """Same permutations and integers as numpy's Generator, from the same
-    stream values: a one-word block pulls one raw word per two values, so the
-    bit generators end in the same state."""
-    steps = used = 0  # over the one-word-block runs
-    for seed in range(200):
-        for k in range(1, 13):
-            for block in (1, 2048):
-                g = np.random.default_rng(seed)
-                bits = np.random.default_rng(seed).bit_generator
-                pulls = []
-                raw = SimpleNamespace(random_raw=lambda size: pulls.append(size)
-                                      or bits.random_raw(size))
-                draws = _RawDraws(raw, block)
-                for _ in range(3):
-                    for _ in range(2):
-                        a, b = list(range(k)), list(range(k))
-                        g.shuffle(a)
-                        draws.shuffle(b)
-                        assert a == b, (seed, k, block)
-                    x = draws.integers(k)
-                    assert type(x) is int and x == g.integers(k), (seed, k, block)
-                state = g.bit_generator.state
-                if block == 1:
-                    assert bits.state["state"] == state["state"], (seed, k)
-                    used += 2 * len(pulls) - state["has_uint32"]
-                    steps += 3 * (2 * (k - 1) + (k > 1))
-                else:
-                    assert len(pulls) == (k > 1), (seed, k)
-    # every step takes one value unless a shuffle's masked rejection redraws
-    assert used > steps
-
-
-@pytest.mark.parametrize("leftover", [0, 3, 4, 6])
-def test_raw_draws_lemire_rejection_branch_against_numpy(leftover):
-    """integers(7) maps a value x to (7x) >> 32 unless (7x) mod 2**32 is
-    below 2**32 mod 7 = 4, where numpy draws again. Random streams almost
-    never get there, so the first value is set by hand: numpy's generator
-    returns a held half-word first, and the replay reads it from a crafted
-    first word."""
-    k, threshold = 7, (1 << 32) % 7
-    x = leftover * pow(k, -1, 1 << 32) % (1 << 32)
-    assert threshold == 4 and x * k % (1 << 32) == leftover
-    g = np.random.default_rng(11)
-    stream = np.random.default_rng(11).bit_generator.random_raw(16).view(np.uint32)
-    crafted = np.concatenate([[x], stream[:-1]]).astype(np.uint32).view(np.uint64)
-    draws = _RawDraws(SimpleNamespace(random_raw=lambda size: crafted), 16)
-    state = g.bit_generator.state
-    g.bit_generator.state = {**state, "has_uint32": 1, "uinteger": x}
-    assert draws.integers(k) == g.integers(k)
-    # numpy drew a fresh 64-bit word, and holds its high half, only on rejection
-    assert g.bit_generator.state["has_uint32"] == (leftover < threshold)
-    a, b = list(range(6)), list(range(6))
-    g.shuffle(a)
-    draws.shuffle(b)
-    assert a == b
-
-
-def test_raw_draws_lemire_redraws_until_the_leftover_clears_the_threshold():
-    inv7 = pow(7, -1, 1 << 32)
-    values = [0, 2 * inv7 % (1 << 32), 4 * inv7 % (1 << 32), 5]
-    words = np.array(values, dtype=np.uint32).view(np.uint64)
-    draws = _RawDraws(SimpleNamespace(random_raw=lambda size: words), 2)
-    assert draws.integers(7) == (values[2] * 7) >> 32
-    assert draws.integers(1) == 0  # integers(1) consumes nothing
-    assert draws.integers(7) == (5 * 7) >> 32
-
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, np.int64(12345), None])
 def test_rng_matches_default_rng(seed):
