@@ -10,7 +10,6 @@ the standard ones.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,23 +276,6 @@ class QuadraticInstance:
 
     def polytope(self) -> DownClosedPolytope:
         return DownClosedPolytope(self.A, self.b, self.u)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "H": self.H.tolist(), "A": self.A.tolist(), "b": self.b.tolist(),
-            "u": self.u.tolist(), "h": self.h.tolist(), "c": self.c,
-            "alpha": self.alpha, "beta": self.beta, "seed": self.seed,
-            "M": self.M, "L": self.L, "D": self.D,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadraticInstance":
-        d = json.loads(text)
-        return cls(H=np.array(d["H"]), A=np.array(d["A"]), b=np.array(d["b"]),
-                   u=np.array(d["u"]), h=np.array(d["h"]), c=float(d["c"]),
-                   alpha=float(d["alpha"]), beta=float(d["beta"]),
-                   seed=int(d["seed"]), M=float(d["M"]), L=float(d["L"]),
-                   D=float(d["D"]))
 
 
 def min_box_quadratic(H, h, u) -> float:

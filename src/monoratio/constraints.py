@@ -103,11 +103,15 @@ class Matroid:
 
         Block matroids hold, for each element of B in id order, its class's
         elements of S and its class's count in B, and the list of spare
-        classes; oracle matroids hold the bases themselves.
+        classes; oracle matroids hold the admissible pairs {u: {s : S - s + u
+        independent}} for u in B, and both bases' ids.
         """
         s_ids, b_ids = ids_of(S), ids_of(B)
         if self.key is None:
-            return S, s_ids, b_ids
+            indep = self._padded_independent
+            adm = {u: {s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))}
+                   for u in b_ids}
+            return adm, s_ids, b_ids
         key = self._padded_keys.get(free)
         if key is None:
             key = self._padded_keys[free] = self.key + [self.dummy_key] * free
@@ -152,13 +156,13 @@ class Matroid:
         nothing from `rng`.
         """
         if self.key is None:
-            S, s_ids, b_ids = law
+            adm, s_ids, b_ids = law
             u = b_ids[int(x[0] * len(b_ids))]
             s_order, b_order = s_ids[:], b_ids[:]
             # shuffling a list makes exactly the draws of permutation(len(list))
             rng.shuffle(s_order)
             rng.shuffle(b_order)
-            return u, _matching_exchange(self._padded_independent, S, s_order, b_order)[u]
+            return u, _matching_exchange(adm, s_order, b_order)[u]
         rows, spares = law
         u, pool, m = rows[int(x[0] * len(rows))]
         n_c = len(pool)
@@ -274,11 +278,11 @@ def partition_matroid_from_text(text: str, n: int | None = None) -> PartitionMat
     return PartitionMatroid(n, blocks, caps)
 
 
-def _matching_exchange(indep, S: int, s_ids, b_ids) -> dict[int, int]:
-    """Exchange bijection B -> S from a maximum bipartite matching, where u
-    in B may pair with s in S when `indep` accepts S - s + u."""
-    edges = {u: [s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))]
-             for u in b_ids}
+def _matching_exchange(adm, s_ids, b_ids) -> dict[int, int]:
+    """Exchange bijection B -> S from a maximum bipartite matching on the
+    bases in the orders `s_ids` and `b_ids`, where u in B may pair with s
+    in S when s is in `adm[u]`."""
+    edges = {u: [s for s in s_ids if s in adm[u]] for u in b_ids}
     match_of_s: dict[int, int] = {}
 
     def augment(u, seen):

@@ -90,10 +90,6 @@ class GroundSet:
         if self.n < 1:
             raise ValueError("ground set needs at least one element")
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 class SetFunctionOracle:
     """Counted black-box access to a set function f: 2^N -> R.
@@ -108,10 +104,11 @@ class SetFunctionOracle:
     one size: it receives a (B, L) int64 array whose row i holds the L >= 1
     sorted element ids of the i-th set, and returns B floats equal to `fn`
     on those sets. It is called with at most `_block_rows(L, n)` rows, so
-    it may gather a (B, L, n) block. `values` groups its sets by size and
-    `scan` builds its rows of |A| + 1 ids directly; the empty set goes to
-    `fn`, never to `ids_fn`. These kernel batches neither read nor write the
-    memo. Without an `ids_fn` both loop over `value` and share its memo.
+    it may gather a (B, L, n) block. `values` groups the rows of its (B, n)
+    boolean matrix by set size and `scan` builds its rows of |A| + 1 ids
+    directly; the empty set goes to `fn`, never to `ids_fn`. These kernel
+    batches neither read nor write the memo. Without an `ids_fn` both loop
+    over `value` and share its memo, as do the scans `ids_fn` cannot take.
 
     Every freshly computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask. A mask outside the
@@ -150,40 +147,40 @@ class SetFunctionOracle:
         """f(A + u) for each candidate element u, in the given order, as a
         list of floats, counting one evaluation per candidate.
 
-        This is the candidate scan of the greedy-type algorithms. Without an
-        `ids_fn` each set goes through `value` (memo, finiteness check and
-        counting included) and no numpy array is built: on a handful of
-        candidates the array round trip costs more than the evaluations.
-        With one, the rows (ids of A, u) sorted go to `ids_fn` directly.
-        An empty scan, an A outside the ground set (which raises) and a
-        candidate already in A (which yields f(A)) take the `values` path.
-        A candidate outside 0..n-1 raises ValueError naming it, and the
-        rejected scan counts nothing.
+        This is the candidate scan of the greedy-type algorithms. With an
+        `ids_fn`, the rows (ids of A, u) sorted go to `ids_fn` directly,
+        unless the scan is empty, A lies outside the ground set (which
+        raises) or a candidate is already in A (which yields f(A)). Those
+        scans, and every scan without an `ids_fn`, loop over `value` (memo,
+        finiteness check and counting included) and build no numpy array:
+        on a handful of candidates the array round trip costs more than the
+        evaluations. A candidate outside 0..n-1 raises ValueError naming
+        it, and the rejected scan counts nothing.
         """
-        if self._ids_fn is None:
-            value = self.value
-            count = self.eval_count
-            try:
-                return [value(A | (1 << u)) for u in candidates]
-            except ValueError:
-                self._check_candidates(candidates, count)
-                raise
-        cands = list(candidates)
-        n = self.n
-        if cands and (min(cands) < 0 or max(cands) >= n):
-            self._check_candidates(cands, self.eval_count)
-        if cands and not A >> n:
-            rows = np.empty((len(cands), A.bit_count() + 1), dtype=np.int64)
-            rows[:, :-1] = ids_of(A)
-            rows[:, -1] = cands
-            rows.sort(axis=1)
-            if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
-                self.eval_count += len(cands)
-                step = _block_rows(rows.shape[1], n)
-                out = np.concatenate([self._kernel(rows[lo:lo + step])
-                                      for lo in range(0, len(rows), step)])
-                return self._finite(out, lambda i: A | (1 << int(cands[i]))).tolist()
-        return self.values([A | (1 << u) for u in cands]).tolist()
+        if self._ids_fn is not None:
+            candidates = list(candidates)
+            n = self.n
+            if candidates and (min(candidates) < 0 or max(candidates) >= n):
+                self._check_candidates(candidates, self.eval_count)
+            if candidates and not A >> n:
+                rows = np.empty((len(candidates), A.bit_count() + 1), dtype=np.int64)
+                rows[:, :-1] = ids_of(A)
+                rows[:, -1] = candidates
+                rows.sort(axis=1)
+                if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
+                    self.eval_count += len(candidates)
+                    step = _block_rows(rows.shape[1], n)
+                    out = np.concatenate([self._kernel(rows[lo:lo + step])
+                                          for lo in range(0, len(rows), step)])
+                    return self._finite(
+                        out, lambda i: A | (1 << int(candidates[i]))).tolist()
+        value = self.value
+        count = self.eval_count
+        try:
+            return [value(A | (1 << u)) for u in candidates]
+        except ValueError:
+            self._check_candidates(candidates, count)
+            raise
 
     def _check_candidates(self, candidates, count: int) -> None:
         """Unless every candidate is an element 0..n-1: reset `eval_count` to
@@ -195,26 +192,23 @@ class SetFunctionOracle:
                 raise ValueError(f"candidate {u} of oracle {self.name} is outside "
                                  f"the {self.n}-element ground set")
 
-    def values(self, masks) -> np.ndarray:
+    def values(self, X: np.ndarray) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.
 
-        `masks` is a sequence of int masks or a (B, n) boolean matrix. With an
+        `X` is a (B, n) boolean matrix whose row i marks the elements of the
+        i-th set; any other input, shape or dtype raises ValueError. With an
         `ids_fn` the batch goes to it in one call per set size; otherwise
         each set goes through `value`.
         """
-        matrix = isinstance(masks, np.ndarray) and masks.ndim == 2
-        if matrix and masks.shape[1] != self.n:
-            raise ValueError(f"mask matrix needs {self.n} columns, got {masks.shape[1]}")
+        if not (isinstance(X, np.ndarray) and X.ndim == 2 and X.shape[1] == self.n):
+            raise ValueError(f"a batch of oracle {self.name} is a (B, {self.n}) "
+                             f"boolean matrix, got shape {np.shape(X)}")
+        if X.dtype != bool:
+            raise ValueError(f"a batch of oracle {self.name} is a boolean matrix, "
+                             f"got dtype {X.dtype}")
         if self._ids_fn is None:
-            if matrix:
-                masks = _pack_masks(masks)
             value = self.value
-            return np.array([value(m) for m in masks])  # float64: value() gives floats
-        # the batch is counted once _unpack_masks has checked it
-        if matrix:
-            X = masks.astype(bool, copy=False)
-        else:
-            X = _unpack_masks([int(m) for m in masks], self.n)
+            return np.array([value(m) for m in _pack_masks(X)])  # float64: value() gives floats
         self.eval_count += len(X)
         return self._by_size(X)
 
@@ -304,11 +298,13 @@ def multilinear_exact(f: SetFunctionOracle, x) -> float:
 
 def _f_table(f: SetFunctionOracle) -> np.ndarray:
     """Values of f on all 2^n masks, in mask order, evaluated through
-    `f.values` in chunks so that an `ids_fn` serves them and the unpacked
-    mask matrix stays bounded."""
+    `f.values` in chunks so that an `ids_fn` serves them and each chunk's
+    (masks, n) boolean matrix stays bounded."""
     full = 1 << f.n
-    return np.concatenate([f.values(range(lo, min(lo + _EXACT_CHUNK, full)))
-                           for lo in range(0, full, _EXACT_CHUNK)])
+    bits = 1 << np.arange(f.n)
+    return np.concatenate([
+        f.values((np.arange(lo, min(lo + _EXACT_CHUNK, full))[:, None] & bits) != 0)
+        for lo in range(0, full, _EXACT_CHUNK)])
 
 
 def _pack_masks(bits: np.ndarray) -> list[int]:
@@ -319,24 +315,6 @@ def _pack_masks(bits: np.ndarray) -> list[int]:
         return (bits @ weights).tolist()
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_masks(masks: list[int], n: int) -> np.ndarray:
-    """(B, n) boolean matrix of int masks over an n-element ground set."""
-    if n <= 62:
-        try:
-            arr = np.array(masks, dtype=np.int64).reshape(-1, 1)
-        except OverflowError:  # a mask of 64 bits or more
-            arr = None
-        if arr is None or np.any(arr >> n):
-            raise ValueError(f"mask outside the {n}-element ground set")
-        return (arr & (1 << np.arange(n, dtype=np.int64))) != 0
-    if any(m >> n for m in masks):
-        raise ValueError(f"mask outside the {n}-element ground set")
-    width = (n + 7) // 8
-    buf = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def _block_rows(L: int, n: int) -> int:

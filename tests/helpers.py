@@ -39,6 +39,12 @@ def directed_cut_edge() -> SetFunctionOracle:
                              name="cut-edge")
 
 
+def as_matrix(masks, n: int) -> np.ndarray:
+    """(B, n) boolean matrix of int masks, one row per mask, bit by bit."""
+    return np.array([[(m >> u) & 1 for u in range(n)] for m in masks],
+                    dtype=bool).reshape(len(masks), n)
+
+
 def mixture_table(n: int, seed: int) -> np.ndarray:
     """Value table of `apps.mixture_objective(n, seed)`, indexed by mask."""
     f = mixture_objective(n, seed)

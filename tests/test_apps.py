@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import continuous_ratio_grid_bound, psd_similarity
-from monoratio import (QuadraticInstance, exact_monotonicity_ratio,
-                       exact_weak_monotonicity_ratio,
+from helpers import as_matrix, continuous_ratio_grid_bound, psd_similarity
+from monoratio import (exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
                        generate_quadratic_instance, image_objective,
                        image_weak_ratio_bound, inner_product_similarity,
                        is_submodular, load_features_csv, mask_of,
@@ -98,12 +97,13 @@ def test_objectives_clamp_rounding_negatives():
         sim = inner_product_similarity(random_feature_matrix(10, 25, seed=seed))
         assert sim.sum(axis=0).sum() - sim.sum() < 0.0
         f = movie_objective(sim, 1.0)
-        assert f.value(full10) == 0.0 and f.values([full10]).tolist() == [0.0]
+        assert f.value(full10) == 0.0
+        assert f.values(as_matrix([full10], 10)).tolist() == [0.0]
         assert exact_monotonicity_ratio(f).ratio == movie_ratio_bound(1.0) == 0.0
     s = np.full((3, 3), 0.12)
     assert s.max(axis=1).sum() - s.sum() / 3 < 0.0
     f = image_objective(s)
-    assert f.value(0b111) == 0.0 and f.values([0b111]).tolist() == [0.0]
+    assert f.value(0b111) == 0.0 and f.values(as_matrix([0b111], 3)).tolist() == [0.0]
 
 
 def test_movie_monotonicity_certificate():
@@ -235,16 +235,6 @@ def test_quadratic_gradient_consistency_and_antitone():
         a = rng.random(4) * inst.u
         b = a + rng.random(4) * (inst.u - a)
         assert np.all(inst.grad(a) >= inst.grad(b) - 1e-12)
-
-
-def test_quadratic_json_round_trip():
-    inst = generate_quadratic_instance(3, beta=0.25, alpha=0.4, seed=9)
-    back = QuadraticInstance.from_json(inst.to_json())
-    assert np.array_equal(back.H, inst.H)
-    assert np.array_equal(back.u, inst.u)
-    assert back.c == inst.c and back.seed == inst.seed
-    x = np.array([0.1, 0.2, 0.05])
-    assert back.value(x) == inst.value(x)
 
 
 def test_generate_quadratic_validation():

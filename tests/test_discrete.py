@@ -323,7 +323,10 @@ def full_bijections(M, S, s_order, b_order):
     matching on the ordered bases."""
     key = pairing_key(M)
     if key is None:
-        yield _matching_exchange(padded_independent(M), S, s_order, b_order)
+        indep = padded_independent(M)
+        adm = {u: {s for s in s_order if indep((S & ~(1 << s)) | (1 << u))}
+               for u in b_order}
+        yield _matching_exchange(adm, s_order, b_order)
         return
     pool = {}
     for s in s_order:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (directed_cut_edge, gap_oracle, mixture_oracle,
+from helpers import (as_matrix, directed_cut_edge, gap_oracle, mixture_oracle,
                      modular_oracle, product_expectation, psd_similarity,
                      table_oracle)
 from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
@@ -38,7 +38,6 @@ def test_ids_of_rejects_a_negative_mask():
 def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
-    assert GroundSet(3).full_mask == 0b111
 
 
 def test_marginal_examples():
@@ -209,10 +208,6 @@ def random_masks(n: int, count: int, seed: int) -> list[int]:
     return [0, (1 << n) - 1] + masks
 
 
-def as_matrix(masks: list[int], n: int) -> np.ndarray:
-    return np.array([[(m >> u) & 1 for u in range(n)] for m in masks], dtype=bool)
-
-
 @pytest.mark.parametrize("n", [1, 12, 50, 70])
 def test_batched_values_equal_scalar(n):
     for f in objectives(n, seed=n):
@@ -220,23 +215,20 @@ def test_batched_values_equal_scalar(n):
         # 30 full sets overflow one kernel block at n=70
         masks = random_masks(n, 200, seed=n) + [(1 << n) - 1] * 30
         scalar = np.array([f._fn(m) for m in masks])
-        for batch in (masks, as_matrix(masks, n)):
-            got = f.values(batch)
-            # rows are grouped by set size, so every row sums in the scalar
-            # order and the values agree bit for bit
-            np.testing.assert_array_equal(got, scalar)
-            np.testing.assert_array_equal(scalar_twin(f).values(batch), scalar)
+        X = as_matrix(masks, n)
+        # rows are grouped by set size, so every row sums in the scalar
+        # order and the values agree bit for bit
+        np.testing.assert_array_equal(f.values(X), scalar)
+        np.testing.assert_array_equal(scalar_twin(f).values(X), scalar)
 
 
 def test_batched_values_count_one_evaluation_per_set():
     for f in objectives(30):
         masks = random_masks(30, 40, seed=1)
-        f.values(masks)
-        assert f.eval_count == len(masks)
         f.values(as_matrix(masks, 30))
-        assert f.eval_count == 2 * len(masks)
-        assert f.values([]).shape == (0,)
-        assert f.eval_count == 2 * len(masks)
+        assert f.eval_count == len(masks)
+        assert f.values(as_matrix([], 30)).shape == (0,)
+        assert f.eval_count == len(masks)
 
 
 def test_memo_caches_fn_and_kernel_batches_bypass_it():
@@ -258,10 +250,10 @@ def test_memo_caches_fn_and_kernel_batches_bypass_it():
     f = SetFunctionOracle(GroundSet(4), fn, ids_fn=ids_fn)
     assert f.value(0b0011) == f.value(0b0011) == 3.0
     assert scalar == [0b0011] and f.eval_count == 2
-    for batch in (masks, as_matrix(masks, 4)):
+    for _ in range(2):
         computed.clear()
         scalar.clear()
-        assert f.values(batch).tolist() == [3.0, 3.0, 3.0, 6.0, 0.0]
+        assert f.values(as_matrix(masks, 4)).tolist() == [3.0, 3.0, 3.0, 6.0, 0.0]
         # the cached set and the repeated one reach the kernel too; the
         # empty set goes to fn, never to the kernel
         assert sorted(computed) == [[0, 1], [0, 1, 2, 3], [0, 2], [0, 2]]
@@ -276,7 +268,7 @@ def test_memo_caches_fn_and_kernel_batches_bypass_it():
 
     g = SetFunctionOracle(GroundSet(4), fn)
     g.value(0b0011)
-    g.values(masks)
+    g.values(as_matrix(masks, 4))
     g.values(as_matrix(masks, 4))
     assert g.scan(0b0001, [1, 2, 3]) == [3.0, 3.0, 3.0]
     assert scalar == [0b0011, 0b0101, 0b1111, 0b0000, 0b1001]  # once per mask
@@ -288,7 +280,7 @@ def test_memo_caches_fn_and_kernel_batches_bypass_it():
     assert h._memo is None
     h.value(3)
     h.value(3)
-    h.values([3, 3])
+    h.values(as_matrix([3, 3], 21))
     assert h.scan(1, [1, 1]) == [3.0, 3.0]
     assert scalar == [3] * 6 and h.eval_count == 6
 
@@ -297,33 +289,44 @@ def test_oracle_without_kernel_returns_its_scalar_values():
     f, table = mixture_oracle(5, seed=4)
     assert f._ids_fn is None
     masks = random_masks(5, 30, seed=2)
-    for batch in (masks, as_matrix(masks, 5)):
-        got = f.values(batch)
-        assert got.tolist() == [table[m] for m in masks]
-    assert f.eval_count == 2 * len(masks)
+    assert f.values(as_matrix(masks, 5)).tolist() == [table[m] for m in masks]
+    assert f.eval_count == len(masks)
 
 
 def test_values_rejects_a_matrix_of_the_wrong_width_and_bad_kernels():
     f = objectives(6)[0]
-    with pytest.raises(ValueError, match="6 columns"):
-        f.values(np.zeros((3, 5), dtype=bool))
-    for n, bad in ((6, 1 << 6), (6, -1), (6, 1 << 63), (6, -(1 << 64)), (70, 1 << 70),
-                   (70, -1)):
-        with pytest.raises(ValueError, match="outside"):
-            objectives(n)[1].values([0, bad])
+    for kernel in (f._ids_fn, None):
+        g = SetFunctionOracle(f.ground, f._fn, ids_fn=kernel)
+        for X in (np.zeros((3, 5), dtype=bool), np.zeros(6, dtype=bool), [1, 2]):
+            with pytest.raises(ValueError, match=r"is a \(B, 6\) boolean matrix, "
+                               r"got shape"):
+                g.values(X)
+        assert g.eval_count == 0
     g = SetFunctionOracle(GroundSet(3), float, ids_fn=lambda ids: np.zeros(1))
     with pytest.raises(ValueError, match="shape"):
-        g.values([1, 2])
+        g.values(as_matrix([1, 2], 3))
     with pytest.raises(ValueError, match="shape"):
         g.scan(1, [1, 2])
 
 
+def test_values_rejects_a_non_boolean_matrix_on_every_oracle_kind():
+    # an int row reads as truth values on one path and as bit weights on the
+    # other ([[2, 0, 0]] is {0} or mask 2 = {1}), so both paths refuse it
+    f = objectives(3)[1]
+    for kernel in (f._ids_fn, None):
+        g = SetFunctionOracle(f.ground, f._fn, ids_fn=kernel)
+        for X in (np.array([[2, 0, 0]]), np.array([[1, 0, 0]], dtype=np.uint8),
+                  np.array([[1.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 1.0]])):
+            with pytest.raises(ValueError, match=f"boolean matrix, got dtype {X.dtype}$"):
+                g.values(X)
+        assert g.eval_count == 0
+        assert g.values(np.array([[False, True, False]])).tolist() == [f._fn(0b010)]
+
+
 def test_a_mask_outside_the_ground_set_raises_on_every_path():
     # with and without a kernel: no path may drop the extra bits, index past
-    # a table or count the set. A kernel batch is checked whole before
-    # anything is counted; the scalar `values` loop evaluates, and counts,
-    # only the sets before the bad one; a rejected scan counts nothing on
-    # either path
+    # a table or count the set; a rejected scan counts nothing on either
+    # path. A batch to `values` is a (B, n) matrix, which holds no such set.
     n = 5
     s = random_similarity(n, seed=3)
     table_f, _ = mixture_oracle(n, seed=0)
@@ -337,12 +340,6 @@ def test_a_mask_outside_the_ground_set_raises_on_every_path():
                                f"{n}-element ground set$"):
                 f.value(bad)
             assert f.eval_count == count
-            scalar = f._ids_fn is None
-            for batch in ([bad], [0, 1, bad]):
-                count = f.eval_count
-                with pytest.raises(ValueError, match=f"outside the {n}-element"):
-                    f.values(batch)
-                assert f.eval_count == count + scalar * (len(batch) - 1)
             for A, cands in ((bad, [1]), (0, [1, n]), (0b11, [n + 3, 2])):
                 count = f.eval_count
                 with pytest.raises(ValueError, match=f"outside the {n}-element"):
@@ -387,16 +384,25 @@ def test_scan_equals_values_on_every_oracle_kind(n):
                 cands = [u for u in rng.permutation(n).tolist() if not (A >> u) & 1]
                 cands += cands[:2]
                 got = scanned.scan(A, cands)
-                ref = batched.values([A | (1 << u) for u in cands])
+                ref = batched.values(as_matrix([A | (1 << u) for u in cands], n))
                 assert type(got) is list and all(type(v) is float for v in got)
                 np.testing.assert_array_equal(np.array(got).view(np.int64),
                                               ref.view(np.int64))
                 assert got == [obj._fn(A | (1 << u)) for u in cands]
                 assert scanned.eval_count == batched.eval_count
             assert scanned._memo == batched._memo
+            # the scans `ids_fn` cannot take loop over `value`: an empty
+            # scan counts nothing, and a candidate in A yields f(A)
             calls = scanned.eval_count
-            assert scanned.scan((1 << n) - 1, []) == []
+            for A in ((1 << n) - 1, 0, 0b101):
+                assert scanned.scan(A, []) == []
             assert scanned.eval_count == calls
+            A = 0b101
+            got = scanned.scan(A, [2, 1, 0, 3])
+            ref = batched.values(as_matrix([A, A | 0b10, A, A | 0b1000], n))
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert got == ref.tolist() == [obj._fn(A | (1 << u)) for u in (2, 1, 0, 3)]
+            assert scanned.eval_count == batched.eval_count == calls + 4
 
 
 def test_candidate_scans_evaluate_only_non_members():
@@ -467,7 +473,7 @@ def test_batched_equals_scalar_property(data, n, seed, lam, psd):
     s = random_similarity(n, seed=seed, psd=psd)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
     for f in (movie_objective(s, lam), image_objective(s)):
-        got = f.values(masks)
+        got = f.values(as_matrix(masks, n))
         assert got.tolist() == [f._fn(m) for m in masks]
         assert f.eval_count == len(masks)
 
@@ -531,9 +537,9 @@ def test_batched_non_finite_values_raise_and_name_the_mask():
 
     f = SetFunctionOracle(GroundSet(3), lambda m: float(m.bit_count()),
                           ids_fn=ids_fn, name="holey")
-    assert f.values([1, 2, 3]).tolist() == [1.0, 1.0, 2.0]
+    assert f.values(as_matrix([1, 2, 3], 3)).tolist() == [1.0, 1.0, 2.0]
     with pytest.raises(ValueError, match=r"oracle holey .* mask 7 \(elements \[0, 1, 2\]\)"):
-        f.values([0, 7, 5])
+        f.values(as_matrix([0, 7, 5], 3))
 
 
 def test_scan_non_finite_values_raise_and_name_the_mask():

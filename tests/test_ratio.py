@@ -11,6 +11,7 @@ from monoratio import (SetFunctionOracle, SizeLimitError,
                        exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
                        image_objective, image_weak_ratio_bound, is_submodular,
                        movie_objective, movie_ratio_bound, quadratic_ratio_bound)
+from monoratio.oracle import _f_table
 
 
 def test_ratio_examples():
@@ -127,6 +128,11 @@ def test_certifier_table_spans_several_chunks():
     plain = SetFunctionOracle(f.ground, f._fn, name=f.name)
     assert exact_monotonicity_ratio(f) == exact_monotonicity_ratio(plain)
     assert f.eval_count == plain.eval_count == 1 << 13
+    ref = np.array([f._fn(mask) for mask in range(1 << 13)])
+    for kernel in (f._ids_fn, None):
+        g = SetFunctionOracle(f.ground, f._fn, ids_fn=kernel, name=f.name)
+        np.testing.assert_array_equal(_f_table(g).view(np.int64), ref.view(np.int64))
+        assert g.eval_count == 1 << 13
 
 
 def test_weak_ratio_identity_when_everything_feasible():
