@@ -3,9 +3,10 @@ under cardinality constraints (plus their accelerated threshold/sample
 variants), greedy and random greedy under matroid constraints, and the Random
 scarecrow baseline.
 
-Every run returns a RunResult whose value is a fresh oracle evaluation of the
+Every run returns a RunResult whose value is the run's own evaluation of the
 returned solution and whose oracle_calls counts the calls consumed by the
-run. All randomness flows through explicitly seeded numpy generators.
+run. A run evaluates each set at most once: it reuses the values it holds.
+All randomness flows through explicitly seeded numpy generators.
 """
 
 from __future__ import annotations
@@ -112,9 +113,8 @@ def _seed_words(seed: int):
     return _cached_seed_sequence()(seed)
 
 
-def _finish(f: SetFunctionOracle, solution: int, start_calls: int,
-            seed: int | None, trace) -> RunResult:
-    value = f.value(solution)
+def _finish(f: SetFunctionOracle, solution: int, value: float,
+            start_calls: int, seed: int | None, trace) -> RunResult:
     return RunResult(solution=solution, value=value,
                      oracle_calls=f.eval_count - start_calls, seed=seed,
                      trace=tuple(trace) if trace is not None else None)
@@ -129,8 +129,8 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     value is at least (2 f(OPT) + f(empty) + f(N)) / 4.
 
     f(X) and f(Y) are carried forward rather than re-evaluated, so a run
-    makes 2n + 3 oracle calls: f(empty) and f(N), f(X+u) and f(Y-u) per
-    element, and the final evaluation of the solution.
+    makes 2n oracle calls: f(empty) and f(N), then f(X+u) and f(Y-u) for
+    each element but the last, where X+u = Y and Y-u = X.
     """
     rng, seed = _rng(seed)
     start = f.eval_count
@@ -145,8 +145,11 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     uniforms = rng.random(n).tolist()
     for u in range(n):
         bit = 1 << u
-        fXu = f.value(X | bit)
-        fYu = f.value(Y & ~bit)
+        if u < n - 1:
+            fXu = f.value(X | bit)
+            fYu = f.value(Y & ~bit)
+        else:  # X + u = Y and Y - u = X
+            fXu, fYu = fY, fX
         a = fXu - fX
         b = fYu - fY
         ap, bp = max(a, 0.0), max(b, 0.0)
@@ -162,18 +165,20 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
             rows.append(TraceRow(u + 1, u, a, take))
     if X != Y:
         raise RuntimeError(f"double greedy ended with X={X} != Y={Y}")
-    return _finish(f, X, start, seed, rows)
+    return _finish(f, X, fX, start, seed, rows)
 
 
 def best_of_with_ground(f: SetFunctionOracle, seed=None) -> RunResult:
     """Better of double greedy and the full ground set; achieves the
-    max{m, (2+m)/4} unconstrained guarantee."""
+    max{m, (2+m)/4} unconstrained guarantee. It makes 2n + 1 oracle calls:
+    those of double greedy and f(N)."""
     start = f.eval_count
     dg = double_greedy(f, seed=seed)
     full = (1 << f.n) - 1
     ground_value = f.value(full)
-    solution = full if ground_value > dg.value else dg.solution
-    return _finish(f, solution, start, dg.seed, None)
+    if ground_value > dg.value:
+        return _finish(f, full, ground_value, start, dg.seed, None)
+    return _finish(f, dg.solution, dg.value, start, dg.seed, None)
 
 
 def _scan(f: SetFunctionOracle, A: int, candidates):
@@ -183,10 +188,11 @@ def _scan(f: SetFunctionOracle, A: int, candidates):
     return zip(cands, f.scan(A, cands))
 
 
-def _best_candidate(f, A, fA, candidates):
-    """(value, marginal, element) maximizing the marginal, ties by smaller id."""
+def _best_candidate(pairs, fA):
+    """(value, marginal, element) maximizing the marginal val - fA over the
+    pairs (u, val), ties by the first pair."""
     best = None
-    for u, val in _scan(f, A, candidates):
+    for u, val in pairs:
         marg = val - fA
         if best is None or marg > best[1]:
             best = (val, marg, u)
@@ -208,7 +214,7 @@ def _greedy(f: SetFunctionOracle, M: Matroid, trace: bool) -> RunResult:
                  if not (A >> u) & 1 and M.is_independent(A | (1 << u))]
         if not cands:
             break
-        val, marg, u = _best_candidate(f, A, fA, cands)
+        val, marg, u = _best_candidate(_scan(f, A, cands), fA)
         if marg < 0.0:
             if rows is not None:
                 rows.append(TraceRow(i, u, marg, False))
@@ -217,7 +223,7 @@ def _greedy(f: SetFunctionOracle, M: Matroid, trace: bool) -> RunResult:
         fA = val
         if rows is not None:
             rows.append(TraceRow(i, u, marg, True))
-    return _finish(f, A, start, None, rows)
+    return _finish(f, A, fA, start, None, rows)
 
 
 def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> RunResult:
@@ -261,7 +267,7 @@ def _random_greedy(f: SetFunctionOracle, k: int, seed, collect,
                 rows.append(TraceRow(i, u, marg, True))
         elif rows is not None:
             rows.append(TraceRow(i, None, None, False))
-    return _finish(f, A, start, seed, rows)
+    return _finish(f, A, fA, start, seed, rows)
 
 
 def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
@@ -315,7 +321,7 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
                     fA = val
                     held.clear()
             w *= 1.0 - eps
-    return _finish(f, A, start, None, None)
+    return _finish(f, A, fA, start, None, None)
 
 
 def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunResult:
@@ -323,9 +329,9 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
     ceil((n/k) ln(1/eps)) uniform candidates and adds the best of the sample
     when its marginal is non-negative.
 
-    Every iteration evaluates its own sample, also when A did not change:
-    the samples differ from one iteration to the next, so few values could
-    be reused.
+    f(A + u) is evaluated once per A: an iteration evaluates only the
+    members of its sample whose values it does not hold since A last
+    changed.
     """
     n = f.n
     if not 0.0 < eps < 1.0:
@@ -337,6 +343,7 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
     sample_size = math.ceil((n / k) * math.log(1.0 / eps))
     A = 0
     fA = f.value(0)
+    held = {}  # f(A + u) for the current A
     for _ in range(k):
         cands = [u for u in range(n) if not (A >> u) & 1]
         if not cands:
@@ -344,11 +351,13 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
         take = min(sample_size, len(cands))
         sample = sorted(int(cands[j]) for j in
                         rng.choice(len(cands), size=take, replace=False))
-        val, marg, u = _best_candidate(f, A, fA, sample)
+        held.update(_scan(f, A, [u for u in sample if u not in held]))
+        val, marg, u = _best_candidate(((u, held[u]) for u in sample), fA)
         if marg >= 0.0:
             A |= 1 << u
             fA = val
-    return _finish(f, A, start, seed, None)
+            held.clear()
+    return _finish(f, A, fA, start, seed, None)
 
 
 def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
@@ -410,10 +419,11 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
 
     The marginals, M_i and the table `partner` draws from are functions of
     the solution alone, so they are computed at the start and after each
-    accepted swap; an iteration whose swap is rejected reuses them. An
-    iteration then makes one oracle call, for the candidate swap, plus the
-    scan of the reals outside the solution when the previous swap was
-    accepted.
+    accepted swap; an iteration whose swap is rejected reuses them. A run
+    evaluates each set of reals at most once: it holds the value of every
+    set it evaluated, so a scan evaluates only the reals outside the
+    solution whose sets it does not hold, and a candidate swap costs a call
+    only the first time its set comes up.
     """
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
@@ -424,34 +434,45 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     k = M.rank
     n = M.n
     if k == 0:
-        return _finish(f, 0, start, seed, rows)
+        return _finish(f, 0, f.value(0), start, seed, rows)
     free = 2 * k
     real_mask = (1 << n) - 1
     draws = rng.random((math.ceil(k / eps), 4)).tolist()
     # arbitrary starting base: the first k dummies
     S = ((1 << k) - 1) << n
-    fS = f.value(S & real_mask)
-    outside = list(range(n))  # the reals outside S
+    fS = f.value(0)
+    known = {0: fS}  # value of every set of reals the run has evaluated
     law = None  # exchange law of S and its M_i; None after S changed
     for i, x in enumerate(draws, 1):
         if law is None:
+            R = S & real_mask
             w = [0.0] * n
-            for u, val in zip(outside, f.scan(S & real_mask, outside)):
+            new = []  # the reals u whose sets R + u the run has not evaluated
+            for u in range(n):  # a member u gives R itself: weight 0
+                val = known.get(R | (1 << u))
+                if val is None:
+                    new.append(u)
+                else:
+                    w[u] = val - fS
+            for u, val in zip(new, f.scan(R, new)):
+                known[R | (1 << u)] = val
                 w[u] = val - fS
             law = M.exchange_law(S, M.greedy(w, S, free), free)
         u, out = M.partner(law, x, rng)
         cand = (S & ~(1 << out)) | (1 << u)
-        cand_val = f.value(cand & real_mask)
+        C = cand & real_mask
+        cand_val = known.get(C)
+        if cand_val is None:
+            cand_val = known[C] = f.value(C)
         delta = cand_val - fS
         improved = cand_val > fS
         if improved:
             S = cand
             fS = cand_val
-            outside = [v for v in range(n) if not (S >> v) & 1]
             law = None
         if rows is not None:
             rows.append(TraceRow(i, u if u < n else None, delta, improved))
-    return _finish(f, S & real_mask, start, seed, rows)
+    return _finish(f, S & real_mask, fS, start, seed, rows)
 
 
 def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
@@ -479,4 +500,4 @@ def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
             cand = sol | (1 << int(u))
             if constraint.is_independent(cand):
                 sol = cand
-    return _finish(f, sol, start, seed, None)
+    return _finish(f, sol, f.value(sol), start, seed, None)

@@ -157,8 +157,9 @@ class SetFunctionOracle:
         evaluations. A candidate outside 0..n-1 raises ValueError naming
         it, and the rejected scan counts nothing.
         """
-        if self._ids_fn is not None:
+        if not isinstance(candidates, list):  # an iterator is read once
             candidates = list(candidates)
+        if self._ids_fn is not None:
             n = self.n
             if candidates and (min(candidates) < 0 or max(candidates) >= n):
                 self._check_candidates(candidates, self.eval_count)

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from monoratio import GroundSet, SetFunctionOracle, ids_of, mixture_objective
+from monoratio import (GroundSet, SetFunctionOracle, ids_of, mask_of,
+                       mixture_objective)
 
 
 def table_oracle(table, name="table") -> SetFunctionOracle:
@@ -37,6 +38,26 @@ def directed_cut_edge() -> SetFunctionOracle:
     """Directed cut of the single edge 0 -> 1 (n = 2)."""
     return SetFunctionOracle(GroundSet(2), lambda m: 1.0 if m == 0b01 else 0.0,
                              name="cut-edge")
+
+
+def recording_oracle(f: SetFunctionOracle):
+    """(copy, log): a copy of the oracle `f` without a memo whose `fn` and
+    `ids_fn` append to `log` every mask they compute."""
+    log = []
+    fn, ids_fn = f._fn, f._ids_fn
+
+    def logged_fn(mask):
+        log.append(mask)
+        return fn(mask)
+
+    def logged_ids_fn(ids):
+        log.extend(mask_of(row) for row in ids.tolist())
+        return ids_fn(ids)
+
+    g = SetFunctionOracle(f.ground, logged_fn, name=f.name,
+                          ids_fn=None if ids_fn is None else logged_ids_fn)
+    g._memo = None
+    return g, log
 
 
 def as_matrix(masks, n: int) -> np.ndarray:

@@ -152,23 +152,23 @@ def test_run_matroid_algorithms(capsys, tmp_path):
 # the image/greedy count is that of greedy stopping at its first negative
 # marginal
 RUN_GOLDEN = {
-    ("movie", "greedy"): "253.0502968,4,44,3,2|4|7|11",
-    ("movie", "random-greedy"): "253.0502968,4,44,3,2|4|7|11",
-    ("movie", "threshold-greedy"): "251.0780155,4,44,3,1|2|4|7",
-    ("movie", "sample-greedy"): "252.4578471,4,30,3,2|4|7|9",
-    ("movie", "threshold-random-greedy"): "253.0502968,4,44,3,2|4|7|11",
-    ("movie", "double-greedy"): "319.9382859,8,27,3,0|1|3|4|5|6|7|9",
-    ("movie", "greedy-matroid"): "253.0502968,4,35,3,2|4|7|11",
-    ("movie", "random-greedy-matroid"): "253.0502968,4,92,3,2|4|7|11",
+    ("movie", "greedy"): "253.0502968,4,43,3,2|4|7|11",
+    ("movie", "random-greedy"): "253.0502968,4,43,3,2|4|7|11",
+    ("movie", "threshold-greedy"): "251.0780155,4,43,3,1|2|4|7",
+    ("movie", "sample-greedy"): "252.4578471,4,29,3,2|4|7|9",
+    ("movie", "threshold-random-greedy"): "253.0502968,4,43,3,2|4|7|11",
+    ("movie", "double-greedy"): "319.9382859,8,24,3,0|1|3|4|5|6|7|9",
+    ("movie", "greedy-matroid"): "253.0502968,4,34,3,2|4|7|11",
+    ("movie", "random-greedy-matroid"): "253.0502968,4,58,3,2|4|7|11",
     ("movie", "random"): "241.7235199,4,1,3,3|4|7|8",
-    ("image", "greedy"): "26.83983395,2,35,3,7|11",
-    ("image", "random-greedy"): "26.83983395,2,25,3,7|11",
-    ("image", "threshold-greedy"): "26.78094841,1,25,3,11",
-    ("image", "sample-greedy"): "26.14420268,2,30,3,2|11",
-    ("image", "threshold-random-greedy"): "26.83983395,2,25,3,7|11",
-    ("image", "double-greedy"): "24.08145692,5,27,3,0|1|4|7|11",
-    ("image", "greedy-matroid"): "26.83983395,2,29,3,7|11",
-    ("image", "random-greedy-matroid"): "26.78094841,1,96,3,11",
+    ("image", "greedy"): "26.83983395,2,34,3,7|11",
+    ("image", "random-greedy"): "26.83983395,2,24,3,7|11",
+    ("image", "threshold-greedy"): "26.78094841,1,24,3,11",
+    ("image", "sample-greedy"): "26.14420268,2,23,3,2|11",
+    ("image", "threshold-random-greedy"): "26.83983395,2,24,3,7|11",
+    ("image", "double-greedy"): "24.08145692,5,24,3,0|1|4|7|11",
+    ("image", "greedy-matroid"): "26.83983395,2,28,3,7|11",
+    ("image", "random-greedy-matroid"): "26.78094841,1,53,3,11",
     ("image", "random"): "22.04780134,4,1,3,3|4|7|8",
 }
 CARDINALITY_ALGS = {"greedy", "random-greedy", "threshold-greedy",

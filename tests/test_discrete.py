@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectation,
                      gap_oracle, mixture_oracle, modular_oracle,
-                     naive_greedy_trajectory, psd_similarity, table_oracle,
-                     union_find_forest_indep)
+                     naive_greedy_trajectory, psd_similarity, recording_oracle,
+                     table_oracle, union_find_forest_indep)
 from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
                        UniformMatroid, best_of_with_ground,
                        double_greedy, exact_monotonicity_ratio, greedy_cardinality,
@@ -22,6 +23,7 @@ from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
                        trace_to_csv)
 from monoratio.constraints import _matching_exchange
 from monoratio.discrete import _rng
+from monoratio.experiments import ALGORITHMS
 
 INV_E = math.exp(-1.0)
 
@@ -483,26 +485,26 @@ def test_matroid_axioms_and_partner_exchange_property(M, seed):
 def test_random_greedy_matroid_golden():
     """Seeded runs pinned to solutions and values drawn from the exchange
     law, one block of four uniforms per iteration. The call counts are those
-    of scanning only after an accepted swap."""
+    of evaluating each set of reals at most once."""
     f, _ = mixture_oracle(7, seed=8)
     M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(f, M, 0.1, seed=s) for s in range(6))]
-    assert got == [(20, 9.256046344562186, 50), (21, 10.531033574483407, 54),
-                   (20, 9.256046344562186, 60), (67, 8.772044191282124, 58),
-                   (20, 9.256046344562186, 55), (67, 8.772044191282124, 54)]
+    assert got == [(20, 9.256046344562186, 21), (21, 10.531033574483407, 26),
+                   (20, 9.256046344562186, 29), (67, 8.772044191282124, 28),
+                   (20, 9.256046344562186, 28), (67, 8.772044191282124, 24)]
 
     img = image_objective(psd_similarity(30, seed=2, d=10))
     P = PartitionMatroid(30, [range(0, 10), range(10, 20), range(20, 30)], [2, 2, 1])
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, P, 0.2, seed=s) for s in range(4))]
-    assert got == [(8352, 97.01004593767361, 301), (8352, 97.01004593767361, 141),
-                   (8352, 97.01004593767361, 168), (8352, 97.01004593767361, 194)]
+    assert got == [(8352, 97.01004593767361, 278), (8352, 97.01004593767361, 117),
+                   (8352, 97.01004593767361, 144), (8352, 97.01004593767361, 169)]
     U = UniformMatroid(30, 4)
     got = [(r.solution, r.value, r.oracle_calls)
            for r in (random_greedy_matroid(img, U, 0.2, seed=s) for s in range(4))]
-    assert got == [(8352, 97.01004593767361, 218), (8352, 97.01004593767361, 163),
-                   (8352, 97.01004593767361, 136), (272416, 96.48078919794668, 162)]
+    assert got == [(8352, 97.01004593767361, 194), (8352, 97.01004593767361, 143),
+                   (8352, 97.01004593767361, 116), (272416, 96.48078919794668, 148)]
 
 
 def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch):
@@ -526,9 +528,9 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
         assert len(r.trace) == 30 and accepted > 0
         assert len(calls) == 1 + accepted
         got.append((r.solution, r.value, r.oracle_calls))
-    assert got == [(20, 9.256046344562186, 50), (21, 10.531033574483407, 54),
-                   (20, 9.256046344562186, 60), (67, 8.772044191282124, 58),
-                   (20, 9.256046344562186, 55), (67, 8.772044191282124, 54)]
+    assert got == [(20, 9.256046344562186, 21), (21, 10.531033574483407, 26),
+                   (20, 9.256046344562186, 29), (67, 8.772044191282124, 28),
+                   (20, 9.256046344562186, 28), (67, 8.772044191282124, 24)]
 
 
 # ---------------------------------------------------------------------- baseline
@@ -587,10 +589,10 @@ def test_determinism_fixed_seed():
         assert a.solution == b.solution and a.value == b.value
 
 
-def test_run_result_value_is_fresh_eval():
+def test_run_result_value_is_the_value_of_the_solution():
     f, table = mixture_oracle(5, seed=10)
     r = random_greedy_cardinality(f, 2, seed=0)
-    assert r.value == pytest.approx(table[r.solution])
+    assert r.value == table[r.solution]
     assert r.oracle_calls > 0
     assert r.seed == 0
 
@@ -659,6 +661,24 @@ def rescanning_threshold_greedy(f, k, eps):
                     if val - fA >= w:
                         A, fA = A | (1 << u), val
             w *= 1.0 - eps
+    return A, None
+
+
+def rescanning_sample_greedy(f, k, eps, rng):
+    n = f.n
+    size = math.ceil((n / k) * math.log(1.0 / eps))
+    A, fA = 0, f.value(0)
+    for _ in range(k):
+        cands = [u for u in range(n) if not (A >> u) & 1]
+        if not cands:
+            break
+        sample = sorted(cands[j] for j in
+                        rng.choice(len(cands), size=min(size, len(cands)), replace=False))
+        marg = {u: f.value(A | (1 << u)) - fA for u in sample}
+        u = max(sample, key=marg.__getitem__)  # ties by smaller id
+        if marg[u] >= 0.0:
+            A |= 1 << u
+            fA = f.value(A)
     return A, None
 
 
@@ -743,7 +763,7 @@ def differential_cases(draw):
 def test_query_once_algorithms_match_the_rescanning_references(case, seed):
     """Reusing held values changes nothing but the oracle call count: same
     solution, value, trace and generator state as the rescanning reference,
-    with at most its calls, and exactly 2n + 3 calls for double greedy."""
+    with at most its calls, and exactly 2n calls for double greedy."""
     make, k, eps, M = case
     pairs = [
         (lambda f, g: double_greedy(f, g, trace=True), rescanning_double_greedy),
@@ -757,6 +777,9 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
         (lambda f, g: random_greedy_matroid(f, M, eps, g, trace=True),
          lambda f, g: rescanning_random_greedy_matroid(f, M, eps, g)),
     ]
+    if k:  # sample greedy needs k >= 1
+        pairs.append((lambda f, g: sample_greedy(f, k, eps, g),
+                      lambda f, g: rescanning_sample_greedy(f, k, eps, g)))
     for run, reference in pairs:
         f, g = make(), np.random.default_rng(seed)
         got = run(f, g)
@@ -767,7 +790,7 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
         assert got.trace == (tuple(rows) if rows is not None else None)
         assert g.bit_generator.state == g_ref.bit_generator.state
         assert got.oracle_calls <= f_ref.eval_count
-    assert double_greedy(make(), seed).oracle_calls == 2 * M.n + 3
+    assert double_greedy(make(), seed).oracle_calls == 2 * M.n
     # greedy under k elements is greedy on the uniform matroid of rank k, and
     # it ends where the textbook greedy, which rescans after a rejection, ends
     f = make()
@@ -791,6 +814,34 @@ def test_random_greedy_matroid_int_seed_matches_the_reference(case, seed):
         f_ref, M, eps, np.random.default_rng(seed))
     assert (got.solution, got.value, got.trace, got.seed) == (
         solution, f_ref.value(solution), tuple(rows), seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=differential_cases(), seed=st.integers(0, 2**32 - 1))
+def test_every_run_evaluates_each_set_at_most_once(case, seed):
+    """Through `fn` or `ids_fn`, a run computes no set twice, counts exactly
+    the sets it computes, and reports the value `fn` gives its solution, bit
+    for bit. The better of double greedy and N evaluates N twice."""
+    make, k, eps, M = case
+    opts = SimpleNamespace(eps=eps)
+    constraints = {"cardinality": [k], "matroid": [M], "any": [k, M], "none": [None]}
+    for name, alg in ALGORITHMS.items():
+        if alg.experiment_only:
+            continue
+        for c in constraints[alg.constraint]:
+            if name == "sample_greedy" and k == 0:  # it needs k >= 1
+                continue
+            base = make()
+            f, log = recording_oracle(base)
+            r = alg.call(f, c, seed, opts)
+            assert len(set(log)) == len(log), name
+            assert r.oracle_calls == f.eval_count == len(log), name
+            assert r.value.hex() == float(base._fn(r.solution)).hex(), name
+    base = make()
+    f, log = recording_oracle(base)
+    r = best_of_with_ground(f, seed)
+    assert r.oracle_calls == len(log) == 2 * f.n + 1
+    assert r.value.hex() == float(base._fn(r.solution)).hex()
 
 
 # ----------------------------------------------------------------- seeded draws

@@ -348,6 +348,23 @@ def test_a_mask_outside_the_ground_set_raises_on_every_path():
         assert all(0 <= m < 1 << n for m in f._memo)
 
 
+def test_a_scan_reads_an_iterator_of_candidates_once():
+    # the error names the bad candidate, not a drained iterator's leftovers,
+    # and the rejected scan counts nothing, with and without a kernel
+    n = 5
+    s = random_similarity(n, seed=3)
+    table_f, _ = mixture_oracle(n, seed=0)
+    for f in (movie_objective(s, 0.75), image_objective(s), mixture_objective(n, 0),
+              table_f):
+        for bad in (n, -1):
+            count = f.eval_count
+            with pytest.raises(ValueError, match=f"^candidate {bad} of oracle "
+                               f"{re.escape(f.name)} is outside the {n}-element"):
+                f.scan(0, iter([0, bad]))
+            assert f.eval_count == count
+        assert f.scan(0b1, iter([2, 3])) == f.scan(0b1, [2, 3])
+
+
 def test_a_bool_matrix_kernel_keyword_is_rejected():
     # the (B, n) boolean-matrix hook is gone; its old keyword must not
     # reach an oracle that would misread id rows as masks
@@ -407,14 +424,15 @@ def test_scan_equals_values_on_every_oracle_kind(n):
 
 def test_candidate_scans_evaluate_only_non_members():
     # positive modular weights: every scan adds an element, so the i-th scan
-    # evaluates the n - i + 1 sets that grow the current set
+    # evaluates the n - i + 1 sets that grow the current set, and the value of
+    # the solution is the one the last scan found
     f = modular_oracle([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     run = random_greedy_cardinality(f, 3, seed=0)
     assert run.solution.bit_count() == 3
-    assert run.oracle_calls == 1 + 6 + 5 + 4 + 1
+    assert run.oracle_calls == 1 + 6 + 5 + 4
     run = threshold_random_greedy(f, 3, 0.2, seed=0)
     assert run.solution.bit_count() == 3
-    assert run.oracle_calls == 1 + 6 + 5 + 4 + 1
+    assert run.oracle_calls == 1 + 6 + 5 + 4
 
 
 def algorithm_runs(f, n):
