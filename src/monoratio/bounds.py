@@ -116,27 +116,27 @@ def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return xm, fn(xm)
 
 
-def _refined_max(fn, xs: np.ndarray, vals: np.ndarray, rounds: int):
-    """Maximum of fn over [xs[0], xs[-1]]: the best of the dense grid xs
-    (vals = fn(xs)), then golden-section refinement rounds around the
-    incumbent, each round shrinking the bracket.
+def _bracket(grid: np.ndarray, j: int) -> tuple[float, float]:
+    """The interval one grid step either side of grid[j], clipped to the
+    grid's ends."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    step = (hi - lo) / (len(grid) - 1)
+    x = float(grid[j])
+    return max(lo, x - step), min(hi, x + step)
+
+
+def _refined_max(fn, xs: np.ndarray, vals: np.ndarray) -> float:
+    """Maximum of fn over [xs[0], xs[-1]]: the better of the dense grid's
+    best value (vals = fn(xs)) and one golden-section search within a grid
+    step of it.
 
     The golden-section steps call fn on Python floats, and the curve terms
     return Python floats: they use only arithmetic and _exp, and np.exp
     rounds a float exactly as it rounds the same float inside an array. So
     a step costs a few float operations, not a chain of numpy scalars."""
-    lo, hi = float(xs[0]), float(xs[-1])
     j = int(np.argmax(vals))
-    best_x, best_v = float(xs[j]), float(vals[j])
-    span = (hi - lo) / (len(xs) - 1)
-    for _ in range(rounds):
-        a = max(lo, best_x - span)
-        b = min(hi, best_x + span)
-        x, v = golden_section_max(fn, a, b)
-        if v > best_v:
-            best_x, best_v = x, v
-        span /= 50.0
-    return best_x, best_v
+    _, v = golden_section_max(fn, *_bracket(xs, j))
+    return max(float(vals[j]), v)
 
 
 # Float bytes of one row block of the (alpha, x) grid: bounds each
@@ -186,14 +186,14 @@ def _first_min_row(A: np.ndarray, B: np.ndarray, alphas: np.ndarray,
 
 
 def _nested_min_max(term_a, term_b, denom, x_hi: float,
-                    resolution: int, rounds: int) -> float:
+                    resolution: int) -> float:
     """min over alpha in [0,1] of [max over x in [0,x_hi] of
     alpha*term_a(x) + (1-alpha)*term_b(x)] / denom(alpha).
 
     Takes the first (alpha, x) grid row minimizing its max over denom
-    (_first_min_row evaluates only the rows that can), then refines first x
-    and finally alpha by golden section. The x grid and its terms are built
-    once.
+    (_first_min_row evaluates only the rows that can), then refines, by one
+    golden-section search each within a grid step, first x and finally
+    alpha. The x grid and its terms are built once.
     """
     _check_resolution(resolution)
     xs = np.linspace(0.0, x_hi, resolution)
@@ -203,23 +203,14 @@ def _nested_min_max(term_a, term_b, denom, x_hi: float,
 
     def outer(alpha: float) -> float:
         f = lambda x: alpha * term_a(x) + (1.0 - alpha) * term_b(x)
-        _, v = _refined_max(f, xs, alpha * A + (1.0 - alpha) * B, rounds)
-        return v / float(denom(alpha))
+        return _refined_max(f, xs, alpha * A + (1.0 - alpha) * B) \
+            / float(denom(alpha))
 
-    best_a, best_v = float(alphas[j]), outer(float(alphas[j]))
-    span = 1.0 / (resolution - 1)
-    for _ in range(rounds):
-        a = max(0.0, best_a - span)
-        b = min(1.0, best_a + span)
-        x, v = golden_section_max(lambda t: -outer(t), a, b)
-        if -v < best_v:
-            best_a, best_v = x, -v
-        span /= 50.0
-    return best_v
+    _, v = golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
+    return min(outer(float(alphas[j])), -v)
 
 
-def cardinality_hardness(m: float, resolution: int = _RESOLUTION,
-                         rounds: int = 3) -> float:
+def cardinality_hardness(m: float, resolution: int = _RESOLUTION) -> float:
     """Numeric value of the cardinality-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1]}
@@ -229,11 +220,10 @@ def cardinality_hardness(m: float, resolution: int = _RESOLUTION,
     term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
     term_b = lambda x: 2.0 * (1.0 - _exp(x - 1.0)) * (1.0 - (1.0 - m) * x)
     denom = lambda a: np.maximum(1.0, 2.0 * (1.0 - a))
-    return _nested_min_max(term_a, term_b, denom, 1.0, resolution, rounds)
+    return _nested_min_max(term_a, term_b, denom, 1.0, resolution)
 
 
-def matroid_hardness(m: float, resolution: int = _RESOLUTION,
-                     rounds: int = 3) -> float:
+def matroid_hardness(m: float, resolution: int = _RESOLUTION) -> float:
     """Numeric value of the matroid-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1/2]}
@@ -244,19 +234,18 @@ def matroid_hardness(m: float, resolution: int = _RESOLUTION,
     term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
     term_b = lambda x: c * (1.0 - (1.0 - m) * x)
     denom = lambda a: np.ones_like(a)
-    return _nested_min_max(term_a, term_b, denom, 0.5, resolution, rounds)
+    return _nested_min_max(term_a, term_b, denom, 0.5, resolution)
 
 
-def symmetry_gap_unconstrained(m: float, resolution: int = _RESOLUTION,
-                               rounds: int = 3) -> float:
+def symmetry_gap_unconstrained(m: float,
+                               resolution: int = _RESOLUTION) -> float:
     """Numeric maximum of 2y - (2-m)y^2 over y in [0,1] (the symmetric relaxation
     value of the two-element gap instance); equals 1/(2-m) analytically."""
     m = _check_m(m)
     _check_resolution(resolution)
     f = lambda y: 2.0 * y - (2.0 - m) * y * y
     ys = np.linspace(0.0, 1.0, resolution)
-    _, v = _refined_max(f, ys, f(ys), rounds)
-    return v
+    return _refined_max(f, ys, f(ys))
 
 
 def upper_bound_from_output(value: float, guarantee_value: float) -> float:
@@ -296,7 +285,7 @@ class GuaranteeCurve:
 def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     """Evaluate one expression on a uniform m-grid of num_points in [0,1]
     (the mcg curve at time horizon T = 1, the hardness curves at their
-    default resolution and rounds)."""
+    default resolution)."""
     ms = np.linspace(0.0, 1.0, num_points)
     if expression_id in GUARANTEE_KINDS:
         pts = [(float(m), guarantee(expression_id, float(m))) for m in ms]

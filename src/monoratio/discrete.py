@@ -134,12 +134,19 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     """
     rng, seed = _rng(seed)
     start = f.eval_count
-    n = f.n
     rows = [] if trace else None
+    X, fX, _ = _double_greedy_sweep(f, rng, rows)
+    return _finish(f, X, fX, start, seed, rows)
+
+
+def _double_greedy_sweep(f: SetFunctionOracle, rng, rows):
+    """The sweep of double greedy: (X, f(X), f(N)). Appends one TraceRow per
+    element to rows unless rows is None."""
+    n = f.n
     X = 0
     Y = (1 << n) - 1
     fX = f.value(X)
-    fY = f.value(Y)
+    fY = fN = f.value(Y)
     # one call draws the same values, and leaves the same state, as n
     # scalar random() calls
     uniforms = rng.random(n).tolist()
@@ -165,20 +172,19 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
             rows.append(TraceRow(u + 1, u, a, take))
     if X != Y:
         raise RuntimeError(f"double greedy ended with X={X} != Y={Y}")
-    return _finish(f, X, fX, start, seed, rows)
+    return X, fX, fN
 
 
 def best_of_with_ground(f: SetFunctionOracle, seed=None) -> RunResult:
     """Better of double greedy and the full ground set; achieves the
-    max{m, (2+m)/4} unconstrained guarantee. It makes 2n + 1 oracle calls:
-    those of double greedy and f(N)."""
+    max{m, (2+m)/4} unconstrained guarantee. It makes the 2n oracle calls
+    of double greedy, whose sweep evaluates f(N) first."""
+    rng, seed = _rng(seed)
     start = f.eval_count
-    dg = double_greedy(f, seed=seed)
-    full = (1 << f.n) - 1
-    ground_value = f.value(full)
-    if ground_value > dg.value:
-        return _finish(f, full, ground_value, start, dg.seed, None)
-    return _finish(f, dg.solution, dg.value, start, dg.seed, None)
+    X, fX, fN = _double_greedy_sweep(f, rng, None)
+    if fN > fX:
+        return _finish(f, (1 << f.n) - 1, fN, start, seed, None)
+    return _finish(f, X, fX, start, seed, None)
 
 
 def _scan(f: SetFunctionOracle, A: int, candidates):

@@ -41,7 +41,7 @@ def test_guarantee_closed_forms():
 def test_symmetry_gap_matches_closed_form():
     for m in M_GRID:
         assert abs(symmetry_gap_unconstrained(float(m), resolution=501)
-                   - 1.0 / (2.0 - m)) < 1e-6
+                   - 1.0 / (2.0 - m)) < 1e-12
 
 
 def test_hardness_endpoints():
@@ -68,9 +68,9 @@ def test_matroid_hardness_alpha_one_slice():
 
 
 def test_consistency_alg_below_hardness():
-    ch = {m: cardinality_hardness(float(m), resolution=501, rounds=2)
+    ch = {m: cardinality_hardness(float(m), resolution=501)
           for m in M_GRID[::10]}
-    mh = {m: matroid_hardness(float(m), resolution=501, rounds=2)
+    mh = {m: matroid_hardness(float(m), resolution=501)
           for m in M_GRID[::10]}
     for m in M_GRID:
         assert guarantee("unconstrained_alg", float(m)) \
@@ -93,7 +93,7 @@ def test_monotone_in_m():
         vals = [guarantee(kind, float(m)) for m in M_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), kind
     for fn in (cardinality_hardness, matroid_hardness):
-        vals = [fn(float(m), resolution=301, rounds=1) for m in M_GRID]
+        vals = [fn(float(m), resolution=301) for m in M_GRID]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:])), fn.__name__
 
 
@@ -135,16 +135,16 @@ def test_smallest_grid_crossing():
         smallest_grid_crossing(lambda m: 0.0, 1.0, step=0.01)
 
 
-# float.hex of the numeric curves at default resolution and rounds, as the
-# evaluator gave them with one-element-array golden-section steps and the
-# full (alpha, x) grid matrix
+# float.hex of the numeric curves at default resolution, with one
+# golden-section round in x and one in alpha, each within a grid step of the
+# grid's best point
 GOLDEN_HEX = {
     "cardinality_hardness": {
-        0.0: "0x1.f6c464c293032p-2", 0.25: "0x1.1918b631f9a33p-1",
-        0.361872: "0x1.27bacf0d973e3p-1", 0.5: "0x1.3ade3cc00f486p-1",
+        0.0: "0x1.f6c464c293036p-2", 0.25: "0x1.1918b631f9a34p-1",
+        0.361872: "0x1.27bacf0d973e4p-1", 0.5: "0x1.3ade3cc00f485p-1",
         0.75: "0x1.43a54e4e98863p-1", 1.0: "0x1.43a54e4e98863p-1"},
     "matroid_hardness": {
-        0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe230p-1",
+        0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe232p-1",
         0.361872: "0x1.2105dbed0ec5ap-1", 0.5: "0x1.3593303ab5a14p-1",
         0.75: "0x1.6000000000000p-1", 1.0: "0x1.8000000000000p-1"},
     "symmetry_gap_unconstrained": {
@@ -187,7 +187,7 @@ def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
     for m in (0.0, 0.2, 0.361872, 0.75, 1.0):
         for name, denom in DENOMS.items():
             seen.clear()
-            HARDNESS[name](m, resolution=resolution, rounds=1)
+            HARDNESS[name](m, resolution=resolution)
             assert seen, (name, m)
             for A, B, alphas, got in seen:
                 full = full_row_max(A, B, alphas)
@@ -206,7 +206,7 @@ def chosen_rows(name, m, resolution):
         return j
 
     with mock.patch.object(bounds, "_first_min_row", spy):
-        HARDNESS[name](m, resolution=resolution, rounds=0)
+        HARDNESS[name](m, resolution=resolution)
     return calls
 
 
@@ -237,8 +237,31 @@ def test_pruned_row_equals_full_grid_argmin_with_ties_property(data, cols, rows)
 def test_hardness_accuracy_against_finer_run(fn):
     for m in (0.0, 0.5, 1.0):
         coarse = fn(m)
-        fine = fn(m, resolution=6001, rounds=4)
-        assert abs(coarse - fine) <= 1e-4, (fn.__name__, m, coarse, fine)
+        fine = fn(m, resolution=6001)
+        assert abs(coarse - fine) <= 1e-12, (fn.__name__, m, coarse, fine)
+
+
+@pytest.mark.parametrize("name", sorted(HARDNESS))
+def test_each_search_runs_one_golden_section_round(name):
+    # one search in alpha, and one in x for each alpha it tries and for the
+    # grid's best alpha: 45 searches of 43 evaluations each, 1,935 in all;
+    # the symmetry gap has only the search in x
+    evals = []
+    search = bounds.golden_section_max
+
+    def spy(fn, lo, hi):
+        evals.append(0)
+        i = len(evals) - 1
+
+        def counted(x):
+            evals[i] += 1
+            return fn(x)
+        return search(counted, lo, hi)
+
+    with mock.patch.object(bounds, "golden_section_max", spy):
+        HARDNESS[name](0.3)
+    searches = 1 if name == "symmetry_gap_unconstrained" else 45
+    assert evals == [43] * searches
 
 
 @settings(max_examples=200, deadline=None)
