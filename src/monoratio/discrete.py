@@ -241,30 +241,40 @@ def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> Run
     return _greedy(f, UniformMatroid(n, k), trace)
 
 
-def _random_greedy(f: SetFunctionOracle, k: int, seed, collect,
+def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
                    trace: bool) -> RunResult:
     """Random greedy: per iteration build the candidate set M_i of at most k
     elements, then add a uniform element of M_i with probability |M_i|/k (so
     each member joins with probability exactly 1/k).
 
     `collect` builds M_i from the (marginal, u, f(A + u)) triples of the
-    positive-marginal elements u, in id order, and returns a list of them.
-    M_i depends on A alone, so the marginals are scanned at the start and
-    after each added element; an iteration that adds nothing reuses M_i.
+    positive-marginal elements u, in id order, and returns a list of them;
+    `rule` is a tuple naming `collect` and its parameters. M_i depends on A
+    alone, so the marginals are scanned at the start and after each added
+    element; an iteration that adds nothing reuses M_i. Runs on one oracle
+    share M_i through its state cache under the key (rule, A): a run that
+    finds it there counts the n - |A| calls of the scan it skips.
     """
     n = f.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
     rng, seed = _rng(seed)
     start = f.eval_count
+    states = f._state_cache()
     rows = [] if trace else None
     A = 0
     fA = f.value(0)
     top = None  # M_i of the current A; None after A changed
     for i in range(1, k + 1):
         if top is None:
-            top = collect([(val - fA, u, val) for u, val in _scan(f, A, range(n))
-                           if val - fA > 0.0])
+            top = None if states is None else states.get((rule, A))
+            if top is None:
+                top = collect([(val - fA, u, val) for u, val in _scan(f, A, range(n))
+                               if val - fA > 0.0])
+                if states is not None:
+                    states[rule, A] = top
+            else:
+                f.eval_count += n - A.bit_count()
         if top and rng.random() < len(top) / k:
             marg, u, fA = top[int(rng.integers(len(top)))]
             A |= 1 << u
@@ -287,7 +297,7 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
     def top_k(pos):
         return sorted(pos, key=lambda t: -t[0])[:k]  # stable: ties by id
 
-    return _random_greedy(f, k, seed, top_k, trace)
+    return _random_greedy(f, k, seed, ("top", k), top_k, trace)
 
 
 def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
@@ -394,7 +404,7 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
                 i, w = j, w * (1.0 - eps)
         return bucket[:k]
 
-    return _random_greedy(f, k, seed, buckets, False)
+    return _random_greedy(f, k, seed, ("buckets", k, eps), buckets, False)
 
 
 def greedy_matroid(f: SetFunctionOracle, M: Matroid, trace: bool = False) -> RunResult:
@@ -430,12 +440,21 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     set it evaluated, so a scan evaluates only the reals outside the
     solution whose sets it does not hold, and a candidate swap costs a call
     only the first time its set comes up.
+
+    Runs on one oracle share this per-solution state through the oracle's
+    state cache, keyed by (M, S) for the padded solution S: the exchange
+    law and the pairs (R + u, f(R + u)) of the scan, R the reals of S and
+    u each real outside R. A run that finds them there adds to the values
+    it holds the pairs it does not hold yet and counts one call per pair
+    added, as its own scan would. Entries live as long as the oracle, and
+    the key holds M, so M must not be mutated once a run has used it.
     """
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
     rng, seed = _rng(seed)
     start = f.eval_count
+    states = f._state_cache()
     rows = [] if trace else None
     k = M.rank
     n = M.n
@@ -452,18 +471,20 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     for i, x in enumerate(draws, 1):
         if law is None:
             R = S & real_mask
-            w = [0.0] * n
-            new = []  # the reals u whose sets R + u the run has not evaluated
-            for u in range(n):  # a member u gives R itself: weight 0
-                val = known.get(R | (1 << u))
-                if val is None:
-                    new.append(u)
-                else:
-                    w[u] = val - fS
-            for u, val in zip(new, f.scan(R, new)):
-                known[R | (1 << u)] = val
-                w[u] = val - fS
-            law = M.exchange_law(S, M.greedy(w, S, free), free)
+            state = None if states is None else states.get((M, S))
+            if state is None:
+                sets = [R | (1 << u) for u in range(n)]  # a member u gives R: weight 0
+                new = [u for u in range(n) if sets[u] not in known]
+                known.update(zip([sets[u] for u in new], f.scan(R, new)))
+                w = [known[C] - fS for C in sets]
+                law = M.exchange_law(S, M.greedy(w, S, free), free)
+                if states is not None:
+                    states[M, S] = law, [(C, known[C]) for C in sets if C != R]
+            else:
+                law, pairs = state
+                added = [p for p in pairs if p[0] not in known]
+                known.update(added)
+                f.eval_count += len(added)
         u, out = M.partner(law, x, rng)
         cand = (S & ~(1 << out)) | (1 << u)
         C = cand & real_mask

@@ -114,6 +114,16 @@ class SetFunctionOracle:
     ValueError naming the oracle and the offending mask. A mask outside the
     ground set (negative, or with a bit at n or above) raises ValueError
     instead of reaching `fn`, `ids_fn` or the memo.
+
+    Seeded runs on one oracle share the state they derive from f and their
+    current set alone: random greedy's candidate set M_i per set A (and
+    candidate rule), and random greedy for matroids' exchange law and
+    scanned values per (matroid, base). The oracle keeps these states as
+    long as it lives, in a dict that exists exactly when the memo does
+    (`_state_cache`). A run that finds its state there adds to `eval_count`
+    the calls that building it would have made, so outputs and counts do
+    not depend on the sharing. A key holds the matroid object, so a matroid
+    must not be mutated after a run on the oracle has used it.
     """
 
     def __init__(self, ground: GroundSet, fn, name: str = "f", ids_fn=None):
@@ -123,7 +133,13 @@ class SetFunctionOracle:
         self._fn = fn
         self._ids_fn = ids_fn
         self._memo: dict | None = {} if ground.n <= _MEMO_MAX_N else None
+        self._states: dict = {}
         self.eval_count = 0
+
+    def _state_cache(self) -> dict | None:
+        """The states seeded runs share on this oracle, or None when it has
+        no memo (n above `_MEMO_MAX_N`, or a copy whose memo was removed)."""
+        return None if self._memo is None else self._states
 
     def value(self, mask: int) -> float:
         if mask >> self.n:  # nonzero for a negative mask too

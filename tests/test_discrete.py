@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 from fractions import Fraction
@@ -509,8 +510,10 @@ def test_random_greedy_matroid_golden():
 
 def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch):
     """A table oracle gives the same marginals until a swap is accepted, so
-    the disjoint base is computed once up front and once per accepted swap."""
-    calls = []
+    on a fresh oracle the disjoint base is computed once up front and once
+    per accepted swap. Runs on one shared oracle compute it once per
+    distinct solution S that any of them visits."""
+    calls = []  # the solution S of each greedy call
     original = Matroid.greedy
 
     def counted(self, w, exclude=0, free=0):
@@ -518,19 +521,27 @@ def test_random_greedy_matroid_recomputes_the_base_only_after_a_swap(monkeypatch
         return original(self, w, exclude, free)
 
     monkeypatch.setattr(Matroid, "greedy", counted)
-    f, _ = mixture_oracle(7, seed=8)
     M = PartitionMatroid(7, [[0, 1, 2, 3], [4, 5, 6]], [2, 1])
-    got = []
+    got, visited, fresh_calls = [], set(), 0
     for seed in range(6):
+        f, _ = mixture_oracle(7, seed=8)
         calls.clear()
         r = random_greedy_matroid(f, M, 0.1, seed=seed, trace=True)
         accepted = sum(row.accepted for row in r.trace)
         assert len(r.trace) == 30 and accepted > 0
         assert len(calls) == 1 + accepted
+        visited.update(calls)
+        fresh_calls += len(calls)
         got.append((r.solution, r.value, r.oracle_calls))
     assert got == [(20, 9.256046344562186, 21), (21, 10.531033574483407, 26),
                    (20, 9.256046344562186, 29), (67, 8.772044191282124, 28),
                    (20, 9.256046344562186, 28), (67, 8.772044191282124, 24)]
+    f, _ = mixture_oracle(7, seed=8)
+    calls.clear()
+    shared = [random_greedy_matroid(f, M, 0.1, seed=seed) for seed in range(6)]
+    assert len(calls) == len(visited) < fresh_calls  # every run starts at one S
+    assert set(calls) == visited
+    assert [(r.solution, r.value, r.oracle_calls) for r in shared] == got
 
 
 # ---------------------------------------------------------------------- baseline
@@ -727,11 +738,11 @@ def rescanning_random_greedy_matroid(f, M, eps, rng):
 
 
 @st.composite
-def differential_cases(draw):
+def differential_cases(draw, max_n=8):
     """A fixture oracle factory (a mixture table without a kernel, or an
     image or movie objective with one), k, eps and a uniform, partition or
-    graphic matroid, on n <= 8 elements."""
-    n = draw(st.integers(1, 8))
+    graphic matroid, on n <= max_n elements."""
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 10_000))
     kind = draw(st.sampled_from(["mixture", "image", "movie"]))
     if kind == "mixture":
@@ -843,6 +854,59 @@ def test_every_run_evaluates_each_set_at_most_once(case, seed):
     r = best_of_with_ground(f, seed)
     assert r.oracle_calls == len(log) == 2 * f.n
     assert r.value.hex() == float(base._fn(r.solution)).hex()
+
+
+# --------------------------------------------------------- shared-oracle states
+
+def run_on(f, a, g, k, eps, M):
+    """Run algorithm a of the three whose runs share states on an oracle:
+    random greedy, its threshold variant, random greedy for matroids."""
+    if a == 0:
+        return random_greedy_cardinality(f, k, g, trace=True)
+    if a == 1:
+        return threshold_random_greedy(f, k, eps, g)
+    return random_greedy_matroid(f, M, eps, g, trace=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=differential_cases(max_n=12),
+       runs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.booleans(),
+                               st.integers(0, 12), st.sampled_from([0.1, 0.3, 0.6]),
+                               st.booleans()),
+                     min_size=1, max_size=12))
+def test_runs_on_a_shared_oracle_equal_runs_on_fresh_oracles(case, runs):
+    """Runs in any order on one oracle, which share their states, return
+    what runs on fresh oracles return, field for field, with the same total
+    calls and the same final state of a passed Generator. The runs vary k,
+    eps and the matroid (the drawn one, or the uniform matroid of its rank,
+    whose runs start from the same padded base). Drawing from the cached
+    states again, through `partner` and, for oracle matroids,
+    `_matching_exchange` on the admissible pairs, leaves them unchanged."""
+    make, _, _, M = case
+    matroids = [M, UniformMatroid(M.n, M.rank)]
+    jobs = [(a, seed, as_generator, (k % (M.n + 1), eps, matroids[other]))
+            for a, seed, as_generator, k, eps, other in runs]
+
+    def seed_of(seed, as_generator):
+        return np.random.default_rng(seed) if as_generator else seed
+
+    shared = make()
+    fresh_calls = 0
+    for a, seed, as_generator, opts in jobs:
+        f, g_ref, g = make(), seed_of(seed, as_generator), seed_of(seed, as_generator)
+        ref = run_on(f, a, g_ref, *opts)
+        fresh_calls += f.eval_count
+        got = run_on(shared, a, g, *opts)
+        assert ((got.solution, got.value, got.oracle_calls, got.seed, got.trace)
+                == (ref.solution, ref.value, ref.oracle_calls, ref.seed, ref.trace))
+        if as_generator:
+            assert g.bit_generator.state == g_ref.bit_generator.state
+    assert shared.eval_count == fresh_calls
+    states = shared._state_cache()
+    snapshot = {key: copy.deepcopy(entry) for key, entry in states.items()}
+    for a, seed, as_generator, opts in jobs:
+        run_on(shared, a, seed_of(seed, as_generator), *opts)
+    assert states == snapshot
 
 
 # ----------------------------------------------------------------- seeded draws

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (as_matrix, directed_cut_edge, gap_oracle, mixture_oracle,
                      modular_oracle, product_expectation, psd_similarity,
-                     table_oracle)
+                     recording_oracle, table_oracle)
 from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        SetFunctionOracle, SizeLimitError, UniformMatroid,
                        double_greedy, exact_monotonicity_ratio,
@@ -283,6 +283,35 @@ def test_memo_caches_fn_and_kernel_batches_bypass_it():
     h.values(as_matrix([3, 3], 21))
     assert h.scan(1, [1, 1]) == [3.0, 3.0]
     assert scalar == [3] * 6 and h.eval_count == 6
+
+
+def test_state_cache_exists_exactly_when_the_memo_does():
+    """Seeded runs share states only on an oracle with a memo: not above 20
+    elements, and not on a copy whose memo was removed, so such a copy
+    computes again every set that a repeated run needs."""
+    def fn(mask):
+        return float(mask.bit_count())
+
+    f = SetFunctionOracle(GroundSet(20), fn)
+    assert f._state_cache() == {}
+    random_greedy_cardinality(f, 3, seed=0)
+    assert f._state_cache()
+    h = SetFunctionOracle(GroundSet(21), fn)
+    assert h._state_cache() is None
+    random_greedy_cardinality(h, 3, seed=0)
+    assert h._state_cache() is None
+
+    base, _ = mixture_oracle(6, seed=3)
+    M = PartitionMatroid(6, [[0, 1, 2], [3, 4, 5]], [1, 2])
+    for run in (lambda f: random_greedy_cardinality(f, 3, seed=1),
+                lambda f: threshold_random_greedy(f, 3, 0.2, seed=1),
+                lambda f: random_greedy_matroid(f, M, 0.2, seed=1)):
+        g, log = recording_oracle(base)
+        assert g._state_cache() is None
+        first = run(g)
+        computed = len(log)
+        assert run(g) == first and len(log) == 2 * computed == 2 * first.oracle_calls
+        assert g._state_cache() is None
 
 
 def test_oracle_without_kernel_returns_its_scalar_values():
