@@ -14,7 +14,8 @@ from .constraints import (DownClosedPolytope, Matroid, PartitionMatroid,
                           _finite_vector, _same_ground_set,
                           linear_maximize_matroid, linear_maximize_polytope)
 from .discrete import _rng
-from .oracle import SetFunctionOracle, ids_of, indicator, mask_from_indicator
+from .oracle import (SetFunctionOracle, _pack_masks, ids_of, indicator,
+                     mask_from_indicator)
 
 __all__ = [
     "MCGConfig",
@@ -59,22 +60,40 @@ class MCGResult:
     trace: list[tuple[float, float, float, float]] | None = None
 
 
-def _gain_estimates(f: SetFunctionOracle, y: np.ndarray, samples: int, rng):
+def _gain_estimates(f: SetFunctionOracle, y: np.ndarray, samples: int, rng,
+                    known: dict):
     """Estimate w_u = F(y or 1_u) - F(y) for all u with common random numbers:
     the same sampled sets R(y) are reused with u forced in, which makes each
     w_u a mean of correlated differences and slashes the variance.
 
-    The sampled sets go to the oracle as one batch, then the n * samples
-    forced sets as a second one with rows ordered by u, so the evaluation
-    order (and with it every count and memo entry) is that of a scalar loop
-    over u. The forced batch holds samples * n * n booleans."""
+    `known` maps the mask of every set the run has evaluated to its value.
+    A step lists its sets in first-occurrence order: the d distinct sampled
+    sets R, then R + u for each u and each R. The sets `known` lacks go to
+    the oracle in one batch and join `known`; the row of R + u is a sample
+    row that drew R, with column u set. The (n + 1, samples) value matrix
+    is then gathered from `known`. A row's value does not depend on its
+    batch, so the estimates equal those of evaluating all samples * (n + 1)
+    rows."""
     n = y.size
     bits = rng.random((samples, n)) < y
-    base_vals = f.values(bits)
-    forced = np.repeat(bits[None], n, axis=0)
-    forced[np.arange(n), :, np.arange(n)] = True
-    vals = f.values(forced.reshape(-1, n)).reshape(n, samples)
-    w = (vals - base_vals).mean(axis=1)
+    cols = {}  # column of each distinct sampled set, in first-occurrence order
+    col = [cols.setdefault(m, len(cols)) for m in _pack_masks(bits)]
+    d = len(cols)
+    sample_of = np.empty(d, dtype=np.intp)
+    sample_of[col] = np.arange(samples)  # a sample that drew each column's set
+    keys = [*cols] + [m | 1 << u for u in range(n) for m in cols]
+    pos = dict(zip(keys, range(len(keys))))  # first-occurrence order
+    new = [j for m, j in pos.items() if m not in known]
+    if new:
+        at = np.array(new)
+        rows = bits[sample_of[at % d]]
+        forced = at >= d
+        rows[forced, at[forced] // d - 1] = True
+        known.update(zip([keys[j] for j in new], f.values(rows).tolist()))
+    vals = np.fromiter(map(known.__getitem__, keys), float, len(keys))
+    vals = vals.reshape(n + 1, d)[:, col]
+    base_vals = vals[0]
+    w = (vals[1:] - base_vals).mean(axis=1)
     fmax = float(np.max(np.abs(base_vals))) if samples else 0.0
     est = float(base_vals.mean())
     se = float(base_vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -91,6 +110,11 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     greedy for matroid kinds, an LP for polytopes). The continuous guarantee
     target is F(y(T)) >= [m(1-e^-T) + (1-m)T e^-T] f(OPT) up to
     discretization and sampling error.
+
+    A run evaluates each set at most once: it keeps the value of every set
+    it has evaluated, and each step asks the oracle only for the sampled and
+    forced sets it does not hold yet. Its points, trace and bound are those
+    of evaluating every row of every step.
     """
     n = f.n
     rng, _ = _rng(cfg.seed)
@@ -101,8 +125,9 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     y = np.zeros(n)
     rows = [] if trace else None
     fmax_seen = 0.0
+    known = {}  # value of every set the run has evaluated, by mask
     for step in range(cfg.steps):
-        w, fest, se, fmax = _gain_estimates(f, y, cfg.samples, rng)
+        w, fest, se, fmax = _gain_estimates(f, y, cfg.samples, rng, known)
         fmax_seen = max(fmax_seen, fmax)
         if isinstance(constraint, Matroid):
             x = indicator(linear_maximize_matroid(constraint, w), n)

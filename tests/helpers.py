@@ -60,6 +60,25 @@ def recording_oracle(f: SetFunctionOracle):
     return g, log
 
 
+def every_row_gain_estimates(f: SetFunctionOracle, y, samples: int, rng,
+                             known=None):
+    """Reference copy of measured continuous greedy's gain estimates that
+    evaluates all samples * (n + 1) rows of every step: the sampled sets R_s
+    as one batch, then R_s + u as a second one with rows ordered by u. It
+    ignores `known`, so a run through it keeps no values between steps."""
+    n = y.size
+    bits = rng.random((samples, n)) < y
+    base_vals = f.values(bits)
+    forced = np.repeat(bits[None], n, axis=0)
+    forced[np.arange(n), :, np.arange(n)] = True
+    vals = f.values(forced.reshape(-1, n)).reshape(n, samples)
+    w = (vals - base_vals).mean(axis=1)
+    fmax = float(np.max(np.abs(base_vals))) if samples else 0.0
+    est = float(base_vals.mean())
+    se = float(base_vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return w, est, se, fmax
+
+
 def as_matrix(masks, n: int) -> np.ndarray:
     """(B, n) boolean matrix of int masks, one row per mask, bit by bit."""
     return np.array([[(m >> u) & 1 for u in range(n)] for m in masks],

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_opt, coverage_table, mixture_oracle, modular_oracle,
-                     table_oracle)
+import monoratio.continuous as continuous
+from helpers import (brute_opt, coverage_table, every_row_gain_estimates,
+                     mixture_oracle, modular_oracle, psd_similarity,
+                     recording_oracle, table_oracle)
 from monoratio import (DownClosedPolytope, FWConfig, MCGConfig,
                        PartitionMatroid, UniformMatroid, frank_wolfe_nonmonotone,
-                       generate_quadratic_instance, ids_of, mask_of,
-                       matroid_polytope, measured_continuous_greedy,
-                       multilinear_exact, swap_rounding)
+                       generate_quadratic_instance, ids_of, image_objective,
+                       mask_of, matroid_polytope, measured_continuous_greedy,
+                       mixture_objective, movie_objective, multilinear_exact,
+                       swap_rounding)
 
 INV_E = math.exp(-1.0)
 
@@ -84,6 +87,79 @@ def test_mcg_rejects_a_constraint_on_another_ground_set():
         with pytest.raises(ValueError, match="5 elements against 3"):
             measured_continuous_greedy(f, constraint, MCGConfig(steps=1, samples=1))
     assert f.eval_count == 0
+
+
+@st.composite
+def _mcg_cases(draw):
+    """An oracle factory (the image or movie objective with a kernel, at
+    n in {12, 50, 70}, or the memoized kernel-free mixture on n <= 10), a
+    partition matroid, the constraint (that matroid or its polytope) and an
+    MCG budget."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["image", "movie", "mixture"]))
+    if kind == "mixture":
+        n = draw(st.integers(1, 10))
+        make = lambda: mixture_objective(n, seed)
+    else:  # n = 70 packs its masks through np.packbits
+        n = draw(st.sampled_from([12, 50, 70]))
+        s = psd_similarity(n, seed)
+        lam = draw(st.sampled_from([0.3, 1.0]))
+        make = ((lambda: image_objective(s)) if kind == "image"
+                else (lambda: movie_objective(s, lam)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[u for u in range(n) if labels[u] == j] for j in sorted(set(labels))]
+    M = PartitionMatroid(n, blocks, [draw(st.integers(0, min(3, len(b)))) for b in blocks])
+    constraint = matroid_polytope(M) if draw(st.booleans()) else M
+    cfg = MCGConfig(T=draw(st.sampled_from([0.5, 1.0])), steps=draw(st.integers(1, 6)),
+                    samples=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**32 - 1)))
+    return make, M, constraint, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mcg_cases())
+def test_mcg_matches_the_every_row_reference(case):
+    """Evaluating each set once per run changes nothing but the call count:
+    the point, trace, bound and rounded set equal those of evaluating all
+    samples * (n + 1) rows of every step, bit for bit."""
+    make, M, constraint, cfg = case
+    f = make()
+    got = measured_continuous_greedy(f, constraint, cfg, trace=True)
+    f_ref = make()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuous, "_gain_estimates", every_row_gain_estimates)
+        ref = measured_continuous_greedy(f_ref, constraint, cfg, trace=True)
+    assert got.y.tobytes() == ref.y.tobytes()
+    assert got.trace == ref.trace
+    assert got.discretization_bound.hex() == ref.discretization_bound.hex()
+    assert swap_rounding(got.y, M, seed=cfg.seed) == swap_rounding(ref.y, M, seed=cfg.seed)
+    assert f_ref.eval_count == cfg.steps * cfg.samples * (f.n + 1)
+    assert f.eval_count <= f_ref.eval_count
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_mcg_cases())
+def test_mcg_evaluates_each_set_at_most_once(case):
+    """Through `fn` or `ids_fn`, a run computes no set twice and counts
+    exactly the sets it computes. It keeps no values for later runs: a
+    second run on one oracle counts what a run on a fresh oracle counts."""
+    make, _, constraint, cfg = case
+    f, log = recording_oracle(make())
+    measured_continuous_greedy(f, constraint, cfg)
+    assert len(set(log)) == len(log)
+    assert f.eval_count == len(log)
+    shared = make()
+    for runs in (1, 2):
+        measured_continuous_greedy(shared, constraint, cfg)
+        assert shared.eval_count == runs * len(log)
+
+
+def test_mcg_call_count_golden():
+    # the sweeps budget of 10 steps x 8 samples on n = 12: 1,040 rows, of
+    # which the run evaluates 144 distinct sets
+    M = PartitionMatroid(12, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]], [1, 2, 1])
+    f = image_objective(psd_similarity(12, seed=5))
+    measured_continuous_greedy(f, M, MCGConfig(steps=10, samples=8, seed=0))
+    assert f.eval_count == 144
 
 
 # ------------------------------------------------------------------ swap rounding
@@ -243,7 +319,6 @@ def test_fw_quadratic_instance_feasible_and_monotone_iterates():
 
 
 def test_fw_trace_gaps_cost_no_extra_calls(monkeypatch):
-    import monoratio.continuous as continuous
     inst = generate_quadratic_instance(4, beta=0.2, alpha=0.3, seed=11)
     calls = {"grad": 0, "value": 0, "lp": 0}
 
