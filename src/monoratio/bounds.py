@@ -142,7 +142,7 @@ def _refined_max(fn, xs: np.ndarray, vals: np.ndarray) -> float:
 # Float bytes of one row block of the (alpha, x) grid: bounds each
 # temporary _grid_row_max builds.
 _GRID_BLOCK_BYTES = 1 << 18
-# Columns per block of the row bounds that prune the (alpha, x) grid.
+# Column stride of the row lower bound that prunes the (alpha, x) grid.
 _PRUNE_STRIDE = 16
 
 
@@ -171,17 +171,16 @@ def _first_min_row(A: np.ndarray, B: np.ndarray, alphas: np.ndarray,
                    d: np.ndarray) -> int:
     """First i minimizing max_j (alphas[i]*A[j] + (1-alphas[i])*B[j]) / d[i].
 
-    With alpha, 1 - alpha >= 0 and d > 0, rounding is monotone, so block
-    maxima of A and B (_PRUNE_STRIDE columns a block) bound every row from
-    above, and every _PRUNE_STRIDE-th column bounds it from below. A row whose
-    lower bound exceeds the smallest upper bound lies strictly above the
-    minimum; only the other rows, every tie included, are evaluated in full,
-    so the result is the full grid's first argmin bit for bit."""
-    starts = np.arange(0, len(A), _PRUNE_STRIDE)
-    upper = _grid_row_max(np.maximum.reduceat(A, starts),
-                          np.maximum.reduceat(B, starts), alphas) / d
-    lower = _grid_row_max(A[starts], B[starts], alphas) / d
-    rows = np.flatnonzero(lower <= upper.min())
+    Every _PRUNE_STRIDE-th column bounds a row from below: a max over a subset
+    of its own entries, and dividing by d > 0 rounds monotonically. The row
+    with the smallest lower bound is evaluated in full; its value c is at
+    least the minimum, so a row whose lower bound exceeds c lies above it.
+    Only the other rows, every tie included, are evaluated in full, so the
+    result is the full grid's first argmin bit for bit."""
+    lower = _grid_row_max(A[::_PRUNE_STRIDE], B[::_PRUNE_STRIDE], alphas) / d
+    i = int(np.argmin(lower))
+    c = _grid_row_max(A, B, alphas[i:i + 1])[0] / d[i]
+    rows = np.flatnonzero(lower <= c)
     return int(rows[np.argmin(_grid_row_max(A, B, alphas[rows]) / d[rows])])
 
 

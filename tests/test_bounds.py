@@ -172,7 +172,8 @@ def full_row_max(A, B, alphas):
 @pytest.mark.parametrize("rows", [1, 7, 1000])
 def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
     # 61 is not a multiple of 7, and 1000 rows hold the whole grid in one
-    # block; every call is checked: the two row bounds and the exact rows
+    # block; every call is checked: the lower bound, the threshold row and
+    # the exact rows
     resolution = 61
     seen = []
     blocked = bounds._grid_row_max
@@ -231,6 +232,50 @@ def test_pruned_row_equals_full_grid_argmin_with_ties_property(data, cols, rows)
                                     min_size=rows, max_size=rows)))
     assert bounds._first_min_row(A, B, alphas, d) \
         == np.argmin(full_row_max(A, B, alphas) / d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cols=st.integers(2, 70), rows=st.integers(1, 40))
+def test_pruned_row_equals_full_grid_argmin_with_spikes_property(data, cols,
+                                                                  rows):
+    # spikes between the strided columns lift rows far above their lower
+    # bound, so the row with the smallest lower bound is often not the
+    # argmin; few distinct values make lower bounds tie the threshold
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    between = [j for j in range(cols) if j % bounds._PRUNE_STRIDE]
+
+    def spiked_term():
+        term = np.array(data.draw(st.lists(values, min_size=cols,
+                                           max_size=cols)))
+        spikes = data.draw(st.lists(st.sampled_from(between), max_size=3))
+        term[spikes] = data.draw(st.sampled_from([1.5, 2.0, 8.0]))
+        return term
+
+    A, B = spiked_term(), spiked_term()
+    alphas = np.linspace(0.0, 1.0, rows)
+    d = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                    min_size=rows, max_size=rows)))
+    assert bounds._first_min_row(A, B, alphas, d) \
+        == np.argmin(full_row_max(A, B, alphas) / d)
+
+
+@pytest.mark.parametrize("name", sorted(DENOMS))
+def test_each_point_evaluates_few_rows_in_full(monkeypatch, name):
+    # the threshold row and the rows the lower bound keeps: at most 34 of
+    # 2001 per point on either 101-point curve, kinks included
+    full = []
+    exact = bounds._grid_row_max
+
+    def spy(A, B, alphas):
+        if len(A) == bounds._RESOLUTION:
+            full[-1] += len(alphas)
+        return exact(A, B, alphas)
+
+    monkeypatch.setattr(bounds, "_grid_row_max", spy)
+    for m in M_GRID:
+        full.append(0)
+        HARDNESS[name](float(m))
+    assert 1 <= max(full) <= 40, (name, max(full))
 
 
 @pytest.mark.parametrize("fn", [cardinality_hardness, matroid_hardness])
