@@ -1,9 +1,20 @@
-"""Closed-form guarantees and numeric min-max hardness curves.
+"""Closed-form guarantees and min-max hardness curves.
 
 Every expression maps a monotonicity-ratio value m in [0,1] to a ratio in
 [0,1]. Additive epsilon slack terms appearing in the hardness statements are
 dropped (they are arbitrary constants); the curves are the epsilon -> 0
 limits.
+
+The matroid curve is min over a of max over x in [0,1/2] of
+a*A(x) + (1-a)*B(x), with A(x) = (m-2)x^2 + 2x and B(x) = c(1 - (1-m)x),
+c = 2(1 - e^{-1/2}). The expression is linear in a and concave in x (A'' =
+2(m-2) < 0, B linear), so by Sion's minimax theorem it equals max over x of
+min(A(x), B(x)). On [0,1/2] A is nondecreasing (A' >= m) and B is
+nonincreasing, so the value is A(1/2) = (m+2)/4 when A(1/2) <= B(1/2),
+that is for m >= 2(1-c)/(2c-1) ~ 0.74253, and B at the crossing of A and B
+below it. `matroid_hardness` is this closed form. The cardinality curve
+divides by max{1, 2(1-a)} and stays numeric: a pruned (a, x) grid plus
+golden-section refinement.
 """
 
 from __future__ import annotations
@@ -24,12 +35,11 @@ __all__ = [
     "evaluate_curve",
     "CURVE_IDS",
     "smallest_grid_crossing",
-    "golden_section_max",
 ]
 
 _INV_E = math.exp(-1.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
-_RESOLUTION = 2001  # default grid points per axis of the hardness curves
+_RESOLUTION = 2001  # default grid points per axis of the numeric curves
 
 
 def _check_m(m: float) -> float:
@@ -96,7 +106,7 @@ def guarantee(kind: str, m: float) -> float:
     return fn(m)
 
 
-def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
+def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi] in 40 steps; returns
     (argmax, max)."""
     a, b = lo, hi
@@ -135,7 +145,7 @@ def _refined_max(fn, xs: np.ndarray, vals: np.ndarray) -> float:
     rounds a float exactly as it rounds the same float inside an array. So
     a step costs a few float operations, not a chain of numpy scalars."""
     j = int(np.argmax(vals))
-    _, v = golden_section_max(fn, *_bracket(xs, j))
+    _, v = _golden_section_max(fn, *_bracket(xs, j))
     return max(float(vals[j]), v)
 
 
@@ -205,7 +215,7 @@ def _nested_min_max(term_a, term_b, denom, x_hi: float,
         return _refined_max(f, xs, alpha * A + (1.0 - alpha) * B) \
             / float(denom(alpha))
 
-    _, v = golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
+    _, v = _golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
     return min(outer(float(alphas[j])), -v)
 
 
@@ -222,18 +232,28 @@ def cardinality_hardness(m: float, resolution: int = _RESOLUTION) -> float:
     return _nested_min_max(term_a, term_b, denom, 1.0, resolution)
 
 
-def matroid_hardness(m: float, resolution: int = _RESOLUTION) -> float:
-    """Numeric value of the matroid-constraint inapproximability curve:
+def matroid_hardness(m: float) -> float:
+    """Exact value of the matroid-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1/2]}
             a(mx^2+2x-2x^2) + 2(1-a)(1-e^{-1/2})(1-(1-m)x)
+
+    By Sion's minimax theorem this is max_x min(A(x), B(x)) with A(x) =
+    (m-2)x^2 + 2x nondecreasing and B(x) = c(1-(1-m)x) nonincreasing on
+    [0,1/2], c = 2(1-e^{-1/2}) (see the module docstring). It is A(1/2) =
+    (m+2)/4 when that is at most B(1/2) = c(1+m)/2, i.e. for m >=
+    2(1-c)/(2c-1) ~ 0.74253; below, it is B(x*) at the smaller root x* of
+    (2-m)x^2 - qx + c = 0, q = 2 + c(1-m), taken as 2c/(q + sqrt(q^2 -
+    4(2-m)c)) to avoid cancellation.
     """
     m = _check_m(m)
     c = 2.0 * (1.0 - math.exp(-0.5))
-    term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
-    term_b = lambda x: c * (1.0 - (1.0 - m) * x)
-    denom = lambda a: np.ones_like(a)
-    return _nested_min_max(term_a, term_b, denom, 0.5, resolution)
+    top = (m + 2.0) / 4.0
+    if top <= c * (1.0 + m) / 2.0:
+        return top
+    q = 2.0 + c * (1.0 - m)
+    x = 2.0 * c / (q + math.sqrt(q * q - 4.0 * (2.0 - m) * c))
+    return c * (1.0 - (1.0 - m) * x)
 
 
 def symmetry_gap_unconstrained(m: float,
@@ -282,9 +302,12 @@ class GuaranteeCurve:
 
 
 def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
-    """Evaluate one expression on a uniform m-grid of num_points in [0,1]
-    (the mcg curve at time horizon T = 1, the hardness curves at their
-    default resolution)."""
+    """Evaluate one expression on a uniform m-grid of num_points >= 1 in
+    [0,1] (the mcg curve at time horizon T = 1, the numeric hardness curves
+    at their default resolution, the matroid curve exactly; the resolution
+    column reads that default for all three)."""
+    if num_points < 1:
+        raise ValueError(f"num_points must be >= 1, got {num_points}")
     ms = np.linspace(0.0, 1.0, num_points)
     if expression_id in GUARANTEE_KINDS:
         pts = [(float(m), guarantee(expression_id, float(m))) for m in ms]

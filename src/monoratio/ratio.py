@@ -87,16 +87,14 @@ def exact_monotonicity_ratio(f: SetFunctionOracle) -> RatioReport:
 
     g = fv.copy()
     tptr = np.arange(full, dtype=np.int64)
-    all_masks = np.arange(full, dtype=np.int64)
     for u in range(n):
-        bit = 1 << u
-        lo = all_masks[(all_masks & bit) == 0]
-        hi = lo | bit
-        g_lo, g_hi = g[lo], g[hi]
-        t_lo, t_hi = tptr[lo], tptr[hi]
-        better = (g_hi < g_lo) | ((g_hi == g_lo) & (t_hi < t_lo))
-        g[lo] = np.where(better, g_hi, g_lo)
-        tptr[lo] = np.where(better, t_hi, t_lo)
+        # [:, 0] holds the masks without bit u, [:, 1] the same masks with
+        # it. Both pointers differ from their mask only in bits below u, so
+        # the one with bit u is the larger: a tie keeps the smaller T.
+        gv, tv = g.reshape(-1, 2, 1 << u), tptr.reshape(-1, 2, 1 << u)
+        better = gv[:, 1] < gv[:, 0]
+        np.copyto(gv[:, 0], gv[:, 1], where=better)
+        np.copyto(tv[:, 0], tv[:, 1], where=better)
 
     pos = fv > 0.0
     r = np.divide(g, fv, out=np.ones(full), where=pos)  # 1 where f(S) = 0

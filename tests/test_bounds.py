@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gap_oracle
 from monoratio import (bounds, cardinality_hardness, evaluate_curve,
-                       guarantee, matroid_hardness, smallest_grid_crossing,
-                       symmetry_gap_unconstrained, upper_bound_from_output)
+                       guarantee, matroid_hardness, multilinear_exact,
+                       smallest_grid_crossing, symmetry_gap_unconstrained,
+                       upper_bound_from_output)
 
 INV_E = math.exp(-1.0)
 M_GRID = np.linspace(0.0, 1.0, 101)
 HARDNESS = {fn.__name__: fn for fn in (cardinality_hardness, matroid_hardness,
                                        symmetry_gap_unconstrained)}
+# the curves still evaluated on a grid; the matroid curve is in closed form
+GRID_CURVES = ("cardinality_hardness", "symmetry_gap_unconstrained")
 
 
 def test_guarantee_closed_forms():
@@ -52,10 +56,10 @@ def test_hardness_endpoints():
 
 
 def test_hardness_rejects_degenerate_resolution():
-    for fn in HARDNESS.values():
+    for name in GRID_CURVES:
         for resolution in (0, 1):
             with pytest.raises(ValueError, match="resolution"):
-                fn(0.5, resolution=resolution)
+                HARDNESS[name](0.5, resolution=resolution)
 
 
 def test_matroid_hardness_alpha_one_slice():
@@ -70,8 +74,7 @@ def test_matroid_hardness_alpha_one_slice():
 def test_consistency_alg_below_hardness():
     ch = {m: cardinality_hardness(float(m), resolution=501)
           for m in M_GRID[::10]}
-    mh = {m: matroid_hardness(float(m), resolution=501)
-          for m in M_GRID[::10]}
+    mh = {m: matroid_hardness(float(m)) for m in M_GRID[::10]}
     for m in M_GRID:
         assert guarantee("unconstrained_alg", float(m)) \
             <= guarantee("unconstrained_hard", float(m)) + 1e-12
@@ -92,9 +95,10 @@ def test_monotone_in_m():
     for kind in kinds:
         vals = [guarantee(kind, float(m)) for m in M_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), kind
-    for fn in (cardinality_hardness, matroid_hardness):
-        vals = [fn(float(m), resolution=301) for m in M_GRID]
-        assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:])), fn.__name__
+    for fn in (lambda m: cardinality_hardness(m, resolution=301),
+               matroid_hardness):
+        vals = [fn(float(m)) for m in M_GRID]
+        assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
 
 def test_nonlinearity_witness():
@@ -125,6 +129,12 @@ def test_evaluate_curve_and_csv():
     assert ms == sorted(ms)
     with pytest.raises(ValueError):
         evaluate_curve("bogus")
+    for num_points in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"num_points must be >= 1, got {num_points}"):
+            evaluate_curve("rgm", num_points=num_points)
+    assert evaluate_curve("rgm", num_points=1).points \
+        == [(0.0, guarantee("rgm", 0.0))]
 
 
 def test_smallest_grid_crossing():
@@ -135,17 +145,17 @@ def test_smallest_grid_crossing():
         smallest_grid_crossing(lambda m: 0.0, 1.0, step=0.01)
 
 
-# float.hex of the numeric curves at default resolution, with one
+# float.hex of the grid curves at default resolution, with one
 # golden-section round in x and one in alpha, each within a grid step of the
-# grid's best point
+# grid's best point, and of the matroid curve's closed form
 GOLDEN_HEX = {
     "cardinality_hardness": {
         0.0: "0x1.f6c464c293036p-2", 0.25: "0x1.1918b631f9a34p-1",
         0.361872: "0x1.27bacf0d973e4p-1", 0.5: "0x1.3ade3cc00f485p-1",
         0.75: "0x1.43a54e4e98863p-1", 1.0: "0x1.43a54e4e98863p-1"},
     "matroid_hardness": {
-        0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe232p-1",
-        0.361872: "0x1.2105dbed0ec5ap-1", 0.5: "0x1.3593303ab5a14p-1",
+        0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe230p-1",
+        0.361872: "0x1.2105dbed0ec5ap-1", 0.5: "0x1.3593303ab5a15p-1",
         0.75: "0x1.6000000000000p-1", 1.0: "0x1.8000000000000p-1"},
     "symmetry_gap_unconstrained": {
         0.0: "0x1.0000000000000p-1", 0.25: "0x1.2492492492492p-1",
@@ -160,8 +170,7 @@ def test_hardness_golden_values(name):
         assert HARDNESS[name](m).hex() == expected, (name, m)
 
 
-DENOMS = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a)),
-          "matroid_hardness": np.ones_like}
+DENOMS = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a))}
 
 
 def full_row_max(A, B, alphas):
@@ -262,7 +271,7 @@ def test_pruned_row_equals_full_grid_argmin_with_spikes_property(data, cols,
 @pytest.mark.parametrize("name", sorted(DENOMS))
 def test_each_point_evaluates_few_rows_in_full(monkeypatch, name):
     # the threshold row and the rows the lower bound keeps: at most 34 of
-    # 2001 per point on either 101-point curve, kinks included
+    # 2001 per point on the 101-point curve, kinks included
     full = []
     exact = bounds._grid_row_max
 
@@ -278,7 +287,7 @@ def test_each_point_evaluates_few_rows_in_full(monkeypatch, name):
     assert 1 <= max(full) <= 40, (name, max(full))
 
 
-@pytest.mark.parametrize("fn", [cardinality_hardness, matroid_hardness])
+@pytest.mark.parametrize("fn", [cardinality_hardness])
 def test_hardness_accuracy_against_finer_run(fn):
     for m in (0.0, 0.5, 1.0):
         coarse = fn(m)
@@ -286,13 +295,13 @@ def test_hardness_accuracy_against_finer_run(fn):
         assert abs(coarse - fine) <= 1e-12, (fn.__name__, m, coarse, fine)
 
 
-@pytest.mark.parametrize("name", sorted(HARDNESS))
+@pytest.mark.parametrize("name", GRID_CURVES)
 def test_each_search_runs_one_golden_section_round(name):
     # one search in alpha, and one in x for each alpha it tries and for the
     # grid's best alpha: 45 searches of 43 evaluations each, 1,935 in all;
     # the symmetry gap has only the search in x
     evals = []
-    search = bounds.golden_section_max
+    search = bounds._golden_section_max
 
     def spy(fn, lo, hi):
         evals.append(0)
@@ -303,10 +312,62 @@ def test_each_search_runs_one_golden_section_round(name):
             return fn(x)
         return search(counted, lo, hi)
 
-    with mock.patch.object(bounds, "golden_section_max", spy):
+    with mock.patch.object(bounds, "_golden_section_max", spy):
         HARDNESS[name](0.3)
     searches = 1 if name == "symmetry_gap_unconstrained" else 45
     assert evals == [43] * searches
+
+
+C_MATROID = 2.0 * (1.0 - math.exp(-0.5))
+
+
+def numeric_matroid_hardness(m, resolution):
+    """The matroid curve's min-max on the (alpha, x) grid with golden-section
+    refinement: the numeric reference of the closed form."""
+    term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
+    term_b = lambda x: C_MATROID * (1.0 - (1.0 - m) * x)
+    return bounds._nested_min_max(term_a, term_b, np.ones_like, 0.5, resolution)
+
+
+def test_matroid_closed_form_equals_numeric_min_max():
+    # at resolution 2001 the reference is the former numeric curve; the
+    # closed form moves it by at most 3 ulp (2.2e-16) at these points
+    for m in M_GRID:
+        exact = matroid_hardness(float(m))
+        assert abs(exact - numeric_matroid_hardness(float(m), 2001)) <= 4.4e-16, m
+        assert abs(exact - numeric_matroid_hardness(float(m), 6001)) <= 1e-12, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(0.0, 1.0), resolution=st.sampled_from([2001, 6001]))
+def test_matroid_closed_form_equals_numeric_min_max_property(m, resolution):
+    assert abs(matroid_hardness(m) - numeric_matroid_hardness(m, resolution)) \
+        <= 1e-12, (m, resolution)
+
+
+def test_matroid_hardness_is_the_vertex_value_above_the_switch():
+    # A(1/2) = (m+2)/4 <= B(1/2) = c(1+m)/2 exactly when m >= 2(1-c)/(2c-1)
+    switch = 2.0 * (1.0 - C_MATROID) / (2.0 * C_MATROID - 1.0)
+    assert 0.7425 < switch < 0.7426
+    for m in [*M_GRID[M_GRID >= 0.75], 0.7426]:
+        assert matroid_hardness(float(m)) == (float(m) + 2.0) / 4.0, m
+    assert matroid_hardness(0.7425) < (0.7425 + 2.0) / 4.0
+
+
+def test_gap_instance_realizes_the_curve_term():
+    # the two-element gap function of ratio m has multilinear extension
+    # A(x) = mx^2 + 2x - 2x^2 on the diagonal, and its diagonal maximum is
+    # the symmetry gap 1/(2-m)
+    for m in np.linspace(0.0, 1.0, 11):
+        f = gap_oracle(float(m))
+        for x in np.linspace(0.0, 1.0, 11):
+            term = m * x * x + 2.0 * x - 2.0 * x * x
+            assert abs(multilinear_exact(f, [x, x]) - term) <= 2.0 ** -52, (m, x)
+        xs = np.linspace(0.0, 1.0, 2001)
+        best = max(multilinear_exact(f, [x, x]) for x in xs)
+        # a grid step of 1/2000 misses the vertex by at most (2-m)(1/4000)^2
+        assert 0.0 <= symmetry_gap_unconstrained(float(m)) - best \
+            <= (2.0 - m) / 4000.0 ** 2 + 1e-15, m
 
 
 @settings(max_examples=200, deadline=None)

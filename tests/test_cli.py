@@ -97,6 +97,16 @@ def test_bounds_unknown_expression(capsys):
     assert main(["bounds", "--expr", "nope"]) == 2
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_bounds_rejects_fewer_than_one_point(capsys, tmp_path, points):
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run_cli(capsys, "bounds", "--expr", "rgm", "--points",
+                             points, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == f"error: num_points must be >= 1, got {points}\n"
+    assert not out_csv.exists()
+
+
 def test_run_greedy_golden_and_determinism(capsys):
     args = ["run", "--alg", "greedy", "--objective", "synthetic-mix",
             "--n", "8", "--k", "3", "--seed", "4"]
