@@ -12,9 +12,26 @@ c = 2(1 - e^{-1/2}). The expression is linear in a and concave in x (A'' =
 min(A(x), B(x)). On [0,1/2] A is nondecreasing (A' >= m) and B is
 nonincreasing, so the value is A(1/2) = (m+2)/4 when A(1/2) <= B(1/2),
 that is for m >= 2(1-c)/(2c-1) ~ 0.74253, and B at the crossing of A and B
-below it. `matroid_hardness` is this closed form. The cardinality curve
-divides by max{1, 2(1-a)} and stays numeric: a pruned (a, x) grid plus
-golden-section refinement.
+below it. `matroid_hardness` is this closed form.
+
+The cardinality curve is min over a of max over x in [0,1] of
+[a*A(x) + (1-a)*B(x)] / max{1, 2(1-a)}, with the same A and B(x) =
+2(1 - e^{x-1})(1 - (1-m)x). The denominator is linear on each half of
+[0,1], so the curve is the smaller of two minima, each over a convex
+function (a max of functions linear in its parameter):
+- a in [0,1/2], s = a/(1-a) in [0,1]: g1(s) = max_x (B + sA)/2. A >= 0 on
+  [0,1], so g1 is least at s = 0, and B is nonincreasing (both its factors
+  are), so that least value is B(0)/2 = 1 - 1/e exactly;
+- a in [1/2,1]: g2(a) = max_x a*A + (1-a)*B, minimized by a golden-section
+  search. The max over x is exact (`_argmax_terms`), with no x grid.
+On [1/2,1] the objective is linear in a, so by Sion's theorem min_a g2 is
+the max over mixtures mu of x of min(E_mu u, E_mu v), with u = (A+B)/2 and
+v = A its values at a = 1/2 and a = 1. So every evaluated g2 bounds the
+curve from above; min(u, v) at its maximizer bounds min_a g2 from below,
+and so does the point where the chord between two maximizers on either
+side of the diagonal u = v crosses it. `_cardinality_bracket` returns both
+bounds, capped at 1 - 1/e; they meet within 1e-12 (within a few ulp in
+practice), and `cardinality_hardness` is the upper one.
 """
 
 from __future__ import annotations
@@ -39,18 +56,15 @@ __all__ = [
 
 _INV_E = math.exp(-1.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
-_RESOLUTION = 2001  # default grid points per axis of the numeric curves
+# The hardness curves were once evaluated on a grid of this many points per
+# axis; the CSV resolution column still reads it, so CSVs stay byte-identical.
+_HARDNESS_CSV_RESOLUTION = 2001
 
 
 def _check_m(m: float) -> float:
     if not -1e-12 <= m <= 1 + 1e-12:
         raise ValueError("m must be in [0,1]")
     return min(1.0, max(0.0, float(m)))
-
-
-def _check_resolution(resolution: int) -> None:
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
 
 
 def _g_unconstrained_alg(m):
@@ -126,110 +140,79 @@ def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return xm, fn(xm)
 
 
-def _bracket(grid: np.ndarray, j: int) -> tuple[float, float]:
-    """The interval one grid step either side of grid[j], clipped to the
-    grid's ends."""
-    lo, hi = float(grid[0]), float(grid[-1])
-    step = (hi - lo) / (len(grid) - 1)
-    x = float(grid[j])
-    return max(lo, x - step), min(hi, x + step)
+def _card_terms(m: float, x: float) -> tuple[float, float]:
+    """(A(x), B(x)), the two terms of the cardinality curve."""
+    return ((m - 2.0) * x * x + 2.0 * x,
+            2.0 * (1.0 - math.exp(x - 1.0)) * (1.0 - (1.0 - m) * x))
 
 
-def _refined_max(fn, xs: np.ndarray, vals: np.ndarray) -> float:
-    """Maximum of fn over [xs[0], xs[-1]]: the better of the dense grid's
-    best value (vals = fn(xs)) and one golden-section search within a grid
-    step of it.
+def _argmax_terms(m: float, a: float, b: float) -> tuple[float, float]:
+    """(A(x*), B(x*)) at a maximizer x* over [0,1] of h = a*A + b*B, for
+    a, b >= 0.
 
-    The golden-section steps call fn on Python floats, and the curve terms
-    return Python floats: they use only arithmetic and _exp, and np.exp
-    rounds a float exactly as it rounds the same float inside an array. So
-    a step costs a few float operations, not a chain of numpy scalars."""
-    j = int(np.argmax(vals))
-    _, v = _golden_section_max(fn, *_bracket(xs, j))
-    return max(float(vals[j]), v)
-
-
-# Float bytes of one row block of the (alpha, x) grid: bounds each
-# temporary _grid_row_max builds.
-_GRID_BLOCK_BYTES = 1 << 18
-# Column stride of the row lower bound that prunes the (alpha, x) grid.
-_PRUNE_STRIDE = 16
-
-
-def _exp(x):
-    """np.exp, as a Python float for a scalar (math.exp rounds differently)."""
-    y = np.exp(x)
-    return float(y) if y.ndim == 0 else y
-
-
-def _grid_row_max(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """max over j of alphas[i] * A[j] + (1 - alphas[i]) * B[j], for every i.
-
-    Built in blocks of rows of at most _GRID_BLOCK_BYTES; a row max is
-    exact, so the result equals that of the full matrix bit for bit."""
-    step = max(1, _GRID_BLOCK_BYTES // (8 * len(A)))
-    out = np.empty(len(alphas))
-    for lo in range(0, len(alphas), step):
-        a = alphas[lo:lo + step, None]
-        block = a * A
-        block += (1.0 - a) * B
-        block.max(axis=1, out=out[lo:lo + step])
-    return out
-
-
-def _first_min_row(A: np.ndarray, B: np.ndarray, alphas: np.ndarray,
-                   d: np.ndarray) -> int:
-    """First i minimizing max_j (alphas[i]*A[j] + (1-alphas[i])*B[j]) / d[i].
-
-    Every _PRUNE_STRIDE-th column bounds a row from below: a max over a subset
-    of its own entries, and dividing by d > 0 rounds monotonically. The row
-    with the smallest lower bound is evaluated in full; its value c is at
-    least the minimum, so a row whose lower bound exceeds c lies above it.
-    Only the other rows, every tie included, are evaluated in full, so the
-    result is the full grid's first argmin bit for bit."""
-    lower = _grid_row_max(A[::_PRUNE_STRIDE], B[::_PRUNE_STRIDE], alphas) / d
-    i = int(np.argmin(lower))
-    c = _grid_row_max(A, B, alphas[i:i + 1])[0] / d[i]
-    rows = np.flatnonzero(lower <= c)
-    return int(rows[np.argmin(_grid_row_max(A, B, alphas[rows]) / d[rows])])
-
-
-def _nested_min_max(term_a, term_b, denom, x_hi: float,
-                    resolution: int) -> float:
-    """min over alpha in [0,1] of [max over x in [0,x_hi] of
-    alpha*term_a(x) + (1-alpha)*term_b(x)] / denom(alpha).
-
-    Takes the first (alpha, x) grid row minimizing its max over denom
-    (_first_min_row evaluates only the rows that can), then refines, by one
-    golden-section search each within a grid step, first x and finally
-    alpha. The x grid and its terms are built once.
+    h''' = 2b e^{x-1}(3c-1+cx), c = 1-m, changes sign at most once, from -
+    to +, so h'' is least at x0 = (1-3c)/c clipped to [0,1] (x0 = 1 at
+    c = 0): h' is concave left of x0 and convex right of it. So h has at
+    most one interior local maximum, the zero of h' where h'' < 0, and
+    Newton's method from x0 approaches it from one side, since a tangent of
+    h' there crosses zero between the iterate and the zero. The steps stop
+    where h'' >= 0 (no such zero that way), outside [0,1], or when rounding
+    turns a step back. The max is the best of that point, x = 0 and x = 1.
     """
-    _check_resolution(resolution)
-    xs = np.linspace(0.0, x_hi, resolution)
-    A, B = term_a(xs), term_b(xs)
-    alphas = np.linspace(0.0, 1.0, resolution)
-    j = _first_min_row(A, B, alphas, denom(alphas))
+    c = 1.0 - m
+    x = min(1.0, max(0.0, (1.0 - 3.0 * c) / c)) if c > 0.0 else 1.0
+    step = 0.0
+    for _ in range(64):  # a cap only: the steps converge in a few
+        e = math.exp(x - 1.0)
+        d1 = 2.0 * a * ((m - 2.0) * x + 1.0) + 2.0 * b * (e * (c - 1.0 + c * x) - c)
+        d2 = 2.0 * a * (m - 2.0) + 2.0 * b * e * (2.0 * c - 1.0 + c * x)
+        if d2 >= 0.0:
+            break
+        new = -d1 / d2
+        if new * step < 0.0 or x + new == x or not 0.0 <= x + new <= 1.0:
+            break
+        x, step = x + new, new
+    return max((_card_terms(m, t) for t in (0.0, 1.0, x)),
+               key=lambda t: a * t[0] + b * t[1])
 
-    def outer(alpha: float) -> float:
-        f = lambda x: alpha * term_a(x) + (1.0 - alpha) * term_b(x)
-        return _refined_max(f, xs, alpha * A + (1.0 - alpha) * B) \
-            / float(denom(alpha))
 
-    _, v = _golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
-    return min(outer(float(alphas[j])), -v)
+def _cardinality_bracket(m: float) -> tuple[float, float]:
+    """(lower, upper) bounds on the cardinality curve at m (see the module
+    docstring), from one golden-section search in alpha on [1/2, 1]. The
+    chord joins the maximizers of the least evaluated values on either side
+    of the diagonal u = v. Both bounds are capped at 1 - 1/e, the exact
+    minimum over alpha <= 1/2."""
+    evals = []
+
+    def g(alpha: float) -> float:
+        A, B = _argmax_terms(m, alpha, 1.0 - alpha)
+        value = alpha * A + (1.0 - alpha) * B
+        evals.append((value, 0.5 * (A + B), A))
+        return -value
+
+    _golden_section_max(g, 0.5, 1.0)
+    upper = min(value for value, _, _ in evals)
+    lower = max(min(u, v) for _, u, v in evals)
+    above = [e for e in evals if e[1] >= e[2]]
+    below = [e for e in evals if e[1] < e[2]]
+    if above and below:
+        (_, u1, v1), (_, u2, v2) = min(above), min(below)
+        p = (u1 - v1) / ((u1 - v1) - (u2 - v2))
+        lower = max(lower, u1 + p * (u2 - u1))
+    flat = 1.0 - _INV_E
+    return min(flat, lower), min(flat, upper)
 
 
-def cardinality_hardness(m: float, resolution: int = _RESOLUTION) -> float:
-    """Numeric value of the cardinality-constraint inapproximability curve:
+def cardinality_hardness(m: float) -> float:
+    """Value of the cardinality-constraint inapproximability curve:
 
         min_{a in [0,1]} max_{x in [0,1]}
             [a(mx^2+2x-2x^2) + 2(1-a)(1-e^{x-1})(1-(1-m)x)] / max{1, 2(1-a)}
+
+    It is the upper end of `_cardinality_bracket(m)`, whose two ends lie
+    within 1e-12 of each other (see the module docstring).
     """
-    m = _check_m(m)
-    term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
-    term_b = lambda x: 2.0 * (1.0 - _exp(x - 1.0)) * (1.0 - (1.0 - m) * x)
-    denom = lambda a: np.maximum(1.0, 2.0 * (1.0 - a))
-    return _nested_min_max(term_a, term_b, denom, 1.0, resolution)
+    return _cardinality_bracket(_check_m(m))[1]
 
 
 def matroid_hardness(m: float) -> float:
@@ -256,15 +239,11 @@ def matroid_hardness(m: float) -> float:
     return c * (1.0 - (1.0 - m) * x)
 
 
-def symmetry_gap_unconstrained(m: float,
-                               resolution: int = _RESOLUTION) -> float:
-    """Numeric maximum of 2y - (2-m)y^2 over y in [0,1] (the symmetric relaxation
-    value of the two-element gap instance); equals 1/(2-m) analytically."""
-    m = _check_m(m)
-    _check_resolution(resolution)
-    f = lambda y: 2.0 * y - (2.0 - m) * y * y
-    ys = np.linspace(0.0, 1.0, resolution)
-    return _refined_max(f, ys, f(ys))
+def symmetry_gap_unconstrained(m: float) -> float:
+    """Maximum of 2y - (2-m)y^2 over y in [0,1] (the symmetric relaxation
+    value of the two-element gap instance): 1/(2-m), at y = 1/(2-m), the
+    same closed form as guarantee("unconstrained_hard", m)."""
+    return _g_unconstrained_hard(_check_m(m))
 
 
 def upper_bound_from_output(value: float, guarantee_value: float) -> float:
@@ -303,9 +282,10 @@ class GuaranteeCurve:
 
 def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     """Evaluate one expression on a uniform m-grid of num_points >= 1 in
-    [0,1] (the mcg curve at time horizon T = 1, the numeric hardness curves
-    at their default resolution, the matroid curve exactly; the resolution
-    column reads that default for all three)."""
+    [0,1] (the mcg curve at time horizon T = 1). The resolution column of a
+    guarantee curve is num_points; for the three hardness curves, which
+    use no grid, it reads 2001, the grid they were once evaluated on, so
+    every CSV stays byte-identical."""
     if num_points < 1:
         raise ValueError(f"num_points must be >= 1, got {num_points}")
     ms = np.linspace(0.0, 1.0, num_points)
@@ -315,7 +295,7 @@ def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     if expression_id in _HARDNESS_IDS:
         fn = _HARDNESS_IDS[expression_id]
         pts = [(float(m), fn(float(m))) for m in ms]
-        return GuaranteeCurve(expression_id, pts, resolution=_RESOLUTION)
+        return GuaranteeCurve(expression_id, pts, resolution=_HARDNESS_CSV_RESOLUTION)
     raise ValueError(f"unknown expression id {expression_id!r}; known: {CURVE_IDS}")
 
 

@@ -259,3 +259,128 @@ def coverage_table(n: int, seed: int) -> np.ndarray:
                 cov |= covers[u]
         table[mask] = sum(pt_w[p] for p in range(universe) if (cov >> p) & 1)
     return table
+
+
+# The numeric min-max evaluator that `bounds` used before its curves had
+# closed forms or a duality bracket, kept verbatim as the reference of the
+# differential tests: a pruned (alpha, x) grid plus golden-section
+# refinement. With resolution 2001 it gives the former curve values.
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
+
+
+def _check_resolution(resolution: int) -> None:
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+
+
+def _golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] in 40 steps; returns
+    (argmax, max)."""
+    a, b = lo, hi
+    x1 = b - _PHI * (b - a)
+    x2 = a + _PHI * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(40):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _PHI * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _PHI * (b - a)
+            f1 = fn(x1)
+    xm = 0.5 * (a + b)
+    return xm, fn(xm)
+
+
+def _bracket(grid: np.ndarray, j: int) -> tuple[float, float]:
+    """The interval one grid step either side of grid[j], clipped to the
+    grid's ends."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    step = (hi - lo) / (len(grid) - 1)
+    x = float(grid[j])
+    return max(lo, x - step), min(hi, x + step)
+
+
+def _refined_max(fn, xs: np.ndarray, vals: np.ndarray) -> float:
+    """Maximum of fn over [xs[0], xs[-1]]: the better of the dense grid's
+    best value (vals = fn(xs)) and one golden-section search within a grid
+    step of it.
+
+    The golden-section steps call fn on Python floats, and the curve terms
+    return Python floats: they use only arithmetic and _exp, and np.exp
+    rounds a float exactly as it rounds the same float inside an array. So
+    a step costs a few float operations, not a chain of numpy scalars."""
+    j = int(np.argmax(vals))
+    _, v = _golden_section_max(fn, *_bracket(xs, j))
+    return max(float(vals[j]), v)
+
+
+# Float bytes of one row block of the (alpha, x) grid: bounds each
+# temporary _grid_row_max builds.
+_GRID_BLOCK_BYTES = 1 << 18
+# Column stride of the row lower bound that prunes the (alpha, x) grid.
+_PRUNE_STRIDE = 16
+
+
+def _exp(x):
+    """np.exp, as a Python float for a scalar (math.exp rounds differently)."""
+    y = np.exp(x)
+    return float(y) if y.ndim == 0 else y
+
+
+def _grid_row_max(A: np.ndarray, B: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """max over j of alphas[i] * A[j] + (1 - alphas[i]) * B[j], for every i.
+
+    Built in blocks of rows of at most _GRID_BLOCK_BYTES; a row max is
+    exact, so the result equals that of the full matrix bit for bit."""
+    step = max(1, _GRID_BLOCK_BYTES // (8 * len(A)))
+    out = np.empty(len(alphas))
+    for lo in range(0, len(alphas), step):
+        a = alphas[lo:lo + step, None]
+        block = a * A
+        block += (1.0 - a) * B
+        block.max(axis=1, out=out[lo:lo + step])
+    return out
+
+
+def _first_min_row(A: np.ndarray, B: np.ndarray, alphas: np.ndarray,
+                   d: np.ndarray) -> int:
+    """First i minimizing max_j (alphas[i]*A[j] + (1-alphas[i])*B[j]) / d[i].
+
+    Every _PRUNE_STRIDE-th column bounds a row from below: a max over a subset
+    of its own entries, and dividing by d > 0 rounds monotonically. The row
+    with the smallest lower bound is evaluated in full; its value c is at
+    least the minimum, so a row whose lower bound exceeds c lies above it.
+    Only the other rows, every tie included, are evaluated in full, so the
+    result is the full grid's first argmin bit for bit."""
+    lower = _grid_row_max(A[::_PRUNE_STRIDE], B[::_PRUNE_STRIDE], alphas) / d
+    i = int(np.argmin(lower))
+    c = _grid_row_max(A, B, alphas[i:i + 1])[0] / d[i]
+    rows = np.flatnonzero(lower <= c)
+    return int(rows[np.argmin(_grid_row_max(A, B, alphas[rows]) / d[rows])])
+
+
+def _nested_min_max(term_a, term_b, denom, x_hi: float,
+                    resolution: int) -> float:
+    """min over alpha in [0,1] of [max over x in [0,x_hi] of
+    alpha*term_a(x) + (1-alpha)*term_b(x)] / denom(alpha).
+
+    Takes the first (alpha, x) grid row minimizing its max over denom
+    (_first_min_row evaluates only the rows that can), then refines, by one
+    golden-section search each within a grid step, first x and finally
+    alpha. The x grid and its terms are built once.
+    """
+    _check_resolution(resolution)
+    xs = np.linspace(0.0, x_hi, resolution)
+    A, B = term_a(xs), term_b(xs)
+    alphas = np.linspace(0.0, 1.0, resolution)
+    j = _first_min_row(A, B, alphas, denom(alphas))
+
+    def outer(alpha: float) -> float:
+        f = lambda x: alpha * term_a(x) + (1.0 - alpha) * term_b(x)
+        return _refined_max(f, xs, alpha * A + (1.0 - alpha) * B) \
+            / float(denom(alpha))
+
+    _, v = _golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
+    return min(outer(float(alphas[j])), -v)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import gap_oracle
 from monoratio import (bounds, cardinality_hardness, evaluate_curve,
                        guarantee, matroid_hardness, multilinear_exact,
@@ -16,8 +17,6 @@ INV_E = math.exp(-1.0)
 M_GRID = np.linspace(0.0, 1.0, 101)
 HARDNESS = {fn.__name__: fn for fn in (cardinality_hardness, matroid_hardness,
                                        symmetry_gap_unconstrained)}
-# the curves still evaluated on a grid; the matroid curve is in closed form
-GRID_CURVES = ("cardinality_hardness", "symmetry_gap_unconstrained")
 
 
 def test_guarantee_closed_forms():
@@ -44,7 +43,7 @@ def test_guarantee_closed_forms():
 
 def test_symmetry_gap_matches_closed_form():
     for m in M_GRID:
-        assert abs(symmetry_gap_unconstrained(float(m), resolution=501)
+        assert abs(symmetry_gap_unconstrained(float(m))
                    - 1.0 / (2.0 - m)) < 1e-12
 
 
@@ -56,10 +55,11 @@ def test_hardness_endpoints():
 
 
 def test_hardness_rejects_degenerate_resolution():
-    for name in GRID_CURVES:
+    # the numeric references need at least two grid points per axis
+    for reference in (numeric_cardinality_hardness, numeric_matroid_hardness):
         for resolution in (0, 1):
             with pytest.raises(ValueError, match="resolution"):
-                HARDNESS[name](0.5, resolution=resolution)
+                reference(0.5, resolution)
 
 
 def test_matroid_hardness_alpha_one_slice():
@@ -72,8 +72,7 @@ def test_matroid_hardness_alpha_one_slice():
 
 
 def test_consistency_alg_below_hardness():
-    ch = {m: cardinality_hardness(float(m), resolution=501)
-          for m in M_GRID[::10]}
+    ch = {m: cardinality_hardness(float(m)) for m in M_GRID[::10]}
     mh = {m: matroid_hardness(float(m)) for m in M_GRID[::10]}
     for m in M_GRID:
         assert guarantee("unconstrained_alg", float(m)) \
@@ -95,8 +94,7 @@ def test_monotone_in_m():
     for kind in kinds:
         vals = [guarantee(kind, float(m)) for m in M_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), kind
-    for fn in (lambda m: cardinality_hardness(m, resolution=301),
-               matroid_hardness):
+    for fn in (cardinality_hardness, matroid_hardness):
         vals = [fn(float(m)) for m in M_GRID]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
@@ -145,21 +143,21 @@ def test_smallest_grid_crossing():
         smallest_grid_crossing(lambda m: 0.0, 1.0, step=0.01)
 
 
-# float.hex of the grid curves at default resolution, with one
-# golden-section round in x and one in alpha, each within a grid step of the
-# grid's best point, and of the matroid curve's closed form
+# float.hex of the cardinality curve's upper bound (one golden-section
+# search in alpha, each max over x exact; 1 - 1/e on its flat branch) and
+# of the matroid and symmetry-gap closed forms
 GOLDEN_HEX = {
     "cardinality_hardness": {
-        0.0: "0x1.f6c464c293036p-2", 0.25: "0x1.1918b631f9a34p-1",
-        0.361872: "0x1.27bacf0d973e4p-1", 0.5: "0x1.3ade3cc00f485p-1",
-        0.75: "0x1.43a54e4e98863p-1", 1.0: "0x1.43a54e4e98863p-1"},
+        0.0: "0x1.f6c464c293032p-2", 0.25: "0x1.1918b631f9a34p-1",
+        0.361872: "0x1.27bacf0d973e4p-1", 0.5: "0x1.3ade3cc00f486p-1",
+        0.75: "0x1.43a54e4e98864p-1", 1.0: "0x1.43a54e4e98864p-1"},
     "matroid_hardness": {
         0.0: "0x1.e8c1f856479b8p-2", 0.25: "0x1.11e16ddafe230p-1",
         0.361872: "0x1.2105dbed0ec5ap-1", 0.5: "0x1.3593303ab5a15p-1",
         0.75: "0x1.6000000000000p-1", 1.0: "0x1.8000000000000p-1"},
     "symmetry_gap_unconstrained": {
         0.0: "0x1.0000000000000p-1", 0.25: "0x1.2492492492492p-1",
-        0.361872: "0x1.388d489086246p-1", 0.5: "0x1.5555555555555p-1",
+        0.361872: "0x1.388d489086247p-1", 0.5: "0x1.5555555555555p-1",
         0.75: "0x1.999999999999ap-1", 1.0: "0x1.0000000000000p+0"},
 }
 
@@ -171,6 +169,20 @@ def test_hardness_golden_values(name):
 
 
 DENOMS = {"cardinality_hardness": lambda a: np.maximum(1.0, 2.0 * (1.0 - a))}
+
+
+def numeric_cardinality_hardness(m, resolution):
+    """The cardinality curve's min-max on the (alpha, x) grid with
+    golden-section refinement: the numeric reference of the bracket."""
+    term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
+    term_b = lambda x: 2.0 * (1.0 - helpers._exp(x - 1.0)) * (1.0 - (1.0 - m) * x)
+    return helpers._nested_min_max(term_a, term_b, DENOMS["cardinality_hardness"],
+                                   1.0, resolution)
+
+
+# The numeric references of the differential tests below; the grid tests
+# check that a reference's pruned grid keeps the full grid's argmin.
+REFERENCE = {"cardinality_hardness": numeric_cardinality_hardness}
 
 
 def full_row_max(A, B, alphas):
@@ -185,19 +197,19 @@ def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
     # the exact rows
     resolution = 61
     seen = []
-    blocked = bounds._grid_row_max
+    blocked = helpers._grid_row_max
 
     def spy(A, B, alphas):
         out = blocked(A, B, alphas)
         seen.append((A, B, alphas, out))
         return out
 
-    monkeypatch.setattr(bounds, "_GRID_BLOCK_BYTES", 8 * resolution * rows)
-    monkeypatch.setattr(bounds, "_grid_row_max", spy)
+    monkeypatch.setattr(helpers, "_GRID_BLOCK_BYTES", 8 * resolution * rows)
+    monkeypatch.setattr(helpers, "_grid_row_max", spy)
     for m in (0.0, 0.2, 0.361872, 0.75, 1.0):
         for name, denom in DENOMS.items():
             seen.clear()
-            HARDNESS[name](m, resolution=resolution)
+            REFERENCE[name](m, resolution)
             assert seen, (name, m)
             for A, B, alphas, got in seen:
                 full = full_row_max(A, B, alphas)
@@ -206,17 +218,17 @@ def test_grid_row_blocks_match_full_matrix(monkeypatch, rows):
 
 
 def chosen_rows(name, m, resolution):
-    """(A, B, alphas, d, j) of every row choice one hardness point makes."""
+    """(A, B, alphas, d, j) of every row choice one reference point makes."""
     calls = []
-    pruned = bounds._first_min_row
+    pruned = helpers._first_min_row
 
     def spy(A, B, alphas, d):
         j = pruned(A, B, alphas, d)
         calls.append((A, B, alphas, d, j))
         return j
 
-    with mock.patch.object(bounds, "_first_min_row", spy):
-        HARDNESS[name](m, resolution=resolution)
+    with mock.patch.object(helpers, "_first_min_row", spy):
+        REFERENCE[name](m, resolution)
     return calls
 
 
@@ -239,7 +251,7 @@ def test_pruned_row_equals_full_grid_argmin_with_ties_property(data, cols, rows)
     alphas = np.linspace(0.0, 1.0, rows)
     d = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                                     min_size=rows, max_size=rows)))
-    assert bounds._first_min_row(A, B, alphas, d) \
+    assert helpers._first_min_row(A, B, alphas, d) \
         == np.argmin(full_row_max(A, B, alphas) / d)
 
 
@@ -251,7 +263,7 @@ def test_pruned_row_equals_full_grid_argmin_with_spikes_property(data, cols,
     # bound, so the row with the smallest lower bound is often not the
     # argmin; few distinct values make lower bounds tie the threshold
     values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-    between = [j for j in range(cols) if j % bounds._PRUNE_STRIDE]
+    between = [j for j in range(cols) if j % helpers._PRUNE_STRIDE]
 
     def spiked_term():
         term = np.array(data.draw(st.lists(values, min_size=cols,
@@ -264,42 +276,33 @@ def test_pruned_row_equals_full_grid_argmin_with_spikes_property(data, cols,
     alphas = np.linspace(0.0, 1.0, rows)
     d = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                                     min_size=rows, max_size=rows)))
-    assert bounds._first_min_row(A, B, alphas, d) \
+    assert helpers._first_min_row(A, B, alphas, d) \
         == np.argmin(full_row_max(A, B, alphas) / d)
 
 
 @pytest.mark.parametrize("name", sorted(DENOMS))
 def test_each_point_evaluates_few_rows_in_full(monkeypatch, name):
     # the threshold row and the rows the lower bound keeps: at most 34 of
-    # 2001 per point on the 101-point curve, kinks included
+    # 2001 per point of the reference on the 101-point curve, kinks included
     full = []
-    exact = bounds._grid_row_max
+    exact = helpers._grid_row_max
 
     def spy(A, B, alphas):
-        if len(A) == bounds._RESOLUTION:
+        if len(A) == 2001:
             full[-1] += len(alphas)
         return exact(A, B, alphas)
 
-    monkeypatch.setattr(bounds, "_grid_row_max", spy)
+    monkeypatch.setattr(helpers, "_grid_row_max", spy)
     for m in M_GRID:
         full.append(0)
-        HARDNESS[name](float(m))
+        REFERENCE[name](float(m), 2001)
     assert 1 <= max(full) <= 40, (name, max(full))
 
 
-@pytest.mark.parametrize("fn", [cardinality_hardness])
-def test_hardness_accuracy_against_finer_run(fn):
-    for m in (0.0, 0.5, 1.0):
-        coarse = fn(m)
-        fine = fn(m, resolution=6001)
-        assert abs(coarse - fine) <= 1e-12, (fn.__name__, m, coarse, fine)
-
-
-@pytest.mark.parametrize("name", GRID_CURVES)
+@pytest.mark.parametrize("name", ["cardinality_hardness"])
 def test_each_search_runs_one_golden_section_round(name):
-    # one search in alpha, and one in x for each alpha it tries and for the
-    # grid's best alpha: 45 searches of 43 evaluations each, 1,935 in all;
-    # the symmetry gap has only the search in x
+    # one search in alpha on [1/2, 1], of 43 evaluations; the max over x
+    # inside each is exact, with no search
     evals = []
     search = bounds._golden_section_max
 
@@ -314,8 +317,7 @@ def test_each_search_runs_one_golden_section_round(name):
 
     with mock.patch.object(bounds, "_golden_section_max", spy):
         HARDNESS[name](0.3)
-    searches = 1 if name == "symmetry_gap_unconstrained" else 45
-    assert evals == [43] * searches
+    assert evals == [43]
 
 
 C_MATROID = 2.0 * (1.0 - math.exp(-0.5))
@@ -326,7 +328,7 @@ def numeric_matroid_hardness(m, resolution):
     refinement: the numeric reference of the closed form."""
     term_a = lambda x: m * x * x + 2.0 * x - 2.0 * x * x
     term_b = lambda x: C_MATROID * (1.0 - (1.0 - m) * x)
-    return bounds._nested_min_max(term_a, term_b, np.ones_like, 0.5, resolution)
+    return helpers._nested_min_max(term_a, term_b, np.ones_like, 0.5, resolution)
 
 
 def test_matroid_closed_form_equals_numeric_min_max():
@@ -343,6 +345,46 @@ def test_matroid_closed_form_equals_numeric_min_max():
 def test_matroid_closed_form_equals_numeric_min_max_property(m, resolution):
     assert abs(matroid_hardness(m) - numeric_matroid_hardness(m, resolution)) \
         <= 1e-12, (m, resolution)
+
+
+def test_cardinality_equals_numeric_min_max():
+    # at resolution 2001 the reference is the former numeric curve
+    for m in M_GRID:
+        value = cardinality_hardness(float(m))
+        for resolution in (2001, 6001):
+            reference = numeric_cardinality_hardness(float(m), resolution)
+            assert abs(value - reference) <= 1e-12, (m, resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.floats(0.0, 1.0), resolution=st.sampled_from([2001, 6001]))
+def test_cardinality_equals_numeric_min_max_property(m, resolution):
+    assert abs(cardinality_hardness(m)
+               - numeric_cardinality_hardness(m, resolution)) <= 1e-12, (m, resolution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(0.0, 1.0), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_inner_max_brackets_the_grid_max_property(m, a, b):
+    # |h''| <= 4(a+b) on [0,1] (|A''| = 2(2-m), |B''| = 2e^{x-1}|2c-1+cx|),
+    # so the grid max is within 4(a+b)step^2/8 of the max; 1e-15 absorbs
+    # the rounding of the two evaluations
+    A, B = bounds._argmax_terms(m, a, b)
+    exact = a * A + b * B
+    xs = np.linspace(0.0, 1.0, 20001)
+    grid = (a * ((m - 2.0) * xs * xs + 2.0 * xs)
+            + b * 2.0 * (1.0 - np.exp(xs - 1.0)) * (1.0 - (1.0 - m) * xs)).max()
+    step = xs[1]
+    assert grid - 1e-15 <= exact <= grid + 4.0 * (a + b) * step * step / 8.0 + 1e-15, \
+        (m, a, b, exact, grid)
+
+
+def test_cardinality_bracket_is_tight():
+    for m in M_GRID:
+        lower, upper = bounds._cardinality_bracket(float(m))
+        assert upper - lower <= 1e-12, (m, lower, upper)
+        assert cardinality_hardness(float(m)) == upper, m
+    assert bounds._cardinality_bracket(1.0) == (1.0 - INV_E, 1.0 - INV_E)
 
 
 def test_matroid_hardness_is_the_vertex_value_above_the_switch():
@@ -397,3 +439,13 @@ def test_guarantees_below_hardness_property(m):
     for kind, caps in CAPPED_BY.items():
         for name in caps:
             assert guarantee(kind, m) <= curves[name] + 1e-12, (kind, name, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(0.0, 1.0))
+def test_guarantees_below_cardinality_lower_bound_property(m):
+    # no slack: the certified lower end of the bracket, not the value
+    lower, _ = bounds._cardinality_bracket(m)
+    for kind, caps in CAPPED_BY.items():
+        if "cardinality_hardness" in caps:
+            assert guarantee(kind, m) <= lower, (kind, m, lower)
