@@ -302,7 +302,8 @@ def _matching_exchange(adm, s_ids, b_ids) -> dict[int, int]:
     return {u: s for s, u in match_of_s.items()}
 
 
-# Feasibility tolerance of an enumerated vertex (that of DownClosedPolytope.contains).
+# Feasibility tolerance of an enumerated vertex and of DownClosedPolytope.contains:
+# absolute, so a row may be exceeded by 1e-9 whatever its scale.
 _VERTEX_TOL = 1e-9
 # Largest number of candidate bases sum_k C(n,k) 2^(n-k) C(rows,k) that
 # DownClosedPolytope._vertices enumerates; larger polytopes solve each LP by HiGHS.
@@ -331,9 +332,8 @@ class DownClosedPolytope:
         if A.shape != (b.size, u.size):
             raise ValueError("A must be (len(b), len(u))")
         for name, arr in (("A", A), ("b", b), ("u", u)):
-            bad = np.argwhere(~np.isfinite(arr))
-            if bad.size:
-                idx = tuple(int(i) for i in bad[0])
+            if not np.isfinite(arr).all():
+                idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
                 raise ValueError(f"{name}[{', '.join(map(str, idx))}] = "
                                  f"{arr[idx]} is not finite")
         if np.any(A < 0) or np.any(b < 0) or np.any(u <= 0):
@@ -347,16 +347,26 @@ class DownClosedPolytope:
     def n(self) -> int:
         return self.u.size
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x is in P up to an absolute 1e-9 (_VERTEX_TOL): each bound
+        and each row of Ax <= b may be exceeded by 1e-9, whatever the row's
+        scale, so for rows x <= 1e-9 and 0.5x <= 0 the point x = 1e-9 is in."""
         x = np.asarray(x, dtype=float)
-        return (np.all(x >= -tol) and np.all(x <= self.u + tol)
-                and np.all(self.A @ x <= self.b + tol))
+        return (np.all(x >= -_VERTEX_TOL) and np.all(x <= self.u + _VERTEX_TOL)
+                and np.all(self.A @ x <= self.b + _VERTEX_TOL))
 
     def normalized(self) -> tuple["DownClosedPolytope", np.ndarray]:
         """Rescale so the box bound is all-ones; returns (P', scale) with
         x = scale * z mapping P' back to P."""
         scale = self.u.copy()
         return DownClosedPolytope(self.A * scale, self.b, np.ones_like(scale)), scale
+
+    @cached_property
+    def _faces(self) -> dict[bytes, np.ndarray]:
+        """The vertex lists of linear_maximize_polytope, keyed by the sign
+        pattern (w < 0).tobytes() of its weights: the vertices that are 0 on
+        every negative-weight coordinate, in _vertices order (at most 2^n)."""
+        return {}
 
     @cached_property
     def _vertices(self) -> np.ndarray | None:
@@ -385,17 +395,20 @@ class DownClosedPolytope:
             M = self.A[Rs[None, :, :, None], Fs[:, None, None, :]]   # (nF, nR, k, k)
             sv = np.linalg.svd(M, compute_uv=False)
             f_i, r_i = np.nonzero(sv[..., -1] > 1e-12 * sv[..., 0])
-            rhs = np.take_along_axis(slack[f_i], Rs[r_i][:, None, :], axis=2)
-            sol = np.linalg.solve(M[f_i, r_i], rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            # the advanced indices around the slice put it last: (m, k, nP)
+            sol = np.linalg.solve(M[f_i, r_i], slack[f_i[:, None], :, Rs[r_i]])
             x = fixed[f_i]                                           # (m, nP, n)
-            cols = np.broadcast_to(Fs[f_i][:, None, :], sol.shape)
-            np.put_along_axis(x, cols, sol, axis=2)
+            x[np.arange(f_i.size)[:, None], :, Fs[f_i]] = sol
             points.append(x.reshape(-1, n))
         X = np.concatenate(points)
         X = X[np.all((X >= -_VERTEX_TOL) & (X <= self.u + _VERTEX_TOL), axis=1)]
+        # with the array bound u, clip also maps -0.0 to 0.0, so rows equal
+        # as floats are equal as bytes and the dedup below keeps no -0.0
         X = np.clip(X, 0.0, self.u)
         X = X[np.all(X @ self.A.T <= self.b + _VERTEX_TOL, axis=1)]
-        return np.unique(X, axis=0)
+        if n:  # lexsort needs a key
+            X = X[np.lexsort(X.T[::-1])]
+        return X[np.r_[True, np.any(X[1:] != X[:-1], axis=1)]]
 
 
 def matroid_polytope(M: Matroid) -> DownClosedPolytope:
@@ -416,9 +429,8 @@ def _finite_vector(x, n: int, name: str) -> np.ndarray:
     x = np.array(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), not {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        j = int(bad[0])
+    if not np.isfinite(x).all():
+        j = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ValueError(f"{name}[{j}] = {x[j]} is not finite")
     return x
 
@@ -438,6 +450,9 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     down-closed). A small P answers from its cached vertex list: among the
     vertices that are 0 on every pinned coordinate, the lexicographically
     smallest one whose value w+.x is within a relative 1e-12 of the maximum.
+    The first LP on P pays for the vertex build; the vertices of each set of
+    pinned coordinates (a face of P) are filtered once, on the first LP that
+    pins exactly that set, and later LPs with the same pins reuse the list.
     A P above the vertex budget hands the LP to the HiGHS solver instead;
     scipy.optimize is imported only then, so a process that never solves
     such an LP starts without it.
@@ -445,10 +460,14 @@ def linear_maximize_polytope(P: DownClosedPolytope, w) -> np.ndarray:
     w = _finite_vector(w, P.n, "w")
     V = P._vertices
     if V is not None:
-        V = V[np.all(V[:, w < 0] == 0.0, axis=1)]
-        vals = V @ np.maximum(w, 0.0)
+        neg = w < 0
+        key = neg.tobytes()
+        face = P._faces.get(key)
+        if face is None:
+            face = P._faces[key] = V[np.all(V[:, neg] == 0.0, axis=1)]
+        vals = face @ np.maximum(w, 0.0)
         best = vals.max()
-        return V[np.argmax(vals >= best - 1e-12 * best)].copy()
+        return face[(vals >= best - 1e-12 * best).argmax()].copy()
     bounds = [(0.0, 0.0) if w[j] < 0 else (0.0, float(P.u[j])) for j in range(P.n)]
     res = linprog(-w, A_ub=P.A, b_ub=P.b, bounds=bounds, method="highs")
     if not res.success:

@@ -240,10 +240,11 @@ def frank_wolfe_nonmonotone(grad, value, P: DownClosedPolytope,
     gaps = []
     for _ in range(steps):
         g = np.asarray(grad(scale * z), dtype=float)
-        w = (1.0 - z) * (scale * g)
+        room = 1.0 - z
+        w = room * (scale * g)
         s = linear_maximize_polytope(Pn, w)
         gaps.append(float((s - z) @ w))
-        z = z + eps * (1.0 - z) * s
+        z = z + eps * room * s
     y = scale * z
     loss = None
     if cfg.L is not None and cfg.D is not None:

@@ -5,11 +5,14 @@ helpers never reuse the library's optimized code paths.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from monoratio import (GroundSet, SetFunctionOracle, ids_of, mask_of,
-                       mixture_objective)
+from monoratio import (FWResult, GroundSet, SetFunctionOracle, ids_of,
+                       mask_of, mixture_objective)
+from monoratio.constraints import (_VERTEX_BUDGET, _VERTEX_TOL,
+                                   _vertex_candidates)
 
 
 def table_oracle(table, name="table") -> SetFunctionOracle:
@@ -384,3 +387,73 @@ def _nested_min_max(term_a, term_b, denom, x_hi: float,
 
     _, v = _golden_section_max(lambda t: -outer(t), *_bracket(alphas, j))
     return min(outer(float(alphas[j])), -v)
+
+
+# The vertex enumeration, face filter and Frank-Wolfe loop as they were
+# before linear_maximize_polytope kept per-face vertex lists, kept verbatim
+# (self renamed P) as the references of the differential tests: the vertex build through the
+# along-axis helpers and np.unique(axis=0), a face filter over the whole
+# vertex list on every call, and the loop that computes 1 - z twice.
+def reference_vertices(P):
+    """DownClosedPolytope._vertices of P as a fresh computation."""
+    n, rows = P.n, P.b.size
+    if _vertex_candidates(n, rows) > _VERTEX_BUDGET:
+        return None
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    corners = bits * P.u
+    points = [corners]
+    for k in range(1, min(n, rows) + 1):
+        Fs = np.array(list(combinations(range(n), k)))
+        Rs = np.array(list(combinations(range(rows), k)))
+        # fixed patterns of each F: the corners with every F bit zero
+        fmask = (1 << Fs).sum(axis=1)
+        pat = np.nonzero((np.arange(1 << n) & fmask[:, None]) == 0)[1]
+        fixed = corners[pat.reshape(len(Fs), -1)]                # (nF, nP, n)
+        slack = P.b - fixed @ P.A.T                        # (nF, nP, rows)
+        M = P.A[Rs[None, :, :, None], Fs[:, None, None, :]]   # (nF, nR, k, k)
+        sv = np.linalg.svd(M, compute_uv=False)
+        f_i, r_i = np.nonzero(sv[..., -1] > 1e-12 * sv[..., 0])
+        rhs = np.take_along_axis(slack[f_i], Rs[r_i][:, None, :], axis=2)
+        sol = np.linalg.solve(M[f_i, r_i], rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        x = fixed[f_i]                                           # (m, nP, n)
+        cols = np.broadcast_to(Fs[f_i][:, None, :], sol.shape)
+        np.put_along_axis(x, cols, sol, axis=2)
+        points.append(x.reshape(-1, n))
+    X = np.concatenate(points)
+    X = X[np.all((X >= -_VERTEX_TOL) & (X <= P.u + _VERTEX_TOL), axis=1)]
+    X = np.clip(X, 0.0, P.u)
+    X = X[np.all(X @ P.A.T <= P.b + _VERTEX_TOL, axis=1)]
+    return np.unique(X, axis=0)
+
+
+def reference_vertex_lp(V, w):
+    """linear_maximize_polytope on the vertex list V of a polytope: the
+    vertices 0 on every negative-weight coordinate, filtered afresh."""
+    w = np.array(w, dtype=float)
+    V = V[np.all(V[:, w < 0] == 0.0, axis=1)]
+    vals = V @ np.maximum(w, 0.0)
+    best = vals.max()
+    return V[np.argmax(vals >= best - 1e-12 * best)].copy()
+
+
+def reference_frank_wolfe(grad, value, P, cfg):
+    """frank_wolfe_nonmonotone with its LP answered by reference_vertex_lp
+    over reference_vertices of the box-normalized polytope."""
+    steps = math.ceil(1.0 / cfg.eps)
+    eps = 1.0 / steps
+    Pn, scale = P.normalized()
+    V = reference_vertices(Pn)
+    z = np.zeros(P.n)
+    gaps = []
+    for _ in range(steps):
+        g = np.asarray(grad(scale * z), dtype=float)
+        w = (1.0 - z) * (scale * g)
+        s = reference_vertex_lp(V, w)
+        gaps.append(float((s - z) @ w))
+        z = z + eps * (1.0 - z) * s
+    y = scale * z
+    loss = None
+    if cfg.L is not None and cfg.D is not None:
+        loss = eps * cfg.L * cfg.D ** 2
+    return FWResult(y=y, value=float(value(y)), steps=steps,
+                    additive_loss_bound=loss, trace=gaps)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import monoratio.constraints as constraints
-from helpers import union_find_forest_indep
+from helpers import (reference_vertex_lp, reference_vertices,
+                     union_find_forest_indep)
 from monoratio import (DownClosedPolytope, OracleMatroid, PartitionMatroid,
                        UniformMatroid, ids_of,
                        linear_maximize_matroid, linear_maximize_polytope,
@@ -264,7 +265,8 @@ def _reference_vertices(P, tol):
                         x[list(F)] = np.linalg.solve(M, P.b[list(R)] - P.A[list(R)] @ fixed)
                     if np.all(x >= -tol) and np.all(x <= P.u + tol):
                         x = np.clip(x, 0.0, P.u)
-                        if P.contains(x, tol):
+                        if (np.all(x >= -tol) and np.all(x <= P.u + tol)
+                                and np.all(P.A @ x <= P.b + tol)):
                             out.append(x)
     return np.array(out)
 
@@ -330,6 +332,62 @@ def test_vertex_lp_agrees_with_highs_property(data):
     allowed = V[np.all(V[:, w < 0] == 0.0, axis=1)]
     vals = allowed @ np.maximum(w, 0.0)
     assert np.array_equal(x, allowed[vals >= vals.max() * (1.0 - 1e-12)][0])
+
+
+# special weight vectors: every coordinate pinned, none pinned, signed zeros
+_SPECIAL_WEIGHTS = (lambda n: -np.ones(n), np.zeros, lambda n: -np.zeros(n),
+                    lambda n: np.where(np.arange(n) % 2, -0.0, -1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vertex_and_face_lists_match_the_reference_property(data):
+    # the vertex list is the reference's, byte for byte; then a run of LPs on
+    # the polytope, repeated, so the face dict sees both new and known sign
+    # patterns: every answer is byte-identical to filtering the reference
+    # vertex list afresh
+    n, P = data.draw(_lp_polytopes())
+    V = reference_vertices(P)
+    assert P._vertices.shape == V.shape
+    assert P._vertices.tobytes() == V.tobytes()
+    drawn = data.draw(st.lists(st.lists(_LP_WEIGHT | st.just(-0.0), min_size=n,
+                                        max_size=n), min_size=1, max_size=6))
+    ws = [np.array(w) for w in drawn] + [make(n) for make in _SPECIAL_WEIGHTS]
+    for w in ws + ws[::-1]:
+        x = linear_maximize_polytope(P, w)
+        assert x.tobytes() == reference_vertex_lp(V, w).tobytes()
+    assert P._faces.keys() == {(w < 0).tobytes() for w in ws}
+    assert len(P._faces) <= 2 ** n
+
+
+# the solve of all rows on all coordinates returns a -0.0 (its LU pivots
+# turn negative): x = (1, -0.0), (0, -0.0) and (1/11, 5/11, -0.0); clipped
+# with the array bound u the vertex list holds 0.0 there, as the reference's
+# does, and with a scalar upper bound the last list would keep the -0.0
+_SIGNED_ZERO_POLYTOPES = [([[1.0, 2.0], [1.0, 1.0]], [1.0, 1.0], [1.0, 1.0]),
+                          ([[1.0, 2.0], [1.0, 1.0]], [0.0, 0.0], [1.0, 1.0]),
+                          ([[3.0, 0.5, 2.0], [1.0, 2.0, 0.0], [3.0, 0.5, 0.0]],
+                           [0.5, 1.0, 0.5], [2.0, 1.0, 2.0])]
+
+
+@pytest.mark.parametrize("A, b, u", _SIGNED_ZERO_POLYTOPES)
+def test_vertex_list_matches_the_reference_with_signed_zeros(A, b, u):
+    assert np.signbit(np.linalg.solve(A, b)).any()
+    P = DownClosedPolytope(A, b, u)
+    ref = reference_vertices(P)
+    assert P._vertices.shape == ref.shape
+    assert P._vertices.tobytes() == ref.tobytes()
+    assert not np.signbit(P._vertices).any()
+
+
+def test_contains_tolerance_is_absolute():
+    # rows x <= 1e-9 and 0.5 x <= 0: the true maximum of 2x is at x = 0, but
+    # each row may be exceeded by an absolute 1e-9, so the vertex x = 1e-9
+    # stays in the list and wins
+    P = DownClosedPolytope([[1.0], [0.5]], [1e-9, 0.0], [1.0])
+    assert linear_maximize_polytope(P, [2.0]).tolist() == [1e-9]
+    assert P.contains([1e-9])
+    assert not P.contains([3e-9])
 
 
 def test_large_polytope_takes_the_highs_path(monkeypatch):

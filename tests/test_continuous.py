@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import monoratio.continuous as continuous
 from helpers import (brute_opt, coverage_table, every_row_gain_estimates,
                      mixture_oracle, modular_oracle, psd_similarity,
-                     recording_oracle, table_oracle)
+                     recording_oracle, reference_frank_wolfe, table_oracle)
 from monoratio import (DownClosedPolytope, FWConfig, MCGConfig,
                        PartitionMatroid, UniformMatroid, frank_wolfe_nonmonotone,
                        generate_quadratic_instance, ids_of, image_objective,
@@ -338,6 +338,21 @@ def test_fw_trace_gaps_cost_no_extra_calls(monkeypatch):
     assert all(math.isfinite(g) for g in res.trace)
     # z stays in the normalized polytope and s maximizes <., w> over it
     assert min(res.trace) >= -1e-9
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (4, 3), (4, 11), (4, 1000003)])
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+def test_fw_matches_the_reference_loop(n, seed, eps):
+    # face lists and the shared 1 - z change no bit of the run
+    inst = generate_quadratic_instance(n, beta=0.2, alpha=0.3, seed=seed)
+    cfg = FWConfig(eps=eps, L=inst.L, D=inst.D)
+    res = frank_wolfe_nonmonotone(inst.grad, inst.value, inst.polytope(), cfg)
+    ref = reference_frank_wolfe(inst.grad, inst.value, inst.polytope(), cfg)
+    assert res.y.tobytes() == ref.y.tobytes()
+    assert res.value.hex() == ref.value.hex()
+    assert [g.hex() for g in res.trace] == [g.hex() for g in ref.trace]
+    assert res.steps == ref.steps
+    assert res.additive_loss_bound == ref.additive_loss_bound
 
 
 def test_fw_config_validation():
