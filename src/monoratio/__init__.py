@@ -11,7 +11,7 @@ application objectives with their upper-bound-on-OPT experiment harness.
 from .apps import (FeatureMatrix, QuadraticInstance, generate_quadratic_instance,
                    image_objective, inner_product_similarity, load_features_csv,
                    min_box_quadratic, mixture_objective, movie_objective,
-                   random_feature_matrix, random_similarity)
+                   random_feature_matrix)
 from .bounds import (GuaranteeCurve, cardinality_hardness, evaluate_curve,
                      guarantee, matroid_hardness, smallest_grid_crossing,
                      symmetry_gap_unconstrained, upper_bound_from_output)
@@ -29,8 +29,8 @@ from .discrete import (RunResult, TraceRow, best_of_with_ground, double_greedy,
                        trace_to_csv)
 from .experiments import ExperimentSpec, run_experiment
 from .oracle import (GroundSet, SampleConfig, SetFunctionOracle, SizeLimitError,
-                     ids_of, indicator, lovasz_extension, marginal, mask_of,
-                     mask_from_indicator, multilinear_exact, multilinear_sampled)
+                     ids_of, indicator, marginal, mask_of, mask_from_indicator,
+                     multilinear_exact, multilinear_sampled)
 from .ratio import (RatioReport, exact_monotonicity_ratio,
                     exact_weak_monotonicity_ratio, image_weak_ratio_bound,
                     is_submodular, movie_ratio_bound, quadratic_ratio_bound)

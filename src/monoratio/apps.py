@@ -22,7 +22,6 @@ __all__ = [
     "load_features_csv",
     "random_feature_matrix",
     "inner_product_similarity",
-    "random_similarity",
     "validate_similarity",
     "movie_objective",
     "image_objective",
@@ -108,18 +107,6 @@ def inner_product_similarity(X: FeatureMatrix, clip_negative: bool = False) -> n
             raise ValueError("negative inner products; rerun with "
                              "clip_negative=True to clamp them")
         s = np.clip(s, 0.0, None)
-    return s
-
-
-def random_similarity(n: int, seed: int = 0, psd: bool = True) -> np.ndarray:
-    """Random non-negative symmetric similarity matrix; psd=True builds it as
-    a Gram matrix of max(2, n // 2) non-negative features."""
-    rng = np.random.default_rng(seed)
-    if psd:
-        feats = rng.random((n, max(2, n // 2)))
-        return feats @ feats.T
-    s = rng.random((n, n))
-    s = np.triu(s) + np.triu(s, 1).T
     return s
 
 

@@ -56,9 +56,6 @@ __all__ = [
 
 _INV_E = math.exp(-1.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
-# The hardness curves were once evaluated on a grid of this many points per
-# axis; the CSV resolution column still reads it, so CSVs stay byte-identical.
-_HARDNESS_CSV_RESOLUTION = 2001
 
 
 def _check_m(m: float) -> float:
@@ -269,34 +266,28 @@ class GuaranteeCurve:
 
     expression_id: str
     points: list[tuple[float, float]]
-    resolution: int
 
-    CSV_HEADER = "m,value,expression_id,resolution"
+    CSV_HEADER = "m,value,expression_id"
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for m, v in self.points:
-            lines.append(f"{m:.10g},{v:.12g},{self.expression_id},{self.resolution}")
+            lines.append(f"{m:.10g},{v:.12g},{self.expression_id}")
         return "\n".join(lines) + "\n"
 
 
 def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     """Evaluate one expression on a uniform m-grid of num_points >= 1 in
-    [0,1] (the mcg curve at time horizon T = 1). The resolution column of a
-    guarantee curve is num_points; for the three hardness curves, which
-    use no grid, it reads 2001, the grid they were once evaluated on, so
-    every CSV stays byte-identical."""
+    [0,1] (the mcg curve at time horizon T = 1). Its CSV has three columns:
+    m (10 significant digits), the value (12 significant digits) and the
+    expression id."""
     if num_points < 1:
         raise ValueError(f"num_points must be >= 1, got {num_points}")
+    fn = GUARANTEE_KINDS.get(expression_id) or _HARDNESS_IDS.get(expression_id)
+    if fn is None:
+        raise ValueError(f"unknown expression id {expression_id!r}; known: {CURVE_IDS}")
     ms = np.linspace(0.0, 1.0, num_points)
-    if expression_id in GUARANTEE_KINDS:
-        pts = [(float(m), guarantee(expression_id, float(m))) for m in ms]
-        return GuaranteeCurve(expression_id, pts, resolution=num_points)
-    if expression_id in _HARDNESS_IDS:
-        fn = _HARDNESS_IDS[expression_id]
-        pts = [(float(m), fn(float(m))) for m in ms]
-        return GuaranteeCurve(expression_id, pts, resolution=_HARDNESS_CSV_RESOLUTION)
-    raise ValueError(f"unknown expression id {expression_id!r}; known: {CURVE_IDS}")
+    return GuaranteeCurve(expression_id, [(float(m), fn(float(m))) for m in ms])
 
 
 def smallest_grid_crossing(fn, threshold: float, step: float = 0.001,

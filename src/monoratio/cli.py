@@ -16,8 +16,7 @@ import numpy as np
 
 from . import _svg
 from .apps import (image_objective, inner_product_similarity, load_features_csv,
-                   mixture_objective, movie_objective, random_feature_matrix,
-                   random_similarity)
+                   mixture_objective, movie_objective, random_feature_matrix)
 from .bounds import CURVE_IDS, evaluate_curve
 from .constraints import UniformMatroid, partition_matroid_from_text
 from .experiments import (_OBJECTIVES, ALGORITHMS, ExperimentSpec,
@@ -49,11 +48,9 @@ def _build_objective(args) -> SetFunctionOracle:
     if getattr(args, "features_csv", None):
         feats = load_features_csv(args.features_csv)
         sim = inner_product_similarity(feats, clip_negative=True)
-    elif name == "movie":
-        feats = random_feature_matrix(args.n, 25, seed=args.seed)
-        sim = inner_product_similarity(feats)
     else:
-        sim = random_similarity(args.n, seed=args.seed)
+        d = 25 if name == "movie" else max(2, args.n // 2)
+        sim = inner_product_similarity(random_feature_matrix(args.n, d, seed=args.seed))
     if name == "movie":
         return movie_objective(sim, args.lam)
     if name == "image":
@@ -164,6 +161,11 @@ def cmd_run(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.spec:
+        flagged = sorted(set(vars(args)) & _SPEC_FIELDS)
+        if flagged:
+            print(f"error: --spec takes no spec fields as flags; put them in the "
+                  f"spec file: {', '.join(flagged)}", file=sys.stderr)
+            return 2
         with open(args.spec) as fh:
             given = json.load(fh)
         if not isinstance(given, dict):

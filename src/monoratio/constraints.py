@@ -236,19 +236,17 @@ class OracleMatroid(Matroid):
 
     The matroid axioms are the caller's responsibility (the test suite spot
     checks them exhaustively for small n). rank is computed by greedy
-    completion if not supplied.
+    completion.
     """
 
-    def __init__(self, n: int, indep, rank: int | None = None):
+    def __init__(self, n: int, indep):
         self.n = n
         self._indep = indep
-        if rank is None:
-            m = 0
-            for u in range(n):
-                if indep(m | (1 << u)):
-                    m |= 1 << u
-            rank = m.bit_count()
-        self.rank = rank
+        m = 0
+        for u in range(n):
+            if indep(m | (1 << u)):
+                m |= 1 << u
+        self.rank = m.bit_count()
 
     def is_independent(self, mask: int) -> bool:
         return bool(self._indep(mask))

@@ -202,12 +202,10 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     elif spec.sweep not in sweeps:
         problems.append(f"sweep {spec.sweep!r} unsupported for "
                         f"{spec.objective} (choose from {sorted(sweeps)})")
-    if spec.trials < 1:
-        problems.append("trials must be >= 1")
-    if spec.n < 1:
-        problems.append("n must be >= 1")
-    if spec.categories < 1:
-        problems.append("categories must be >= 1")
+    for name in ("trials", "n", "categories", "mcg_steps", "mcg_samples",
+                 "feature_dim"):
+        if getattr(spec, name) < 1:
+            problems.append(f"{name} must be >= 1")
     if not 0 < spec.eps < 1:
         problems.append("eps must be in (0,1)")
     if not 0 < spec.fw_eps < 1:
@@ -227,8 +225,16 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         if bad:
             problems.append(f"{spec.sweep} sweep grid values must be positive "
                             f"integers, got {bad}")
-    if spec.objective == "movie" and not 0 <= spec.lam <= 1:
-        problems.append("lambda must be in [0,1]")
+    if spec.objective == "movie":
+        if not 0 <= spec.lam <= 1:
+            problems.append("lambda must be in [0,1]")
+        # a k grid value below 1 is reported above
+        bad = ([g for g in spec.grid if g > spec.n] if spec.sweep == "k"
+               else [] if 0 <= spec.k <= spec.n else [spec.k])
+        if bad:
+            problems.append(f"k must be between 0 and n = {spec.n}, got {bad}")
+    if spec.objective == "image" and spec.sweep != "k" and spec.k < 0:
+        problems.append("k must be >= 0")
     if spec.objective == "quadratic":
         if spec.sweep != "beta" and not 0 < spec.beta < 0.5:
             problems.append("beta must be in (0,0.5)")

@@ -24,7 +24,6 @@ __all__ = [
     "marginal",
     "multilinear_exact",
     "multilinear_sampled",
-    "lovasz_extension",
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
@@ -383,25 +382,3 @@ def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[flo
     stderr = float(vals.std(ddof=1) / math.sqrt(cfg.samples))
     return est, stderr
 
-
-def lovasz_extension(f: SetFunctionOracle, x) -> float:
-    """Exact Lovász extension by threshold decomposition (n+1 oracle calls).
-
-    Sorts coordinates descending (ties by id; the result is tie-independent
-    because zero gaps carry zero weight) and accumulates f on prefix sets
-    weighted by consecutive threshold gaps.
-    """
-    n = f.n
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x must have shape ({n},)")
-    order = np.argsort(-x, kind="stable")
-    xs = x[order]
-    total = (1.0 - xs[0]) * f.value(0)
-    mask = 0
-    for i in range(n):
-        mask |= 1 << int(order[i])
-        hi = xs[i]
-        lo = xs[i + 1] if i + 1 < n else 0.0
-        total += (hi - lo) * f.value(mask)
-    return total

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import gap_oracle
-from monoratio import (bounds, cardinality_hardness, evaluate_curve,
+from monoratio import (GuaranteeCurve, bounds, cardinality_hardness, evaluate_curve,
                        guarantee, matroid_hardness, multilinear_exact,
                        smallest_grid_crossing, symmetry_gap_unconstrained,
                        upper_bound_from_output)
+from monoratio.bounds import CURVE_IDS
 
 INV_E = math.exp(-1.0)
 M_GRID = np.linspace(0.0, 1.0, 101)
@@ -120,9 +121,9 @@ def test_evaluate_curve_and_csv():
     assert c.points[-1] == (1.0, 1.0)
     text = c.to_csv()
     lines = text.splitlines()
-    assert lines[0] == "m,value,expression_id,resolution"
+    assert lines[0] == "m,value,expression_id"
     assert len(lines) == 12
-    assert lines[1].startswith("0,0.5,unconstrained_hard,")
+    assert lines[1] == "0,0.5,unconstrained_hard"
     ms = [float(line.split(",")[0]) for line in lines[1:]]
     assert ms == sorted(ms)
     with pytest.raises(ValueError):
@@ -133,6 +134,14 @@ def test_evaluate_curve_and_csv():
             evaluate_curve("rgm", num_points=num_points)
     assert evaluate_curve("rgm", num_points=1).points \
         == [(0.0, guarantee("rgm", 0.0))]
+
+
+@pytest.mark.parametrize("expression_id", CURVE_IDS)
+def test_every_curve_csv_row_is_m_value_and_id(expression_id):
+    c = evaluate_curve(expression_id, num_points=7)
+    assert c.to_csv().splitlines() == [GuaranteeCurve.CSV_HEADER] + [
+        f"{m:.10g},{v:.12g},{expression_id}" for m, v in c.points]
+    assert all(line.count(",") == 2 for line in c.to_csv().splitlines())
 
 
 def test_smallest_grid_crossing():

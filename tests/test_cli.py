@@ -63,7 +63,7 @@ def test_bounds_unconstrained_hard(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--expr", "unconstrained_hard")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "m,value,expression_id,resolution"
+    assert lines[0] == "m,value,expression_id"
     assert len(lines) == 102
     first = lines[1].split(",")
     last = lines[-1].split(",")
@@ -316,6 +316,24 @@ def test_experiment_spec_file(capsys, tmp_path):
 
     spec.write_text(json.dumps({"objective": "quadratic", "bogus": 1}))
     assert main(["experiment", "--spec", str(spec)]) == 2
+
+
+def test_experiment_spec_rejects_spec_fields_given_as_flags(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"objective": "quadratic", "sweep": "beta",
+                                "grid": [0.1], "n": 3, "trials": 1, "fw_eps": 0.1}))
+    code, out, err = run_cli(capsys, "experiment", "--spec", str(spec),
+                             "--trials", "3", "--seed", "5", "--lambda", "0.5")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --spec takes no spec fields as flags; "
+                                "put them in the spec file: lam, seed, trials"]
+    # --out and --svg name output files, not spec fields
+    out_csv, out_svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    code, out, _ = run_cli(capsys, "experiment", "--spec", str(spec),
+                           "--out", str(out_csv), "--svg", str(out_svg))
+    assert (code, out) == (0, "")
+    assert out_csv.read_text().startswith("sweep,sweep_value,frank_wolfe_mean,")
+    assert out_svg.read_text().startswith("<svg")
 
 
 def test_experiment_spec_file_with_bad_types_reports_each_field(capsys, tmp_path):

@@ -102,6 +102,43 @@ def test_validate_spec_rejects_k_and_n_grid_values_that_are_not_positive_integer
             f"got [2.5, 0, -1]"]
 
 
+def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
+    # reported together, before any feature, instance or oracle is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the spec reached the sweep")
+
+    for name in ("random_feature_matrix", "movie_objective", "image_objective"):
+        monkeypatch.setattr(experiments, name, unreachable)
+    with pytest.raises(SpecValidationError) as exc:
+        run_experiment(ExperimentSpec(objective="movie", sweep="lambda",
+                                      grid=[0.5], n=6, k=9, mcg_steps=0,
+                                      mcg_samples=0, feature_dim=0))
+    assert exc.value.problems == ["mcg_steps must be >= 1",
+                                  "mcg_samples must be >= 1",
+                                  "feature_dim must be >= 1",
+                                  "k must be between 0 and n = 6, got [9]"]
+    for spec, problem in (
+            (dict(objective="movie", sweep="lambda", n=6, k=-1, grid=[0.5]),
+             "k must be between 0 and n = 6, got [-1]"),
+            (dict(objective="movie", sweep="k", n=6, grid=[2, 7, 9]),
+             "k must be between 0 and n = 6, got [7, 9]"),
+            (dict(objective="image", sweep="k", n=6, k=-1, grid=[1]), None),
+            (dict(objective="image", sweep="k", n=6, grid=[1], feature_dim=-1),
+             "feature_dim must be >= 1"),
+            (dict(objective="image", sweep="lambda", n=6, k=-1, grid=[1]),
+             "k must be >= 0")):
+        if problem is None:  # a swept k leaves spec.k unread
+            assert validate_spec(ExperimentSpec(**spec)).k == -1
+            continue
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(ExperimentSpec(**spec))
+        assert problem in exc.value.problems, (spec, exc.value.problems)
+    # the movie bounds are inclusive
+    for k in (0, 6):
+        assert validate_spec(ExperimentSpec(objective="movie", sweep="lambda",
+                                            grid=[0.5], n=6, k=k)).k == k
+
+
 def test_svg_draws_an_infinite_bound_at_a_finite_cap():
     spec = validate_spec(ExperimentSpec(objective="movie", sweep="lambda",
                                         grid=[0.5, 0.9], algorithms=["random_greedy"]))

@@ -13,12 +13,11 @@ from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        SetFunctionOracle, SizeLimitError, UniformMatroid,
                        double_greedy, exact_monotonicity_ratio,
                        greedy_cardinality, greedy_matroid, ids_of,
-                       image_objective, lovasz_extension, marginal, mask_of,
+                       image_objective, marginal, mask_of,
                        measured_continuous_greedy, mixture_objective,
                        movie_objective, multilinear_exact, multilinear_sampled,
                        random_greedy_cardinality, random_greedy_matroid,
-                       random_similarity, sample_greedy, threshold_greedy,
-                       threshold_random_greedy)
+                       sample_greedy, threshold_greedy, threshold_random_greedy)
 from monoratio.oracle import _KERNEL_BLOCK_BYTES, _size_groups
 
 
@@ -124,54 +123,6 @@ def test_multilinear_sampled_agrees_with_exact():
 
     with pytest.raises(ValueError):
         multilinear_sampled(g0, [0.5, 0.5], SampleConfig(1, seed=0))
-
-
-def test_lovasz_examples():
-    f = modular_oracle([1.0, 1.0])
-    assert lovasz_extension(f, [0.5, 0.25]) == pytest.approx(0.75)
-
-    cut = directed_cut_edge()
-    assert lovasz_extension(cut, [0.5, 0.25]) == pytest.approx(0.25)
-
-    f, table = mixture_oracle(5, seed=11)
-    for mask in [0, 0b10101, 0b11111]:
-        x = [(mask >> u) & 1 for u in range(5)]
-        assert lovasz_extension(f, x) == pytest.approx(table[mask])
-
-
-def test_lovasz_call_count_and_tie_independence():
-    f, _ = mixture_oracle(4, seed=5)
-    before = f.eval_count
-    lovasz_extension(f, [0.5, 0.5, 0.2, 0.5])
-    assert f.eval_count - before == 5  # n + 1 calls
-
-    # equal coordinates: explicit tie permutations cannot change the value
-    v1 = lovasz_extension(f, [0.5, 0.5, 0.2, 0.5])
-    v2 = lovasz_extension(f, [0.5, 0.5 + 0e-0, 0.2, 0.5])
-    assert v1 == v2
-
-
-def test_lovasz_matches_quadrature():
-    f, table = mixture_oracle(5, seed=21)
-    rng = np.random.default_rng(4)
-    x = rng.random(5)
-    slices = 40001
-    lam = (np.arange(slices) + 0.5) / slices
-    total = 0.0
-    for lo in lam:
-        t = sum(1 << u for u in range(5) if x[u] >= lo)
-        total += table[t]
-    assert lovasz_extension(f, x) == pytest.approx(total / slices, abs=2e-4)
-
-
-def test_lovasz_below_expectation_couplings():
-    # Lovasz extension lower-bounds E[f(D_x)] for any coupling with the right
-    # marginals; check the independent coupling R(x) = multilinear extension.
-    rng = np.random.default_rng(17)
-    for seed in range(8):
-        f, _ = mixture_oracle(5, seed=seed)
-        x = rng.random(5)
-        assert lovasz_extension(f, x) <= multilinear_exact(f, x) + 1e-9
 
 
 def test_union_with_random_set_lower_bound():
@@ -357,7 +308,7 @@ def test_a_mask_outside_the_ground_set_raises_on_every_path():
     # a table or count the set; a rejected scan counts nothing on either
     # path. A batch to `values` is a (B, n) matrix, which holds no such set.
     n = 5
-    s = random_similarity(n, seed=3)
+    s = psd_similarity(n, 3, d=max(2, n // 2))
     table_f, _ = mixture_oracle(n, seed=0)
     bases = [movie_objective(s, 0.75), image_objective(s), mixture_objective(n, 0),
              table_f]
@@ -381,7 +332,7 @@ def test_a_scan_reads_an_iterator_of_candidates_once():
     # the error names the bad candidate, not a drained iterator's leftovers,
     # and the rejected scan counts nothing, with and without a kernel
     n = 5
-    s = random_similarity(n, seed=3)
+    s = psd_similarity(n, 3, d=max(2, n // 2))
     table_f, _ = mixture_oracle(n, seed=0)
     for f in (movie_objective(s, 0.75), image_objective(s), mixture_objective(n, 0),
               table_f):
@@ -517,7 +468,11 @@ def test_multilinear_exact_batched_equals_scalar():
 @given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
        lam=st.floats(0.0, 1.0), psd=st.booleans())
 def test_batched_equals_scalar_property(data, n, seed, lam, psd):
-    s = random_similarity(n, seed=seed, psd=psd)
+    if psd:
+        s = psd_similarity(n, seed, d=max(2, n // 2))
+    else:  # symmetric with uniform entries, not a Gram matrix
+        s = np.random.default_rng(seed).random((n, n))
+        s = np.triu(s) + np.triu(s, 1).T
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
     for f in (movie_objective(s, lam), image_objective(s)):
         got = f.values(as_matrix(masks, n))
@@ -529,7 +484,7 @@ def test_batched_equals_scalar_property(data, n, seed, lam, psd):
 @given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
        lam=st.floats(0.0, 1.0))
 def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam):
-    s = random_similarity(n, seed=seed)
+    s = psd_similarity(n, seed, d=max(2, n // 2))
     A = data.draw(st.integers(0, (1 << n) - 1), label="A")
     # unsorted, possibly repeated, possibly empty, possibly members of A
     cands = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 3), label="cands")
