@@ -41,12 +41,15 @@ def _directed_cut_chain(n: int) -> SetFunctionOracle:
 
 def _build_objective(args) -> SetFunctionOracle:
     name = args.objective
+    csv = args.features_csv if name in ("movie", "image") else None
+    if not csv and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     if name == "synthetic-cut":
         return _directed_cut_chain(args.n)
     if name == "synthetic-mix":
         return mixture_objective(args.n, args.seed)
-    if getattr(args, "features_csv", None):
-        feats = load_features_csv(args.features_csv)
+    if csv:
+        feats = load_features_csv(csv)
         sim = inner_product_similarity(feats, clip_negative=True)
     else:
         d = 25 if name == "movie" else max(2, args.n // 2)

@@ -112,9 +112,7 @@ class Matroid:
             adm = {u: {s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))}
                    for u in b_ids}
             return adm, s_ids, b_ids
-        key = self._padded_keys.get(free)
-        if key is None:
-            key = self._padded_keys[free] = self.key + [self.dummy_key] * free
+        key = self.key + [self.dummy_key] * free
         pools: dict[int, list[int]] = {}  # S by class
         for s in s_ids:
             pools.setdefault(key[s], []).append(s)
@@ -201,7 +199,6 @@ class PartitionMatroid(Matroid):
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be non-negative")
         self.rank = sum(min(c, b.bit_count()) for b, c in zip(masks, self.capacities))
-        self._padded_keys: dict[int, list[int]] = {}
 
     def is_independent(self, mask: int) -> bool:
         return all((mask & b).bit_count() <= c

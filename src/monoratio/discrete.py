@@ -260,7 +260,7 @@ def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
     rng, seed = _rng(seed)
     start = f.eval_count
-    states = f._state_cache()
+    states = f._states
     rows = [] if trace else None
     A = 0
     fA = f.value(0)
@@ -454,7 +454,7 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
         raise ValueError("eps must be in (0,1)")
     rng, seed = _rng(seed)
     start = f.eval_count
-    states = f._state_cache()
+    states = f._states
     rows = [] if trace else None
     k = M.rank
     n = M.n

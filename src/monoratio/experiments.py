@@ -285,13 +285,7 @@ class ExperimentResult:
 
 def _partition_blocks(n: int, categories: int):
     """Contiguous near-equal split of 0..n-1 into `categories` blocks."""
-    sizes = [n // categories + (1 if j < n % categories else 0)
-             for j in range(categories)]
-    blocks, start = [], 0
-    for sz in sizes:
-        blocks.append(list(range(start, start + sz)))
-        start += sz
-    return blocks
+    return [b.tolist() for b in np.array_split(np.arange(n), categories)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

@@ -27,9 +27,10 @@ __all__ = [
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
-# Oracles on at most this many elements cache `fn` in a memo, which bounds
-# the memo at 2^20 masks.
-_MEMO_MAX_N = 20
+# Oracles on at most this many elements keep the states seeded runs share
+# (`_states`): at n = 50 sharing raised a sweep's peak memory by about 2%
+# for no clear gain in time.
+_STATE_MAX_N = 20
 _EXACT_CHUNK = 1 << 12  # masks per batch of a 2^n table
 # Float bytes one kernel step may gather: bounds the (rows, L, n) block an
 # `ids_fn` builds for rows of set size L.
@@ -94,10 +95,7 @@ class SetFunctionOracle:
     """Counted black-box access to a set function f: 2^N -> R.
 
     `fn` receives a bitmask and must be deterministic. `eval_count` increases
-    by one per logical evaluation. On a ground set of at most `_MEMO_MAX_N`
-    elements `value` caches `fn` in a memo: a repeated mask skips the
-    recomputation but the counter still advances, so counts do not depend on
-    the memo.
+    by one per evaluation, and `value` calls `fn` once per call.
 
     `ids_fn`, when given, is a vectorized form of `fn` on nonempty sets of
     one size: it receives a (B, L) int64 array whose row i holds the L >= 1
@@ -105,24 +103,24 @@ class SetFunctionOracle:
     on those sets. It is called with at most `_block_rows(L, n)` rows, so
     it may gather a (B, L, n) block. `values` groups the rows of its (B, n)
     boolean matrix by set size and `scan` builds its rows of |A| + 1 ids
-    directly; the empty set goes to `fn`, never to `ids_fn`. These kernel
-    batches neither read nor write the memo. Without an `ids_fn` both loop
-    over `value` and share its memo, as do the scans `ids_fn` cannot take.
+    directly; the empty set goes to `fn`, never to `ids_fn`. Without an
+    `ids_fn` both loop over `value`, as do the scans `ids_fn` cannot take.
 
-    Every freshly computed value must be finite; a NaN or infinity raises
+    Every computed value must be finite; a NaN or infinity raises
     ValueError naming the oracle and the offending mask. A mask outside the
     ground set (negative, or with a bit at n or above) raises ValueError
-    instead of reaching `fn`, `ids_fn` or the memo.
+    instead of reaching `fn` or `ids_fn`.
 
     Seeded runs on one oracle share the state they derive from f and their
     current set alone: random greedy's candidate set M_i per set A (and
     candidate rule), and random greedy for matroids' exchange law and
     scanned values per (matroid, base). The oracle keeps these states as
-    long as it lives, in a dict that exists exactly when the memo does
-    (`_state_cache`). A run that finds its state there adds to `eval_count`
-    the calls that building it would have made, so outputs and counts do
-    not depend on the sharing. A key holds the matroid object, so a matroid
-    must not be mutated after a run on the oracle has used it.
+    long as it lives, in a dict `_states` that exists on at most
+    `_STATE_MAX_N` elements and is None above. A run that finds its state
+    there adds to `eval_count` the calls that building it would have made,
+    so outputs and counts do not depend on the sharing. A key holds the
+    matroid object, so a matroid must not be mutated after a run on the
+    oracle has used it.
     """
 
     def __init__(self, ground: GroundSet, fn, name: str = "f", ids_fn=None):
@@ -131,31 +129,16 @@ class SetFunctionOracle:
         self.name = name
         self._fn = fn
         self._ids_fn = ids_fn
-        self._memo: dict | None = {} if ground.n <= _MEMO_MAX_N else None
-        self._states: dict = {}
+        self._states: dict | None = {} if ground.n <= _STATE_MAX_N else None
         self.eval_count = 0
-
-    def _state_cache(self) -> dict | None:
-        """The states seeded runs share on this oracle, or None when it has
-        no memo (n above `_MEMO_MAX_N`, or a copy whose memo was removed)."""
-        return None if self._memo is None else self._states
 
     def value(self, mask: int) -> float:
         if mask >> self.n:  # nonzero for a negative mask too
             raise ValueError(f"mask {mask} outside the {self.n}-element ground set")
         self.eval_count += 1
-        memo = self._memo
-        if memo is None:
-            v = float(self._fn(mask))
-            if v - v:  # nonzero (NaN) only for NaN and +-inf
-                self._reject(v, mask)
-            return v
-        v = memo.get(mask)
-        if v is None:
-            v = float(self._fn(mask))
-            if v - v:
-                self._reject(v, mask)
-            memo[mask] = v
+        v = float(self._fn(mask))
+        if v - v:  # nonzero (NaN) only for NaN and +-inf
+            self._reject(v, mask)
         return v
 
     def scan(self, A: int, candidates) -> list[float]:
@@ -166,8 +149,8 @@ class SetFunctionOracle:
         `ids_fn`, the rows (ids of A, u) sorted go to `ids_fn` directly,
         unless the scan is empty, A lies outside the ground set (which
         raises) or a candidate is already in A (which yields f(A)). Those
-        scans, and every scan without an `ids_fn`, loop over `value` (memo,
-        finiteness check and counting included) and build no numpy array:
+        scans, and every scan without an `ids_fn`, loop over `value`
+        (finiteness check and counting included) and build no numpy array:
         on a handful of candidates the array round trip costs more than the
         evaluations. A candidate outside 0..n-1 raises ValueError naming
         it, and the rejected scan counts nothing.

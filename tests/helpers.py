@@ -44,8 +44,9 @@ def directed_cut_edge() -> SetFunctionOracle:
 
 
 def recording_oracle(f: SetFunctionOracle):
-    """(copy, log): a copy of the oracle `f` without a memo whose `fn` and
-    `ids_fn` append to `log` every mask they compute."""
+    """(copy, log): a copy of the oracle `f` that shares no state between
+    runs and whose `fn` and `ids_fn` append to `log` every mask they
+    compute."""
     log = []
     fn, ids_fn = f._fn, f._ids_fn
 
@@ -59,7 +60,7 @@ def recording_oracle(f: SetFunctionOracle):
 
     g = SetFunctionOracle(f.ground, logged_fn, name=f.name,
                           ids_fn=None if ids_fn is None else logged_ids_fn)
-    g._memo = None
+    g._states = None
     return g, log
 
 

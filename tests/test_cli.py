@@ -147,6 +147,24 @@ def test_run_synthetic_mix_above_its_size_limit(capsys):
     assert "out of bounds" not in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("objective", ["movie", "image", "synthetic-cut",
+                                       "synthetic-mix"])
+@pytest.mark.parametrize("command", [["run", "--alg", "greedy", "--k", "1"],
+                                     ["ratio"]])
+def test_a_ground_set_below_one_element_names_n(capsys, monkeypatch, command,
+                                                 objective, n):
+    # rejected before any feature matrix or mixture is drawn
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr("monoratio.cli.random_feature_matrix", unreachable)
+    monkeypatch.setattr("monoratio.cli.mixture_objective", unreachable)
+    code, out, err = run_cli(capsys, *command, "--objective", objective, "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: --n must be at least 1, got {n}\n"
+
+
 def test_run_matroid_algorithms(capsys, tmp_path):
     spec = tmp_path / "matroid.txt"
     spec.write_text("block: 0,1,2,3 capacity=1\nblock: 4,5,6,7 capacity=2\n")

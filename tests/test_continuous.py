@@ -92,7 +92,7 @@ def test_mcg_rejects_a_constraint_on_another_ground_set():
 @st.composite
 def _mcg_cases(draw):
     """An oracle factory (the image or movie objective with a kernel, at
-    n in {12, 50, 70}, or the memoized kernel-free mixture on n <= 10), a
+    n in {12, 50, 70}, or the kernel-free mixture on n <= 10), a
     partition matroid, the constraint (that matroid or its polytope) and an
     MCG budget."""
     seed = draw(st.integers(0, 10_000))

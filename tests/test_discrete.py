@@ -902,7 +902,7 @@ def test_runs_on_a_shared_oracle_equal_runs_on_fresh_oracles(case, runs):
         if as_generator:
             assert g.bit_generator.state == g_ref.bit_generator.state
     assert shared.eval_count == fresh_calls
-    states = shared._state_cache()
+    states = shared._states
     snapshot = {key: copy.deepcopy(entry) for key, entry in states.items()}
     for a, seed, as_generator, opts in jobs:
         run_on(shared, a, seed_of(seed, as_generator), *opts)

@@ -59,12 +59,13 @@ def test_marginal_counts_two_calls_and_precondition():
         marginal(f, 0, 0b001)
 
 
-def test_memoization_keeps_counting():
+def test_value_calls_fn_once_per_call_and_counts_it():
     calls = []
     f = SetFunctionOracle(GroundSet(2), lambda m: calls.append(m) or float(m))
-    assert f.value(3) == f.value(3)
-    assert f.eval_count == 2      # logical evaluations
-    assert len(calls) == 1        # actual computations
+    assert f.value(3) == f.value(3) == 3.0
+    assert f.value(1) == 1.0
+    assert f.eval_count == 3
+    assert calls == [3, 3, 1]
 
 
 def test_multilinear_exact_examples():
@@ -182,11 +183,10 @@ def test_batched_values_count_one_evaluation_per_set():
         assert f.eval_count == len(masks)
 
 
-def test_memo_caches_fn_and_kernel_batches_bypass_it():
-    # the memo rule: on at most 20 elements `value` caches `fn`; `values` and
-    # `scan` of a kernel oracle send every row to the kernel and neither read
-    # nor write the memo; without a kernel all three share it. eval_count
-    # counts logical evaluations on every path.
+def test_kernel_batches_send_every_row_to_the_kernel():
+    # `values` and `scan` of a kernel oracle send every nonempty row to the
+    # kernel, repeated ones included; without a kernel every set goes to
+    # `fn`. eval_count counts one evaluation per set on every path.
     computed, scalar = [], []
 
     def fn(mask):
@@ -200,57 +200,45 @@ def test_memo_caches_fn_and_kernel_batches_bypass_it():
     masks = [0b0011, 0b0101, 0b0101, 0b1111, 0b0000]
     f = SetFunctionOracle(GroundSet(4), fn, ids_fn=ids_fn)
     assert f.value(0b0011) == f.value(0b0011) == 3.0
-    assert scalar == [0b0011] and f.eval_count == 2
+    assert scalar == [0b0011, 0b0011] and f.eval_count == 2
     for _ in range(2):
         computed.clear()
         scalar.clear()
         assert f.values(as_matrix(masks, 4)).tolist() == [3.0, 3.0, 3.0, 6.0, 0.0]
-        # the cached set and the repeated one reach the kernel too; the
-        # empty set goes to fn, never to the kernel
+        # the repeated set reaches the kernel twice; the empty set goes to
+        # fn, never to the kernel
         assert sorted(computed) == [[0, 1], [0, 1, 2, 3], [0, 2], [0, 2]]
         assert scalar == [0]
     computed.clear()
     assert f.scan(0b0001, [1, 2, 1]) == [3.0, 3.0, 3.0]
     assert computed == [[0, 1], [0, 2], [0, 1]]
     assert f.eval_count == 2 + 2 * len(masks) + 3
-    assert f._memo == {0b0011: 3.0}
-    scalar.clear()
-    assert f.value(0b0011) == 3.0 and scalar == []
 
+    scalar.clear()
     g = SetFunctionOracle(GroundSet(4), fn)
     g.value(0b0011)
     g.values(as_matrix(masks, 4))
     g.values(as_matrix(masks, 4))
     assert g.scan(0b0001, [1, 2, 3]) == [3.0, 3.0, 3.0]
-    assert scalar == [0b0011, 0b0101, 0b1111, 0b0000, 0b1001]  # once per mask
+    assert scalar == [0b0011] + 2 * masks + [0b0011, 0b0101, 0b1001]
     assert g.eval_count == 1 + 2 * len(masks) + 3
 
-    assert SetFunctionOracle(GroundSet(20), fn)._memo == {}
-    scalar.clear()
-    h = SetFunctionOracle(GroundSet(21), fn)
-    assert h._memo is None
-    h.value(3)
-    h.value(3)
-    h.values(as_matrix([3, 3], 21))
-    assert h.scan(1, [1, 1]) == [3.0, 3.0]
-    assert scalar == [3] * 6 and h.eval_count == 6
 
-
-def test_state_cache_exists_exactly_when_the_memo_does():
-    """Seeded runs share states only on an oracle with a memo: not above 20
-    elements, and not on a copy whose memo was removed, so such a copy
-    computes again every set that a repeated run needs."""
+def test_shared_states_exist_exactly_at_n_up_to_20():
+    """Seeded runs share states only on at most 20 elements, and not on a
+    copy whose state cache was removed, so such a copy computes again every
+    set that a repeated run needs."""
     def fn(mask):
         return float(mask.bit_count())
 
     f = SetFunctionOracle(GroundSet(20), fn)
-    assert f._state_cache() == {}
+    assert f._states == {}
     random_greedy_cardinality(f, 3, seed=0)
-    assert f._state_cache()
+    assert f._states
     h = SetFunctionOracle(GroundSet(21), fn)
-    assert h._state_cache() is None
+    assert h._states is None
     random_greedy_cardinality(h, 3, seed=0)
-    assert h._state_cache() is None
+    assert h._states is None
 
     base, _ = mixture_oracle(6, seed=3)
     M = PartitionMatroid(6, [[0, 1, 2], [3, 4, 5]], [1, 2])
@@ -258,11 +246,11 @@ def test_state_cache_exists_exactly_when_the_memo_does():
                 lambda f: threshold_random_greedy(f, 3, 0.2, seed=1),
                 lambda f: random_greedy_matroid(f, M, 0.2, seed=1)):
         g, log = recording_oracle(base)
-        assert g._state_cache() is None
+        assert g._states is None
         first = run(g)
         computed = len(log)
         assert run(g) == first and len(log) == 2 * computed == 2 * first.oracle_calls
-        assert g._state_cache() is None
+        assert g._states is None
 
 
 def test_oracle_without_kernel_returns_its_scalar_values():
@@ -325,7 +313,6 @@ def test_a_mask_outside_the_ground_set_raises_on_every_path():
                 with pytest.raises(ValueError, match=f"outside the {n}-element"):
                     f.scan(A, cands)
                 assert f.eval_count == count
-        assert all(0 <= m < 1 << n for m in f._memo)
 
 
 def test_a_scan_reads_an_iterator_of_candidates_once():
@@ -387,7 +374,6 @@ def test_scan_equals_values_on_every_oracle_kind(n):
                                               ref.view(np.int64))
                 assert got == [obj._fn(A | (1 << u)) for u in cands]
                 assert scanned.eval_count == batched.eval_count
-            assert scanned._memo == batched._memo
             # the scans `ids_fn` cannot take loop over `value`: an empty
             # scan counts nothing, and a candidate in A yields f(A)
             calls = scanned.eval_count
