@@ -8,10 +8,9 @@ guarantee/inapproximability curves, and the movie/image/quadratic
 application objectives with their upper-bound-on-OPT experiment harness.
 """
 
-from .apps import (FeatureMatrix, QuadraticInstance, generate_quadratic_instance,
-                   image_objective, inner_product_similarity, load_features_csv,
-                   min_box_quadratic, mixture_objective, movie_objective,
-                   random_feature_matrix)
+from .apps import (QuadraticInstance, generate_quadratic_instance, image_objective,
+                   inner_product_similarity, load_features_csv, min_box_quadratic,
+                   mixture_objective, movie_objective, random_feature_matrix)
 from .bounds import (GuaranteeCurve, cardinality_hardness, evaluate_curve,
                      guarantee, matroid_hardness, smallest_grid_crossing,
                      symmetry_gap_unconstrained, upper_bound_from_output)
@@ -22,11 +21,10 @@ from .constraints import (DownClosedPolytope, Matroid, OracleMatroid,
 from .continuous import (FWConfig, FWResult, MCGConfig, MCGResult,
                          frank_wolfe_nonmonotone, measured_continuous_greedy,
                          swap_rounding)
-from .discrete import (RunResult, TraceRow, best_of_with_ground, double_greedy,
-                       greedy_cardinality, greedy_matroid, random_baseline,
-                       random_greedy_cardinality, random_greedy_matroid,
-                       sample_greedy, threshold_greedy, threshold_random_greedy,
-                       trace_to_csv)
+from .discrete import (RunResult, TraceRow, double_greedy, greedy_cardinality,
+                       greedy_matroid, random_baseline, random_greedy_cardinality,
+                       random_greedy_matroid, sample_greedy, threshold_greedy,
+                       threshold_random_greedy, trace_to_csv)
 from .experiments import ExperimentSpec, run_experiment
 from .oracle import (GroundSet, SampleConfig, SetFunctionOracle, SizeLimitError,
                      ids_of, indicator, marginal, mask_of, mask_from_indicator,

@@ -18,7 +18,6 @@ from .constraints import DownClosedPolytope
 from .oracle import GroundSet, SetFunctionOracle, ids_of
 
 __all__ = [
-    "FeatureMatrix",
     "load_features_csv",
     "random_feature_matrix",
     "inner_product_similarity",
@@ -34,29 +33,13 @@ __all__ = [
 MIN_BOX_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """n items by d features, with display labels per item."""
+def load_features_csv(path) -> np.ndarray:
+    """Load the (n, d) feature matrix of a CSV with header `label,f1,...,fd`.
 
-    features: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-
-def load_features_csv(path) -> FeatureMatrix:
-    """Load a feature matrix from a CSV with header `label,f1,...,fd`.
-
-    Rows must be rectangular and numeric past the label column; parse errors
-    report the offending line number.
+    The label column is required and skipped. Rows must be rectangular and
+    numeric past the label column; parse errors report the offending line
+    number.
     """
-    labels: list[str] = []
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -74,7 +57,6 @@ def load_features_csv(path) -> FeatureMatrix:
             if len(row) != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} cells, "
                                  f"got {len(row)}")
-            labels.append(row[0])
             try:
                 rows.append([float(c) for c in row[1:]])
             except ValueError:
@@ -84,29 +66,26 @@ def load_features_csv(path) -> FeatureMatrix:
     feats = np.array(rows, dtype=float)
     if not np.all(np.isfinite(feats)):
         raise ValueError(f"{path}: non-finite feature values")
-    return FeatureMatrix(features=feats, labels=tuple(labels))
+    return feats
 
 
-def random_feature_matrix(n: int, d: int, seed: int = 0) -> FeatureMatrix:
-    """Synthetic non-negative feature rows (uniform [0,1))."""
-    rng = np.random.default_rng(seed)
-    feats = rng.random((n, d))
-    return FeatureMatrix(features=feats, labels=tuple(f"item{i}" for i in range(n)))
+def random_feature_matrix(n: int, d: int, seed: int = 0) -> np.ndarray:
+    """Synthetic non-negative (n, d) feature rows (uniform [0,1))."""
+    return np.random.default_rng(seed).random((n, d))
 
 
-def inner_product_similarity(X: FeatureMatrix, clip_negative: bool = False) -> np.ndarray:
-    """Pairwise inner-product similarity matrix of the feature rows.
+def inner_product_similarity(X: np.ndarray) -> np.ndarray:
+    """Pairwise inner-product similarity matrix X X' of the (n, d) feature
+    rows X.
 
-    All products must be non-negative (non-negative features suffice); pass
-    clip_negative=True to clamp stray negative products to zero instead of
-    raising.
+    All products must be non-negative (non-negative features suffice); a
+    negative one raises ValueError naming its row pair.
     """
-    s = X.features @ X.features.T
+    s = X @ X.T
     if np.any(s < 0):
-        if not clip_negative:
-            raise ValueError("negative inner products; rerun with "
-                             "clip_negative=True to clamp them")
-        s = np.clip(s, 0.0, None)
+        i, j = (int(v) for v in np.argwhere(s < 0)[0])
+        raise ValueError(f"rows {i} and {j} have a negative inner product "
+                         f"{s[i, j]:g}")
     return s
 
 

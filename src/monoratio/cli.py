@@ -49,8 +49,8 @@ def _build_objective(args) -> SetFunctionOracle:
     if name == "synthetic-mix":
         return mixture_objective(args.n, args.seed)
     if csv:
-        feats = load_features_csv(csv)
-        sim = inner_product_similarity(feats, clip_negative=True)
+        X = load_features_csv(csv)
+        sim = np.clip(X @ X.T, 0.0, None)  # signed features: clamp at 0
     else:
         d = 25 if name == "movie" else max(2, args.n // 2)
         sim = inner_product_similarity(random_feature_matrix(args.n, d, seed=args.seed))

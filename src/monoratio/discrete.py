@@ -27,7 +27,6 @@ __all__ = [
     "TraceRow",
     "trace_to_csv",
     "double_greedy",
-    "best_of_with_ground",
     "greedy_cardinality",
     "random_greedy_cardinality",
     "threshold_greedy",
@@ -128,6 +127,12 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     and b' = max(-f(u|Y-u), 0) (probability 1 when both vanish). Expected
     value is at least (2 f(OPT) + f(empty) + f(N)) / 4.
 
+    Y starts at N and drops u only when b' > 0, that is when f(Y-u) > f(Y),
+    so f(Y) never falls below f(N); the run ends with X = Y and returns
+    f(result) >= f(N) for every f, in floating point too. With f(N) >=
+    m f(OPT) for an m-monotone f, its expected value attains
+    max{m, (2+m)/4} f(OPT).
+
     f(X) and f(Y) are carried forward rather than re-evaluated, so a run
     makes 2n oracle calls: f(empty) and f(N), then f(X+u) and f(Y-u) for
     each element but the last, where X+u = Y and Y-u = X.
@@ -135,18 +140,11 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     rng, seed = _rng(seed)
     start = f.eval_count
     rows = [] if trace else None
-    X, fX, _ = _double_greedy_sweep(f, rng, rows)
-    return _finish(f, X, fX, start, seed, rows)
-
-
-def _double_greedy_sweep(f: SetFunctionOracle, rng, rows):
-    """The sweep of double greedy: (X, f(X), f(N)). Appends one TraceRow per
-    element to rows unless rows is None."""
     n = f.n
     X = 0
     Y = (1 << n) - 1
     fX = f.value(X)
-    fY = fN = f.value(Y)
+    fY = f.value(Y)
     # one call draws the same values, and leaves the same state, as n
     # scalar random() calls
     uniforms = rng.random(n).tolist()
@@ -172,19 +170,7 @@ def _double_greedy_sweep(f: SetFunctionOracle, rng, rows):
             rows.append(TraceRow(u + 1, u, a, take))
     if X != Y:
         raise RuntimeError(f"double greedy ended with X={X} != Y={Y}")
-    return X, fX, fN
-
-
-def best_of_with_ground(f: SetFunctionOracle, seed=None) -> RunResult:
-    """Better of double greedy and the full ground set; achieves the
-    max{m, (2+m)/4} unconstrained guarantee. It makes the 2n oracle calls
-    of double greedy, whose sweep evaluates f(N) first."""
-    rng, seed = _rng(seed)
-    start = f.eval_count
-    X, fX, fN = _double_greedy_sweep(f, rng, None)
-    if fN > fX:
-        return _finish(f, (1 << f.n) - 1, fN, start, seed, None)
-    return _finish(f, X, fX, start, seed, None)
+    return _finish(f, X, fX, start, seed, rows)
 
 
 def _scan(f: SetFunctionOracle, A: int, candidates):
@@ -362,8 +348,6 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
     held = {}  # f(A + u) for the current A
     for _ in range(k):
         cands = [u for u in range(n) if not (A >> u) & 1]
-        if not cands:
-            break
         take = min(sample_size, len(cands))
         sample = sorted(int(cands[j]) for j in
                         rng.choice(len(cands), size=take, replace=False))

@@ -83,9 +83,8 @@ ALGORITHMS = {
     "threshold_random_greedy": Algorithm(
         lambda f, k, seed, o: threshold_random_greedy(f, k, o.eps, seed=seed),
         "cardinality", "random_greedy_card", seeded=True, takes_eps=True),
-    # its (2+m)/4 has no GUARANTEE_KINDS entry, and no sweep is unconstrained
     "double_greedy": Algorithm(lambda f, c, seed, o: double_greedy(f, seed=seed),
-                               "none", None, seeded=True),
+                               "none", "unconstrained_alg", seeded=True),
     "greedy_matroid": Algorithm(lambda f, M, seed, o: greedy_matroid(f, M),
                                 "matroid", "greedy_matroid", seeded=False),
     "random_greedy_matroid": Algorithm(

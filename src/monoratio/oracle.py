@@ -145,51 +145,37 @@ class SetFunctionOracle:
         """f(A + u) for each candidate element u, in the given order, as a
         list of floats, counting one evaluation per candidate.
 
-        This is the candidate scan of the greedy-type algorithms. With an
-        `ids_fn`, the rows (ids of A, u) sorted go to `ids_fn` directly,
-        unless the scan is empty, A lies outside the ground set (which
-        raises) or a candidate is already in A (which yields f(A)). Those
-        scans, and every scan without an `ids_fn`, loop over `value`
-        (finiteness check and counting included) and build no numpy array:
-        on a handful of candidates the array round trip costs more than the
-        evaluations. A candidate outside 0..n-1 raises ValueError naming
-        it, and the rejected scan counts nothing.
+        This is the candidate scan of the greedy-type algorithms. A
+        candidate outside 0..n-1 raises ValueError naming it before anything
+        is counted. With an `ids_fn`, the rows (ids of A, u) sorted go to
+        `ids_fn` directly, unless the scan is empty, A lies outside the
+        ground set (which raises) or a candidate is already in A (which
+        yields f(A)). Those scans, and every scan without an `ids_fn`, loop
+        over `value` (finiteness check and counting included) and build no
+        numpy array: on a handful of candidates the array round trip costs
+        more than the evaluations.
         """
         if not isinstance(candidates, list):  # an iterator is read once
             candidates = list(candidates)
-        if self._ids_fn is not None:
-            n = self.n
-            if candidates and (min(candidates) < 0 or max(candidates) >= n):
-                self._check_candidates(candidates, self.eval_count)
-            if candidates and not A >> n:
-                rows = np.empty((len(candidates), A.bit_count() + 1), dtype=np.int64)
-                rows[:, :-1] = ids_of(A)
-                rows[:, -1] = candidates
-                rows.sort(axis=1)
-                if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
-                    self.eval_count += len(candidates)
-                    step = _block_rows(rows.shape[1], n)
-                    out = np.concatenate([self._kernel(rows[lo:lo + step])
-                                          for lo in range(0, len(rows), step)])
-                    return self._finite(
-                        out, lambda i: A | (1 << int(candidates[i]))).tolist()
+        n = self.n
+        if candidates and (min(candidates) < 0 or max(candidates) >= n):
+            bad = next(u for u in candidates if not 0 <= u < n)
+            raise ValueError(f"candidate {bad} of oracle {self.name} is outside "
+                             f"the {n}-element ground set")
+        if self._ids_fn is not None and candidates and not A >> n:
+            rows = np.empty((len(candidates), A.bit_count() + 1), dtype=np.int64)
+            rows[:, :-1] = ids_of(A)
+            rows[:, -1] = candidates
+            rows.sort(axis=1)
+            if not (rows[:, 1:] == rows[:, :-1]).any():  # no candidate in A
+                self.eval_count += len(candidates)
+                step = _block_rows(rows.shape[1], n)
+                out = np.concatenate([self._kernel(rows[lo:lo + step])
+                                      for lo in range(0, len(rows), step)])
+                return self._finite(
+                    out, lambda i: A | (1 << int(candidates[i]))).tolist()
         value = self.value
-        count = self.eval_count
-        try:
-            return [value(A | (1 << u)) for u in candidates]
-        except ValueError:
-            self._check_candidates(candidates, count)
-            raise
-
-    def _check_candidates(self, candidates, count: int) -> None:
-        """Unless every candidate is an element 0..n-1: reset `eval_count` to
-        `count` and raise ValueError naming the oracle and the first bad
-        candidate."""
-        for u in candidates:
-            if not 0 <= u < self.n:
-                self.eval_count = count
-                raise ValueError(f"candidate {u} of oracle {self.name} is outside "
-                                 f"the {self.n}-element ground set")
+        return [value(A | (1 << u)) for u in candidates]
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.

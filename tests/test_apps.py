@@ -15,10 +15,9 @@ from monoratio import (exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
 def test_load_features_csv(tmp_path):
     p = tmp_path / "items.csv"
     p.write_text("label,f1,f2\nA,1.0,2.0\nB,0.5,0.25\nC,0,1\n")
-    X = load_features_csv(p)
-    assert X.n == 3 and X.d == 2
-    assert X.labels == ("A", "B", "C")
-    assert X.features[1, 1] == 0.25
+    X = load_features_csv(p)  # the label column is skipped
+    assert X.dtype == float
+    assert X.tolist() == [[1.0, 2.0], [0.5, 0.25], [0.0, 1.0]]
 
 
 def test_load_features_csv_errors(tmp_path):
@@ -41,22 +40,19 @@ def test_load_features_csv_errors(tmp_path):
 
 def test_inner_product_similarity():
     X = random_feature_matrix(5, 3, seed=2)
+    assert X.tolist() == np.random.default_rng(2).random((5, 3)).tolist()
     s = inner_product_similarity(X)
     assert np.allclose(s, s.T)
     assert np.all(s >= 0)
 
-    from monoratio.apps import FeatureMatrix
-    basis = FeatureMatrix(np.eye(2), ("a", "b"))
-    assert np.allclose(inner_product_similarity(basis), np.eye(2))
+    assert np.allclose(inner_product_similarity(np.eye(2)), np.eye(2))
+    assert inner_product_similarity(np.array([[1.0, 1.0], [2.0, 0.0]]))[0, 1] == 2.0
 
-    two = FeatureMatrix(np.array([[1.0, 1.0], [2.0, 0.0]]), ("a", "b"))
-    assert inner_product_similarity(two)[0, 1] == 2.0
-
-    neg = FeatureMatrix(np.array([[1.0], [-1.0]]), ("a", "b"))
-    with pytest.raises(ValueError, match="clip_negative"):
+    # rows 1 and 2 have the one negative product; the error names the pair
+    neg = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValueError, match="^rows 1 and 2 have a negative inner "
+                       "product -1$"):
         inner_product_similarity(neg)
-    s = inner_product_similarity(neg, clip_negative=True)
-    assert s[0, 1] == 0.0
 
 
 # ------------------------------------------------------------- movie objective
@@ -87,6 +83,17 @@ def test_movie_objective_nonneg_submodular():
             f = movie_objective(s, lam)
             assert is_submodular(f)
             assert all(f.value(m) >= -1e-9 for m in range(1 << 6))
+
+
+@pytest.mark.parametrize("objective", ["movie", "image"])
+@pytest.mark.parametrize("s,message", [
+    (np.ones((2, 3)), "must be square"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"),
+    (np.array([[1.0, -0.5], [-0.5, 1.0]]), "must be non-negative"),
+], ids=["non-square", "asymmetric", "negative"])
+def test_objectives_reject_a_bad_similarity(objective, s, message):
+    with pytest.raises(ValueError, match=f"^similarity .*{message}$"):
+        movie_objective(s, 0.5) if objective == "movie" else image_objective(s)
 
 
 def test_objectives_clamp_rounding_negatives():

@@ -1,7 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from monoratio import (RatioReport, UniformMatroid, exact_monotonicity_ratio,
+                       greedy_cardinality, greedy_matroid, image_objective,
+                       inner_product_similarity, load_features_csv,
+                       mixture_objective, movie_objective)
 from monoratio.cli import main
 
 
@@ -163,6 +168,59 @@ def test_a_ground_set_below_one_element_names_n(capsys, monkeypatch, command,
     code, out, err = run_cli(capsys, *command, "--objective", objective, "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: --n must be at least 1, got {n}\n"
+
+
+# signed features: rows b and c have the inner product -1
+SIGNED_CSV = "label,f1,f2\na,1,0\nb,0,1\nc,1,-1\n"
+
+
+def test_features_csv_clamps_negative_products(capsys, tmp_path):
+    items = tmp_path / "items.csv"
+    items.write_text(SIGNED_CSV)
+    X = load_features_csv(items)
+    # the library refuses the signed products; the CLI clamps them at 0
+    with pytest.raises(ValueError, match="^rows 1 and 2 have a negative"):
+        inner_product_similarity(X)
+    sim = np.clip(X @ X.T, 0.0, None)
+    assert sim.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
+
+    code, out, err = run_cli(capsys, "ratio", "--objective", "movie",
+                             "--features-csv", str(items), "--lambda", "0.9")
+    assert (code, err) == (0, "")
+    report = exact_monotonicity_ratio(movie_objective(sim, 0.9))
+    assert out == f"{RatioReport.CSV_HEADER}\n{report.csv_row()}\n"
+
+    code, out, err = run_cli(capsys, "run", "--alg", "greedy", "--objective",
+                             "image", "--features-csv", str(items), "--k", "2")
+    assert (code, err) == (0, "")
+    r = greedy_cardinality(image_objective(sim), 2)
+    ids = "|".join(map(str, r.solution_ids))
+    assert out.splitlines()[1] == (f"greedy,{r.value:.10g},{r.size},"
+                                   f"{r.oracle_calls},0,{ids}")
+
+
+def test_run_greedy_matroid_on_a_uniform_matroid(capsys):
+    # --k 2 and --matroid uniform:2 name the same matroid
+    f = mixture_objective(8, 0)
+    r = greedy_matroid(f, UniformMatroid(8, 2))
+    ids = "|".join(map(str, r.solution_ids))
+    expected = ("alg,value,size,oracle_calls,seed,solution\n"
+                f"greedy-matroid,{r.value:.10g},{r.size},{r.oracle_calls},0,{ids}\n")
+    for flags in (["--k", "2"], ["--matroid", "uniform:2"]):
+        code, out, err = run_cli(capsys, "run", "--alg", "greedy-matroid",
+                                 "--objective", "synthetic-mix", "--n", "8", *flags)
+        assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("matroid,named", [("bogus:2", "'bogus:2'"),
+                                           ("uniform:two", "'two'")])
+def test_run_rejects_a_malformed_matroid(capsys, matroid, named):
+    code, out, err = run_cli(capsys, "run", "--alg", "greedy-matroid",
+                             "--objective", "synthetic-mix", "--n", "8",
+                             "--matroid", matroid)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_run_matroid_algorithms(capsys, tmp_path):

@@ -15,10 +15,9 @@ from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectati
                      naive_greedy_trajectory, psd_similarity, recording_oracle,
                      table_oracle, union_find_forest_indep)
 from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
-                       UniformMatroid, best_of_with_ground,
-                       double_greedy, exact_monotonicity_ratio, greedy_cardinality,
-                       greedy_matroid, ids_of, image_objective, mask_of,
-                       movie_objective, random_baseline,
+                       UniformMatroid, double_greedy, exact_monotonicity_ratio,
+                       greedy_cardinality, greedy_matroid, ids_of,
+                       image_objective, mask_of, movie_objective, random_baseline,
                        random_greedy_cardinality, random_greedy_matroid,
                        sample_greedy, threshold_greedy, threshold_random_greedy,
                        trace_to_csv)
@@ -71,16 +70,29 @@ def test_double_greedy_guarantee_on_fixture():
     assert vals.mean() >= (2 + m) / 4 * opt - 3 * se
 
 
-def test_best_of_with_ground():
+def test_double_greedy_attains_the_better_of_itself_and_the_ground_set():
     f = modular_oracle([1.0, 2.0])
-    assert best_of_with_ground(f, seed=0).value == 3.0  # monotone: f(N)
+    assert double_greedy(f, seed=0).value == 3.0  # monotone: f(N)
 
     g = gap_oracle(0.8)
-    r = best_of_with_ground(g, seed=1)
+    r = double_greedy(g, seed=1)
     assert r.value >= 0.8  # OPT = 1, max{m, (2+m)/4} = 0.8
 
     const = table_oracle([2.0] * 4)
-    assert best_of_with_ground(const, seed=2).value == 2.0
+    assert double_greedy(const, seed=2).value == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       trace=st.booleans())
+def test_double_greedy_never_returns_less_than_the_ground_set(n, data, seed, trace):
+    """Y shrinks only when that raises f(Y), and the run returns the final
+    Y, so its value is at least f(N) on any signed table, bit for bit."""
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    table = data.draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    r = double_greedy(table_oracle(table), seed, trace=trace)
+    assert r.value >= table[-1]
+    assert r.value == table[r.solution]
 
 
 # ------------------------------------------------------------------ cardinality
@@ -297,6 +309,17 @@ def test_random_greedy_matroid_constant():
     f = table_oracle([3.0] * 16)
     r = random_greedy_matroid(f, UniformMatroid(4, 2), 0.25, seed=0)
     assert r.value == 3.0
+
+
+def test_random_greedy_matroid_rejects_an_oracle_that_is_not_a_matroid():
+    # {2} cannot grow by an element of {0, 1}: the family breaks the
+    # augmentation axiom, and the bases lose their exchange bijection
+    family = {0b000, 0b001, 0b010, 0b100, 0b011}
+    M = OracleMatroid(3, family.__contains__)
+    for seed in range(20):
+        with pytest.raises(ValueError, match="^exchange matching failed: inputs "
+                           "are not bases of a matroid$"):
+            random_greedy_matroid(modular_oracle([1.0, 2.0, 3.0]), M, 0.1, seed=seed)
 
 
 def padded_independent(M):
@@ -631,12 +654,6 @@ def rescanning_double_greedy(f, rng):
     return X, rows
 
 
-def rescanning_best_of_with_ground(f, rng):
-    X, _ = rescanning_double_greedy(f, rng)
-    full = (1 << f.n) - 1
-    return (full if f.value(full) > f.value(X) else X), None
-
-
 def rescanning_random_greedy(f, k, rng):
     A, fA, rows = 0, f.value(0), []
     for i in range(1, k + 1):
@@ -778,7 +795,6 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
     make, k, eps, M = case
     pairs = [
         (lambda f, g: double_greedy(f, g, trace=True), rescanning_double_greedy),
-        (best_of_with_ground, rescanning_best_of_with_ground),
         (lambda f, g: random_greedy_cardinality(f, k, g, trace=True),
          lambda f, g: rescanning_random_greedy(f, k, g)),
         (lambda f, g: threshold_greedy(f, k, eps),
@@ -832,8 +848,7 @@ def test_random_greedy_matroid_int_seed_matches_the_reference(case, seed):
 def test_every_run_evaluates_each_set_at_most_once(case, seed):
     """Through `fn` or `ids_fn`, a run computes no set twice, counts exactly
     the sets it computes, and reports the value `fn` gives its solution, bit
-    for bit. The better of double greedy and N reuses double greedy's f(N),
-    so it makes double greedy's 2n calls."""
+    for bit."""
     make, k, eps, M = case
     opts = SimpleNamespace(eps=eps)
     constraints = {"cardinality": [k], "matroid": [M], "any": [k, M], "none": [None]}
@@ -849,11 +864,6 @@ def test_every_run_evaluates_each_set_at_most_once(case, seed):
             assert len(set(log)) == len(log), name
             assert r.oracle_calls == f.eval_count == len(log), name
             assert r.value.hex() == float(base._fn(r.solution)).hex(), name
-    base = make()
-    f, log = recording_oracle(base)
-    r = best_of_with_ground(f, seed)
-    assert r.oracle_calls == len(log) == 2 * f.n
-    assert r.value.hex() == float(base._fn(r.solution)).hex()
 
 
 # --------------------------------------------------------- shared-oracle states

@@ -68,6 +68,8 @@ def test_algorithm_table_is_consistent():
         assert algorithm(name) is alg
         assert algorithm(name.replace("_", "-")) is alg
     assert ALGORITHMS["random"].guarantee is None
+    # double greedy returns at least f(N), so it attains max{m, (2+m)/4}
+    assert ALGORITHMS["double_greedy"].guarantee == "unconstrained_alg"
     with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
         algorithm("bogus")
 
@@ -126,7 +128,20 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
             (dict(objective="image", sweep="k", n=6, grid=[1], feature_dim=-1),
              "feature_dim must be >= 1"),
             (dict(objective="image", sweep="lambda", n=6, k=-1, grid=[1]),
-             "k must be >= 0")):
+             "k must be >= 0"),
+            (dict(objective="bogus", sweep="k", grid=[1]),
+             "unknown objective 'bogus' (choose from ['image', 'movie', "
+             "'quadratic'])"),
+            (dict(objective="movie", sweep="k", grid=[1], eps=1.0),
+             "eps must be in (0,1)"),
+            (dict(objective="quadratic", sweep="beta", grid=[0.1], fw_eps=0.0),
+             "fw_eps must be in (0,1)"),
+            (dict(objective="movie", sweep="k", grid=[1], lam=1.5),
+             "lambda must be in [0,1]"),
+            (dict(objective="quadratic", sweep="alpha", grid=[0.3], beta=0.5),
+             "beta must be in (0,0.5)"),
+            (dict(objective="quadratic", sweep="beta", grid=[0.1], alpha=0.0),
+             "alpha must be positive")):
         if problem is None:  # a swept k leaves spec.k unread
             assert validate_spec(ExperimentSpec(**spec)).k == -1
             continue

@@ -184,6 +184,7 @@ def test_is_submodular_true_cases():
 def test_is_submodular_false_with_witness():
     n = 4
     f = table_oracle([float(m.bit_count() ** 2) for m in range(1 << n)])
+    assert is_submodular(f) is False
     ok, witness = is_submodular(f, witness=True)
     assert not ok
     S, T, u = witness
