@@ -27,7 +27,7 @@ from .discrete import (RunResult, TraceRow, double_greedy, greedy_cardinality,
                        threshold_random_greedy, trace_to_csv)
 from .experiments import ExperimentSpec, run_experiment
 from .oracle import (GroundSet, SampleConfig, SetFunctionOracle, SizeLimitError,
-                     ids_of, indicator, marginal, mask_of, mask_from_indicator,
+                     ids_of, indicator, mask_of, mask_from_indicator,
                      multilinear_exact, multilinear_sampled)
 from .ratio import (RatioReport, exact_monotonicity_ratio,
                     exact_weak_monotonicity_ratio, image_weak_ratio_bound,

@@ -92,19 +92,32 @@ def inner_product_similarity(X: np.ndarray) -> np.ndarray:
 def validate_similarity(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("similarity matrix must be square")
-    if not np.allclose(s, s.T, atol=1e-9):
-        raise ValueError("similarity matrix must be symmetric")
-    if np.any(s < 0):
-        raise ValueError("similarity entries must be non-negative")
+        raise ValueError(f"similarity matrix of shape {s.shape} must be square")
+    for bad, rule in ((~np.isclose(s, s.T, atol=1e-9), "the matrix must be symmetric"),
+                      (s < 0, "entries must be non-negative")):
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise ValueError(f"similarity s[{i}, {j}] = {s[i, j]:g} and s[{j}, {i}] = "
+                             f"{s[j, i]:g}: {rule}")
     return s
 
 
 def _pair_sums(s_flat: np.ndarray, n: int, ids: np.ndarray) -> np.ndarray:
-    """sum_{u,v in S} s_{u,v} for each row S of ids, from the row-major
-    flattened n x n matrix s, summed like the scalar s[np.ix_(idx, idx)].sum()."""
+    """sum_{u,v in S} s_{u,v} for each row S of ids (row-major flattened n x n
+    s). A row's sum must not depend on its batch, whose one-row case is the
+    scalar value, and keeps its order, so that seeded outputs stay fixed."""
     block = s_flat.take((ids * n)[:, :, None] + ids[:, None, :])
     return block.reshape(len(ids), -1).sum(axis=1)
+
+
+def _kernel_oracle(n: int, ids_fn, name: str) -> SetFunctionOracle:
+    """Oracle whose one formula is its id-row kernel `ids_fn`: a set's
+    scalar value is the kernel on its one row, and 0 on the empty set."""
+
+    def fn(mask: int) -> float:
+        return float(ids_fn(np.array([ids_of(mask)], dtype=np.int64))[0]) if mask else 0.0
+
+    return SetFunctionOracle(GroundSet(n), fn, name=name, ids_fn=ids_fn)
 
 
 def movie_objective(s: np.ndarray, lam: float) -> SetFunctionOracle:
@@ -125,17 +138,11 @@ def movie_objective(s: np.ndarray, lam: float) -> SetFunctionOracle:
     colsum = s.sum(axis=0)
     s_flat = s.ravel()
 
-    def fn(mask: int) -> float:
-        if mask == 0:
-            return 0.0
-        idx = ids_of(mask)
-        return max(float(colsum[idx].sum() - lam * s[np.ix_(idx, idx)].sum()), 0.0)
-
     def ids_fn(ids: np.ndarray) -> np.ndarray:
         pairs = _pair_sums(s_flat, n, ids)
         return np.maximum(colsum[ids].sum(axis=1) - lam * pairs, 0.0)
 
-    return SetFunctionOracle(GroundSet(n), fn, name=f"movie(lam={lam})", ids_fn=ids_fn)
+    return _kernel_oracle(n, ids_fn, f"movie(lam={lam})")
 
 
 def image_objective(s: np.ndarray) -> SetFunctionOracle:
@@ -153,18 +160,11 @@ def image_objective(s: np.ndarray) -> SetFunctionOracle:
     s_cols = np.ascontiguousarray(s.T)  # row v holds column v of s
     s_flat = s.ravel()
 
-    def fn(mask: int) -> float:
-        if mask == 0:
-            return 0.0
-        idx = ids_of(mask)
-        cover = s[:, idx].max(axis=1).sum()
-        return max(float(cover - s[np.ix_(idx, idx)].sum() / n), 0.0)
-
     def ids_fn(ids: np.ndarray) -> np.ndarray:
         cover = s_cols[ids].max(axis=1).sum(axis=1)
         return np.maximum(cover - _pair_sums(s_flat, n, ids) / n, 0.0)
 
-    return SetFunctionOracle(GroundSet(n), fn, name="image", ids_fn=ids_fn)
+    return _kernel_oracle(n, ids_fn, "image")
 
 
 def mixture_objective(n: int, seed: int) -> SetFunctionOracle:

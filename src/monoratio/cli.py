@@ -19,7 +19,7 @@ from .apps import (image_objective, inner_product_similarity, load_features_csv,
                    mixture_objective, movie_objective, random_feature_matrix)
 from .bounds import CURVE_IDS, evaluate_curve
 from .constraints import UniformMatroid, partition_matroid_from_text
-from .experiments import (_OBJECTIVES, ALGORITHMS, ExperimentSpec,
+from .experiments import (_OBJECTIVES, _SWEEP_FIELDS, ALGORITHMS, ExperimentSpec,
                           SpecValidationError, _mean_stderr, algorithm,
                           run_experiment, trial_values)
 from .oracle import GroundSet, SetFunctionOracle
@@ -40,8 +40,9 @@ def _directed_cut_chain(n: int) -> SetFunctionOracle:
 
 
 def _build_objective(args) -> SetFunctionOracle:
-    name = args.objective
-    csv = args.features_csv if name in ("movie", "image") else None
+    name, csv = args.objective, args.features_csv
+    if csv and name.startswith("synthetic"):
+        raise ValueError(f"--objective {name} does not take --features-csv")
     if not csv and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if name == "synthetic-cut":
@@ -56,9 +57,7 @@ def _build_objective(args) -> SetFunctionOracle:
         sim = inner_product_similarity(random_feature_matrix(args.n, d, seed=args.seed))
     if name == "movie":
         return movie_objective(sim, args.lam)
-    if name == "image":
-        return image_objective(sim)
-    raise ValueError(f"unknown objective {name!r}")
+    return image_objective(sim)
 
 
 def cmd_ratio(args) -> int:
@@ -98,13 +97,15 @@ def cmd_bounds(args) -> int:
 
 
 def _parse_matroid(text: str, n: int):
-    if text.startswith("uniform:"):
-        return UniformMatroid(n, int(text.split(":", 1)[1]))
     if text.startswith("partition:"):
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
+        with open(text.split(":", 1)[1]) as fh:
             return partition_matroid_from_text(fh.read(), n=n)
-    raise ValueError(f"bad --matroid {text!r}; use uniform:K or partition:FILE")
+    k = text.removeprefix("uniform:")
+    if k != text and k.isdecimal() and int(k) <= n:
+        return UniformMatroid(n, int(k))
+    rank = f" (rank {k!r} is not in 0..{n})" if k != text else ""
+    raise ValueError(f"bad --matroid {text!r}{rank}; use uniform:K with "
+                     "0 <= K <= n, or partition:FILE")
 
 
 def _check_run_flags(args, alg) -> None:
@@ -259,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--spec", default=None, help="JSON experiment spec file")
     p.add_argument("--objective", choices=list(_OBJECTIVES))
-    p.add_argument("--sweep", choices=list(dict.fromkeys(
-        s for _, sweeps, _ in _OBJECTIVES.values() for s in sweeps)))
+    p.add_argument("--sweep", choices=list(_SWEEP_FIELDS))
     p.add_argument("--grid", help="comma-separated sweep values")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

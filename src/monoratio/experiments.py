@@ -126,6 +126,9 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
+# sweep -> the ExperimentSpec field each of its points sets (k and n to an int)
+_SWEEP_FIELDS = {"lambda": "lam", "k": "k", "alpha": "alpha", "beta": "beta", "n": "n"}
+
 # objective -> (the constraint its sweeps run algorithms under, its sweep
 # parameters, its default algorithms)
 _OBJECTIVES = {
@@ -201,9 +204,18 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     elif spec.sweep not in sweeps:
         problems.append(f"sweep {spec.sweep!r} unsupported for "
                         f"{spec.objective} (choose from {sorted(sweeps)})")
+    swept, grid = _SWEEP_FIELDS.get(spec.sweep), spec.grid
+    if swept in ("k", "n"):  # each bad value is reported here alone
+        bad = [g for g in grid if not (g >= 1 and g == int(g))]
+        grid = [g for g in grid if g not in bad]
+        if bad:
+            problems.append(f"{spec.sweep} sweep grid values must be positive "
+                            f"integers, got {bad}")
+    # every value the sweep's points give a field: the grid for the swept one
+    given = lambda name: grid if name == swept else [getattr(spec, name)]
     for name in ("trials", "n", "categories", "mcg_steps", "mcg_samples",
                  "feature_dim"):
-        if getattr(spec, name) < 1:
+        if any(v < 1 for v in given(name)):
             problems.append(f"{name} must be >= 1")
     if not 0 < spec.eps < 1:
         problems.append("eps must be in (0,1)")
@@ -219,25 +231,18 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             problems.append(f"algorithm {a!r} ({alg.constraint} constraint) "
                             f"does not fit the {need} constraint of "
                             f"{spec.objective} sweeps")
-    if spec.sweep in ("k", "n"):
-        bad = [g for g in spec.grid if not (g >= 1 and g == int(g))]
-        if bad:
-            problems.append(f"{spec.sweep} sweep grid values must be positive "
-                            f"integers, got {bad}")
     if spec.objective == "movie":
-        if not 0 <= spec.lam <= 1:
+        if not all(0 <= lam <= 1 for lam in given("lam")):
             problems.append("lambda must be in [0,1]")
-        # a k grid value below 1 is reported above
-        bad = ([g for g in spec.grid if g > spec.n] if spec.sweep == "k"
-               else [] if 0 <= spec.k <= spec.n else [spec.k])
+        bad = [k for k in given("k") if not 0 <= k <= spec.n]
         if bad:
             problems.append(f"k must be between 0 and n = {spec.n}, got {bad}")
-    if spec.objective == "image" and spec.sweep != "k" and spec.k < 0:
+    if spec.objective == "image" and any(k < 0 for k in given("k")):
         problems.append("k must be >= 0")
     if spec.objective == "quadratic":
-        if spec.sweep != "beta" and not 0 < spec.beta < 0.5:
+        if not all(0 < beta < 0.5 for beta in given("beta")):
             problems.append("beta must be in (0,0.5)")
-        if spec.sweep != "alpha" and spec.alpha <= 0:
+        if any(alpha <= 0 for alpha in given("alpha")):
             problems.append("alpha must be positive")
     if problems:
         raise SpecValidationError(problems)
@@ -295,25 +300,22 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         sim = inner_product_similarity(feats)
 
     rows = []
-    for p, value in enumerate(spec.grid):
+    swept = _SWEEP_FIELDS[spec.sweep]
+    for p, value in enumerate(spec.grid):  # each point is the spec, one field set
+        pt = replace(spec, **{swept: int(value) if swept in ("k", "n") else value})
         if spec.objective == "movie":
-            lam = value if spec.sweep == "lambda" else spec.lam
-            constraint = int(value) if spec.sweep == "k" else spec.k
-            f = movie_objective(sim, lam)
-            m_bound = movie_ratio_bound(lam)
+            constraint = pt.k
+            f = movie_objective(sim, pt.lam)
+            m_bound = movie_ratio_bound(pt.lam)
         elif spec.objective == "image":
-            k = int(value) if spec.sweep == "k" else spec.k
-            blocks = _partition_blocks(spec.n, spec.categories)
-            constraint = PartitionMatroid(spec.n, blocks, [k] * len(blocks))
+            blocks = _partition_blocks(pt.n, pt.categories)
+            constraint = PartitionMatroid(pt.n, blocks, [pt.k] * len(blocks))
             f = image_objective(sim)
             # feasible sets hold up to k elements from each of the categories
-            m_bound = image_weak_ratio_bound(min(spec.n, k * spec.categories), spec.n)
+            m_bound = image_weak_ratio_bound(min(pt.n, pt.k * pt.categories), pt.n)
         else:  # one instance per point, shared by its trials and its m bound
-            inst = generate_quadratic_instance(
-                int(value) if spec.sweep == "n" else spec.n,
-                beta=value if spec.sweep == "beta" else spec.beta,
-                alpha=value if spec.sweep == "alpha" else spec.alpha,
-                seed=spec.seed + 10007 * p)
+            inst = generate_quadratic_instance(pt.n, beta=pt.beta, alpha=pt.alpha,
+                                               seed=spec.seed + 10007 * p)
             constraint = inst.polytope()
             f = inst
             m_bound = quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
@@ -323,7 +325,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             alg = ALGORITHMS[name]
             # the point's runs share its oracle, each counting its own calls
             # as an eval_count delta; trial t owns seed + t
-            run_one = lambda seed: alg.call(f, constraint, seed, spec)
+            run_one = lambda seed: alg.call(f, constraint, seed, pt)
             vals = np.array(trial_values(alg, run_one, spec.trials, spec.seed))
             mean, row[f"{name}_stderr"] = _mean_stderr(vals)
             row[f"{name}_mean"] = mean

@@ -21,7 +21,6 @@ __all__ = [
     "ids_of",
     "indicator",
     "mask_from_indicator",
-    "marginal",
     "multilinear_exact",
     "multilinear_sampled",
 ]
@@ -245,14 +244,6 @@ class SampleConfig:
             raise ValueError("samples must be >= 1")
 
 
-def marginal(f: SetFunctionOracle, u: int, mask: int) -> float:
-    """Marginal gain of adding element u to the set `mask` (two oracle calls)."""
-    bit = 1 << u
-    if mask & bit:
-        raise ValueError(f"element {u} is already in the set")
-    return f.value(mask | bit) - f.value(mask)
-
-
 def multilinear_exact(f: SetFunctionOracle, x) -> float:
     """Exact multilinear extension F(x) = sum_S f(S) prod x_u prod (1-x_u).
 
@@ -315,8 +306,8 @@ def _size_groups(X: np.ndarray):
     their sorted element ids, in blocks of at most _KERNEL_BLOCK_BYTES of
     (len(rows), L, n) floats. Beyond one block, the split itself keeps two
     int64 per row of X. Rows of one size reduce over equally long axes, so
-    numpy sums each row in the same order as the scalar objective and the
-    batched values equal the scalar ones bit for bit.
+    a kernel that sums each row in one order gives it the value of its
+    one-row batch, bit for bit.
     """
     n = X.shape[1]
     sizes = X.sum(axis=1)

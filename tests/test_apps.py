@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import as_matrix, continuous_ratio_grid_bound, psd_similarity
 from monoratio import (exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
-                       generate_quadratic_instance, image_objective,
+                       generate_quadratic_instance, ids_of, image_objective,
                        image_weak_ratio_bound, inner_product_similarity,
                        is_submodular, load_features_csv, mask_of,
                        min_box_quadratic, movie_objective, movie_ratio_bound,
                        quadratic_ratio_bound, random_feature_matrix)
+from monoratio.apps import validate_similarity
 
 
 # ------------------------------------------------------------------ feature CSV
@@ -94,6 +97,55 @@ def test_movie_objective_nonneg_submodular():
 def test_objectives_reject_a_bad_similarity(objective, s, message):
     with pytest.raises(ValueError, match=f"^similarity .*{message}$"):
         movie_objective(s, 0.5) if objective == "movie" else image_objective(s)
+
+
+def test_similarity_errors_name_the_shape_pair_or_entry():
+    with pytest.raises(ValueError, match=r"of shape \(2, 3\) must be square$"):
+        validate_similarity(np.ones((2, 3)))
+    asym = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^similarity s\[1, 2\] = 0.25 and "
+                       r"s\[2, 1\] = 0: the matrix must be symmetric$"):
+        validate_similarity(asym)
+    neg = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -0.5], [0.0, -0.5, 1.0]])
+    with pytest.raises(ValueError, match=r"^similarity s\[1, 2\] = -0.5 and "
+                       r"s\[2, 1\] = -0.5: entries must be non-negative$"):
+        validate_similarity(neg)
+
+
+def _movie_reference(s, lam, S):
+    """f(S) of the movie objective by a plain double loop, clamped at 0."""
+    cover = sum(s[u][v] for u in range(len(s)) for v in S)
+    return max(cover - lam * sum(s[u][v] for u in S for v in S), 0.0)
+
+
+def _image_reference(s, S):
+    """f(S) of the image objective by a plain double loop, clamped at 0."""
+    if not S:
+        return 0.0
+    cover = sum(max(s[u][v] for v in S) for u in range(len(s)))
+    return max(cover - sum(s[u][v] for u in S for v in S) / len(s), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.0, 1.0))
+def test_objectives_equal_a_double_loop_over_their_formula(data, n, seed, lam):
+    # the kernel is each objective's one formula; `value`, `scan` and
+    # `values` all reach it, and must agree with the formula written out
+    s = psd_similarity(n, seed)
+    rows = s.tolist()
+    full = (1 << n) - 1
+    masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=12))
+    for f, ref in ((movie_objective(s, lam), lambda S: _movie_reference(rows, lam, S)),
+                   (image_objective(s), lambda S: _image_reference(rows, S))):
+        got = [(f.value(mask), mask) for mask in masks]
+        got += zip(f.values(as_matrix(masks, n)).tolist(), masks)
+        A = data.draw(st.integers(0, full))
+        cands = data.draw(st.permutations([u for u in range(n) if not (A >> u) & 1]))
+        got += zip(f.scan(A, cands), [A | (1 << u) for u in cands])
+        for v, mask in got:
+            want = ref(ids_of(mask))
+            assert abs(v - want) <= 1e-9 * max(1.0, abs(want)), (f.name, mask, v, want)
 
 
 def test_objectives_clamp_rounding_negatives():

@@ -213,7 +213,9 @@ def test_run_greedy_matroid_on_a_uniform_matroid(capsys):
 
 
 @pytest.mark.parametrize("matroid,named", [("bogus:2", "'bogus:2'"),
-                                           ("uniform:two", "'two'")])
+                                           ("uniform:two", "'two'"),
+                                           ("uniform:-1", "'-1'"),
+                                           ("uniform:99", "'99'")])
 def test_run_rejects_a_malformed_matroid(capsys, matroid, named):
     code, out, err = run_cli(capsys, "run", "--alg", "greedy-matroid",
                              "--objective", "synthetic-mix", "--n", "8",
@@ -221,6 +223,22 @@ def test_run_rejects_a_malformed_matroid(capsys, matroid, named):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    # the flag, the text given and the accepted forms
+    assert f"--matroid {matroid!r}" in err
+    assert "uniform:K with 0 <= K <= n" in err and "partition:FILE" in err
+
+
+@pytest.mark.parametrize("command", [["run", "--alg", "greedy", "--n", "6", "--k", "2"],
+                                     ["ratio"]])
+@pytest.mark.parametrize("objective", ["synthetic-cut", "synthetic-mix"])
+def test_synthetic_objectives_reject_features_csv(capsys, tmp_path, command, objective):
+    # the synthetic objectives draw no features, so the file would go unread
+    items = tmp_path / "items.csv"
+    items.write_text(SIGNED_CSV)
+    code, out, err = run_cli(capsys, *command, "--objective", objective,
+                             "--features-csv", str(items))
+    assert (code, out) == (2, "")
+    assert err == f"error: --objective {objective} does not take --features-csv\n"
 
 
 def test_run_matroid_algorithms(capsys, tmp_path):
@@ -497,6 +515,19 @@ def test_experiment_rejects_fractional_and_zero_k_grid_values(capsys):
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "error: k sweep grid values must be positive integers, got [2.5, 0.0]"]
+
+
+def test_experiment_checks_every_swept_value_and_reads_no_swept_spec_value(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--objective", "quadratic",
+                             "--sweep", "beta", "--grid", "0.1,0.7", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: beta must be in (0,0.5)"]
+    # a lambda sweep never reads --lambda
+    code, out, err = run_cli(capsys, "experiment", "--objective", "movie",
+                             "--sweep", "lambda", "--lambda", "2", "--grid", "0.6",
+                             "--n", "8", "--k", "2", "--trials", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("lambda,0.6,")
 
 
 def test_experiment_accepts_both_spellings(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -109,7 +110,8 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the spec reached the sweep")
 
-    for name in ("random_feature_matrix", "movie_objective", "image_objective"):
+    for name in ("random_feature_matrix", "movie_objective", "image_objective",
+                 "generate_quadratic_instance"):
         monkeypatch.setattr(experiments, name, unreachable)
     with pytest.raises(SpecValidationError) as exc:
         run_experiment(ExperimentSpec(objective="movie", sweep="lambda",
@@ -124,6 +126,7 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
              "k must be between 0 and n = 6, got [-1]"),
             (dict(objective="movie", sweep="k", n=6, grid=[2, 7, 9]),
              "k must be between 0 and n = 6, got [7, 9]"),
+            # a swept k leaves spec.k unread
             (dict(objective="image", sweep="k", n=6, k=-1, grid=[1]), None),
             (dict(objective="image", sweep="k", n=6, grid=[1], feature_dim=-1),
              "feature_dim must be >= 1"),
@@ -141,12 +144,23 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
             (dict(objective="quadratic", sweep="alpha", grid=[0.3], beta=0.5),
              "beta must be in (0,0.5)"),
             (dict(objective="quadratic", sweep="beta", grid=[0.1], alpha=0.0),
-             "alpha must be positive")):
-        if problem is None:  # a swept k leaves spec.k unread
-            assert validate_spec(ExperimentSpec(**spec)).k == -1
+             "alpha must be positive"),
+            # a swept value gets the problem text of a fixed one
+            (dict(objective="movie", sweep="lambda", grid=[0.5, 1.2]),
+             "lambda must be in [0,1]"),
+            (dict(objective="quadratic", sweep="beta", grid=[0.1, 0.6]),
+             "beta must be in (0,0.5)"),
+            (dict(objective="quadratic", sweep="alpha", grid=[0.3, -1]),
+             "alpha must be positive"),
+            # nor does a swept lambda read spec.lam
+            (dict(objective="movie", sweep="lambda", grid=[0.5], lam=2), None),
+            (dict(objective="quadratic", sweep="n", grid=[2], n=0), None)):
+        if problem is None:
+            checked = validate_spec(ExperimentSpec(**spec))
+            assert replace(checked, algorithms=[]) == ExperimentSpec(**spec)
             continue
         with pytest.raises(SpecValidationError) as exc:
-            validate_spec(ExperimentSpec(**spec))
+            run_experiment(ExperimentSpec(**spec))
         assert problem in exc.value.problems, (spec, exc.value.problems)
     # the movie bounds are inclusive
     for k in (0, 6):

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (as_matrix, directed_cut_edge, gap_oracle, mixture_oracle,
+from helpers import (as_matrix, gap_oracle, mixture_oracle,
                      modular_oracle, product_expectation, psd_similarity,
                      recording_oracle, table_oracle)
 from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        SetFunctionOracle, SizeLimitError, UniformMatroid,
                        double_greedy, exact_monotonicity_ratio,
                        greedy_cardinality, greedy_matroid, ids_of,
-                       image_objective, marginal, mask_of,
+                       image_objective, mask_of,
                        measured_continuous_greedy, mixture_objective,
                        movie_objective, multilinear_exact, multilinear_sampled,
                        random_greedy_cardinality, random_greedy_matroid,
@@ -37,26 +37,6 @@ def test_ids_of_rejects_a_negative_mask():
 def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
-
-
-def test_marginal_examples():
-    f = modular_oracle([1.0, 1.0])
-    assert marginal(f, 0, 0) == 1.0
-
-    cut = directed_cut_edge()
-    assert marginal(cut, 1, mask_of([0])) == -1.0  # f({u,v}) - f({u}) = 0 - 1
-
-    g = gap_oracle(0.5)
-    assert marginal(g, 1, mask_of([0])) == pytest.approx(-0.5)
-
-
-def test_marginal_counts_two_calls_and_precondition():
-    f = modular_oracle([1.0, 2.0, 3.0])
-    before = f.eval_count
-    marginal(f, 2, 0b011)
-    assert f.eval_count - before == 2
-    with pytest.raises(ValueError):
-        marginal(f, 0, 0b001)
 
 
 def test_value_calls_fn_once_per_call_and_counts_it():
