@@ -39,11 +39,14 @@ def _directed_cut_chain(n: int) -> SetFunctionOracle:
     return SetFunctionOracle(GroundSet(n), fn, name="cut-chain")
 
 
-def _build_objective(args) -> SetFunctionOracle:
+def _build_objective(args, default_n) -> SetFunctionOracle:
     name, csv = args.objective, args.features_csv
     if csv and name.startswith("synthetic"):
         raise ValueError(f"--objective {name} does not take --features-csv")
-    if not csv and args.n < 1:
+    if csv and args.n is not None:  # n is the CSV's row count
+        raise ValueError("give --n or --features-csv, not both")
+    args.n = default_n if args.n is None else args.n
+    if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if name == "synthetic-cut":
         return _directed_cut_chain(args.n)
@@ -64,7 +67,7 @@ def cmd_ratio(args) -> int:
     if args.weak and args.k is None:
         print("error: --weak requires --k", file=sys.stderr)
         return 2
-    f = _build_objective(args)
+    f = _build_objective(args, 8)
     # the certifiers own their size limits: a SizeLimitError is a ValueError,
     # which main reports with exit code 2
     if args.weak:
@@ -135,7 +138,7 @@ def _check_run_flags(args, alg) -> None:
 def cmd_run(args) -> int:
     alg = algorithm(args.alg)
     _check_run_flags(args, alg)
-    f = _build_objective(args)
+    f = _build_objective(args, 20)
     n = f.n
     if args.k is not None and args.k > n:
         raise ValueError(f"k={args.k} exceeds the ground set size n={n}")
@@ -207,10 +210,10 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _add_objective_flags(p, default_n):
+def _add_objective_flags(p):
     p.add_argument("--objective", required=True,
                    choices=["movie", "image", "synthetic-cut", "synthetic-mix"])
-    p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int, help="ground set size (default 8 for ratio, 20 for run)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features-csv", default=None,
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ratio", help="exact monotonicity ratio of an objective")
-    _add_objective_flags(p, default_n=8)
+    _add_objective_flags(p)
     p.add_argument("--weak", action="store_true",
                    help="weak ratio over feasible sets of size at most --k")
     p.add_argument("--k", type=int, default=None)
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("run", help="one algorithm on one instance")
-    _add_objective_flags(p, default_n=20)
+    _add_objective_flags(p)
     p.add_argument("--alg", required=True,
                    help="one of " + ", ".join(_RUN_ALGS)
                    + " (hyphens or underscores)")

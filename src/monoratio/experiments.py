@@ -18,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import _svg
-from .apps import (generate_quadratic_instance, image_objective,
-                   inner_product_similarity, movie_objective,
-                   random_feature_matrix)
+from .apps import (MIN_BOX_LIMIT, generate_quadratic_instance, image_objective,
+                   inner_product_similarity, movie_objective, random_feature_matrix)
 from .bounds import guarantee, upper_bound_from_output
 from .constraints import PartitionMatroid
 from .continuous import FWConfig, MCGConfig, frank_wolfe_nonmonotone, \
@@ -129,12 +128,51 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 # sweep -> the ExperimentSpec field each of its points sets (k and n to an int)
 _SWEEP_FIELDS = {"lambda": "lam", "k": "k", "alpha": "alpha", "beta": "beta", "n": "n"}
 
-# objective -> (the constraint its sweeps run algorithms under, its sweep
-# parameters, its default algorithms)
+
+# a point builder returns (f, constraint, m bound) of sweep point p with spec
+# pt, calling the library through module-global names at call time
+def _similarity(pt):
+    return inner_product_similarity(random_feature_matrix(pt.n, pt.feature_dim,
+                                                          seed=pt.seed))
+
+
+def _movie_point(pt, p):
+    return movie_objective(_similarity(pt), pt.lam), pt.k, movie_ratio_bound(pt.lam)
+
+
+def _image_point(pt, p):
+    # contiguous near-equal blocks of 0..n-1, one per category
+    blocks = [b.tolist() for b in np.array_split(np.arange(pt.n), pt.categories)]
+    M = PartitionMatroid(pt.n, blocks, [pt.k] * len(blocks))
+    # feasible sets hold up to k elements from each of the categories
+    return (image_objective(_similarity(pt)), M,
+            image_weak_ratio_bound(min(pt.n, pt.k * pt.categories), pt.n))
+
+
+def _quadratic_point(pt, p):
+    # one instance per point, shared by its trials and its m bound
+    inst = generate_quadratic_instance(pt.n, beta=pt.beta, alpha=pt.alpha,
+                                       seed=pt.seed + 10007 * p)
+    return inst, inst.polytope(), quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
+
+
+# objective -> (its point builder, the constraint its sweeps run algorithms
+# under, its sweep parameters, its default algorithms, its range rules
+# (field, test(value, spec), problem formatted with the spec and bad values))
 _OBJECTIVES = {
-    "movie": ("cardinality", ("lambda", "k"), ["threshold_random_greedy", "random"]),
-    "image": ("matroid", ("k",), ["random_greedy_matroid", "mcg_rounding", "random"]),
-    "quadratic": ("polytope", ("alpha", "beta", "n"), ["frank_wolfe"]),
+    "movie": (_movie_point, "cardinality", ("lambda", "k"),
+              ["threshold_random_greedy", "random"],
+              [("lam", lambda lam, s: 0 <= lam <= 1, "lambda must be in [0,1]"),
+               ("k", lambda k, s: 0 <= k <= s.n,
+                "k must be between 0 and n = {spec.n}, got {bad}")]),
+    "image": (_image_point, "matroid", ("k",),
+              ["random_greedy_matroid", "mcg_rounding", "random"],
+              [("k", lambda k, s: k >= 0, "k must be >= 0")]),
+    "quadratic": (_quadratic_point, "polytope", ("alpha", "beta", "n"), ["frank_wolfe"],
+                  [("beta", lambda beta, s: 0 < beta < 0.5, "beta must be in (0,0.5)"),
+                   ("alpha", lambda alpha, s: alpha > 0, "alpha must be positive"),
+                   ("n", lambda n, s: n <= MIN_BOX_LIMIT, f"n must be at most "
+                    f"{MIN_BOX_LIMIT} for quadratic sweeps, got {{bad}}")]),
 }
 
 
@@ -197,7 +235,8 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             problems.append(f"{f.name} must be {kind}, got {v!r}")
     if problems:  # the checks below compare values of the declared types
         raise SpecValidationError(problems)
-    need, sweeps, defaults = _OBJECTIVES.get(spec.objective, (None, (), []))
+    _, need, sweeps, defaults, rules = _OBJECTIVES.get(spec.objective,
+                                                       (None, None, (), (), ()))
     if need is None:
         problems.append(f"unknown objective {spec.objective!r} "
                         f"(choose from {sorted(_OBJECTIVES)})")
@@ -231,19 +270,10 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             problems.append(f"algorithm {a!r} ({alg.constraint} constraint) "
                             f"does not fit the {need} constraint of "
                             f"{spec.objective} sweeps")
-    if spec.objective == "movie":
-        if not all(0 <= lam <= 1 for lam in given("lam")):
-            problems.append("lambda must be in [0,1]")
-        bad = [k for k in given("k") if not 0 <= k <= spec.n]
+    for name, ok, problem in rules:
+        bad = [v for v in given(name) if not ok(v, spec)]
         if bad:
-            problems.append(f"k must be between 0 and n = {spec.n}, got {bad}")
-    if spec.objective == "image" and any(k < 0 for k in given("k")):
-        problems.append("k must be >= 0")
-    if spec.objective == "quadratic":
-        if not all(0 < beta < 0.5 for beta in given("beta")):
-            problems.append("beta must be in (0,0.5)")
-        if any(alpha <= 0 for alpha in given("alpha")):
-            problems.append("alpha must be positive")
+            problems.append(problem.format(spec=spec, bad=bad))
     if problems:
         raise SpecValidationError(problems)
     return replace(spec, algorithms=algs)
@@ -287,38 +317,15 @@ class ExperimentResult:
                                xlabel=self.spec.sweep, ylabel="value")
 
 
-def _partition_blocks(n: int, categories: int):
-    """Contiguous near-equal split of 0..n-1 into `categories` blocks."""
-    return [b.tolist() for b in np.array_split(np.arange(n), categories)]
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep described by `spec` (validated first)."""
     spec = validate_spec(spec)
-    if spec.objective in ("movie", "image"):  # data fixed across the sweep
-        feats = random_feature_matrix(spec.n, spec.feature_dim, seed=spec.seed)
-        sim = inner_product_similarity(feats)
-
+    point = _OBJECTIVES[spec.objective][0]
     rows = []
     swept = _SWEEP_FIELDS[spec.sweep]
     for p, value in enumerate(spec.grid):  # each point is the spec, one field set
         pt = replace(spec, **{swept: int(value) if swept in ("k", "n") else value})
-        if spec.objective == "movie":
-            constraint = pt.k
-            f = movie_objective(sim, pt.lam)
-            m_bound = movie_ratio_bound(pt.lam)
-        elif spec.objective == "image":
-            blocks = _partition_blocks(pt.n, pt.categories)
-            constraint = PartitionMatroid(pt.n, blocks, [pt.k] * len(blocks))
-            f = image_objective(sim)
-            # feasible sets hold up to k elements from each of the categories
-            m_bound = image_weak_ratio_bound(min(pt.n, pt.k * pt.categories), pt.n)
-        else:  # one instance per point, shared by its trials and its m bound
-            inst = generate_quadratic_instance(pt.n, beta=pt.beta, alpha=pt.alpha,
-                                               seed=spec.seed + 10007 * p)
-            constraint = inst.polytope()
-            f = inst
-            m_bound = quadratic_ratio_bound(inst.alpha, inst.beta, inst.M >= 0.0)
+        f, constraint, m_bound = point(pt, p)
         row = {"sweep": spec.sweep, "sweep_value": value, "m_bound": m_bound,
                "ub_prev": math.inf, "ub_new": math.inf}
         for name in spec.algorithms:

@@ -199,6 +199,27 @@ def test_features_csv_clamps_negative_products(capsys, tmp_path):
                                    f"{r.oracle_calls},0,{ids}")
 
 
+@pytest.mark.parametrize("command", [["run", "--alg", "greedy", "--k", "2"],
+                                     ["ratio"]])
+@pytest.mark.parametrize("objective", ["movie", "image"])
+def test_features_csv_refuses_n(capsys, tmp_path, command, objective):
+    # n is the CSV's row count, so a given --n would go unread
+    items = tmp_path / "items.csv"
+    items.write_text(SIGNED_CSV)
+    code, out, err = run_cli(capsys, *command, "--objective", objective,
+                             "--features-csv", str(items), "--n", "50")
+    assert (code, out) == (2, "")
+    assert err == "error: give --n or --features-csv, not both\n"
+
+
+def test_n_defaults_to_8_for_ratio_and_20_for_run(capsys):
+    code, out, err = run_cli(capsys, "ratio", "--objective", "synthetic-cut")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",256")  # 2^8 evaluations
+    base = ["run", "--alg", "greedy", "--objective", "synthetic-mix", "--k", "3"]
+    assert run_cli(capsys, *base) == run_cli(capsys, *base, "--n", "20")
+
+
 def test_run_greedy_matroid_on_a_uniform_matroid(capsys):
     # --k 2 and --matroid uniform:2 name the same matroid
     f = mixture_objective(8, 0)
@@ -528,6 +549,22 @@ def test_experiment_checks_every_swept_value_and_reads_no_swept_spec_value(capsy
                              "--n", "8", "--k", "2", "--trials", "1")
     assert (code, err) == (0, "")
     assert out.splitlines()[1].startswith("lambda,0.6,")
+
+
+def test_quadratic_sweeps_above_the_vertex_scan_cap_fail_before_any_work(capsys,
+                                                                        monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generated an instance")
+
+    monkeypatch.setattr("monoratio.experiments.generate_quadratic_instance", unreachable)
+    for flags, bad in ((["--sweep", "n", "--grid", "3,17"], "[17.0]"),
+                       # a beta sweep at the spec default n = 50
+                       (["--sweep", "beta", "--grid", "0.1"], "[50]")):
+        code, out, err = run_cli(capsys, "experiment", "--objective", "quadratic",
+                                 *flags, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: n must be at most 16 for quadratic sweeps, got {bad}"]
 
 
 def test_experiment_accepts_both_spellings(capsys):

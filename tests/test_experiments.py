@@ -1,13 +1,15 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import monoratio.experiments as experiments
 from monoratio import ExperimentSpec, run_experiment
 from monoratio.bounds import GUARANTEE_KINDS
-from monoratio.experiments import (ALGORITHMS, ExperimentResult,
-                                   SpecValidationError, algorithm, validate_spec)
+from monoratio.cli import build_parser
+from monoratio.experiments import (_OBJECTIVES, _SWEEP_FIELDS, ALGORITHMS,
+                                   ExperimentResult, SpecValidationError, algorithm,
+                                   validate_spec)
 
 # run_experiment output for this spec, computed when every trial and the m
 # bound generated their own copy of the sweep point's instance
@@ -61,6 +63,37 @@ def test_seedless_algorithms_run_once_per_point(monkeypatch):
     assert random_greedy == [4, 5, 6, 4, 5, 6]
 
 
+def test_movie_and_image_sweeps_build_one_objective_per_point(monkeypatch):
+    movies, images, features = [], [], []
+    counting(monkeypatch, "movie_objective", movies)
+    counting(monkeypatch, "image_objective", images)
+    counting(monkeypatch, "random_feature_matrix", features)
+    run_experiment(ExperimentSpec(objective="movie", sweep="lambda",
+                                  grid=[0.5, 0.7, 0.9], n=8, k=2, trials=1,
+                                  algorithms=["greedy"]))
+    run_experiment(ExperimentSpec(objective="image", sweep="k", grid=[1, 2],
+                                  n=8, trials=1, algorithms=["greedy_matroid"]))
+    assert (len(movies), len(images)) == (3, 2)
+    # each point draws its own features from the spec seed
+    assert features == [0] * 5
+
+
+def test_objective_table_is_consistent():
+    experiment = next(a for a in build_parser()._actions
+                      if a.dest == "command").choices["experiment"]
+    choices = next(a.choices for a in experiment._actions if a.dest == "objective")
+    assert list(choices) == list(_OBJECTIVES)
+    valid = {"lambda": 0.5, "k": 2, "alpha": 0.3, "beta": 0.2, "n": 3}
+    for name, (_, need, sweeps, defaults, rules) in _OBJECTIVES.items():
+        assert need in {"none", "cardinality", "matroid", "polytope"}, name
+        assert set(sweeps) <= _SWEEP_FIELDS.keys(), name
+        for sweep in sweeps:
+            spec = validate_spec(ExperimentSpec(objective=name, sweep=sweep,
+                                                grid=[valid[sweep]], n=10))
+            assert spec.algorithms == defaults, (name, sweep)
+        assert {f for f, _, _ in rules} <= {f.name for f in fields(ExperimentSpec)}
+
+
 def test_algorithm_table_is_consistent():
     constraints = {"none", "cardinality", "matroid", "any", "polytope"}
     for name, alg in ALGORITHMS.items():
@@ -82,7 +115,7 @@ def test_validate_spec_checks_constraints_and_normalizes_names():
     assert spec.algorithms == ["random_greedy_matroid", "mcg_rounding", "random"]
     with pytest.raises(SpecValidationError) as exc:
         validate_spec(ExperimentSpec(objective="quadratic", sweep="beta",
-                                     grid=[0.1], trials=0,
+                                     grid=[0.1], n=3, trials=0,
                                      algorithms=["greedy", "random",
                                                  "frank-wolfe", "nope"]))
     problems = exc.value.problems
@@ -152,6 +185,13 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
              "beta must be in (0,0.5)"),
             (dict(objective="quadratic", sweep="alpha", grid=[0.3, -1]),
              "alpha must be positive"),
+            # the box minimum's vertex scan caps every n a quadratic point
+            # gets, the spec default n = 50 included
+            (dict(objective="quadratic", sweep="n", grid=[3, 17, 16, 20]),
+             "n must be at most 16 for quadratic sweeps, got [17, 20]"),
+            (dict(objective="quadratic", sweep="beta", grid=[0.1]),
+             "n must be at most 16 for quadratic sweeps, got [50]"),
+            (dict(objective="quadratic", sweep="alpha", grid=[0.3], n=16), None),
             # nor does a swept lambda read spec.lam
             (dict(objective="movie", sweep="lambda", grid=[0.5], lam=2), None),
             (dict(objective="quadratic", sweep="n", grid=[2], n=0), None)):
