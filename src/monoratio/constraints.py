@@ -1,10 +1,9 @@
 """Matroid constraints and linear maximization over down-closed polytopes.
 
 A cardinality constraint, at most k of n elements, is the uniform matroid
-of rank k. Matroids come in two kinds: block matroids, which group the
-elements into disjoint classes with capacities (partition matroids, and uniform(k) as a
-one-block partition), and oracle matroids (a user independence test). All
-take and return subsets as bitmasks.
+of rank k. `Matroid` is the general matroid, run on its independence test;
+partition matroids (uniform(k) is one block) override its exchange law with
+a closed form. All take and return subsets as bitmasks.
 """
 
 from __future__ import annotations
@@ -39,22 +38,17 @@ def _same_ground_set(n: int, constraint) -> None:
 
 
 class Matroid:
-    """Independence-oracle interface; subclasses fix the kind.
-
-    Block matroids set `key[u]`, the class of element u, and `capacities[c]`,
-    the number of elements class c admits; greedy and partner then count
-    capacities and pair within classes. Oracle matroids have `key = None` and
-    use independence tests instead.
+    """The general matroid: subclasses define `n`, `rank` and
+    `is_independent`, and greedy, the exchange law and partner run on
+    independence tests alone. Partition matroids override `exchange_law` and
+    `partner` with the closed form their blocks give.
 
     Random greedy pads M with `free` dummies, the elements n..n+free-1: they
-    are free for independence and count only towards the rank, and they pair
-    in class `dummy_key`.
+    are free for independence and count only towards the rank.
     """
 
     n: int
     rank: int
-    key: list[int] | None = None
-    dummy_key = -1
 
     def is_independent(self, mask: int) -> bool:
         raise NotImplementedError
@@ -78,18 +72,11 @@ class Matroid:
         reals = sorted((u for u in range(self.n) if w[u] > 0 and not (exclude >> u) & 1),
                        key=w.__getitem__, reverse=True)  # stable: ties by id
         out = 0
-        key = self.key
-        if key is None:
-            for u in reals:
-                if self._padded_independent(out | (1 << u)):
-                    out |= 1 << u
-        else:
-            left = list(self.capacities)
-            for u in reals:
-                c = key[u]
-                if left[c]:
-                    left[c] -= 1
-                    out |= 1 << u
+        for u in reals:
+            if out.bit_count() == self.rank:
+                break  # a base: no further element joins
+            if self.is_independent(out | (1 << u)):  # below the rank: no padding test
+                out |= 1 << u
         spare = (((1 << free) - 1) << self.n) & ~exclude
         while spare and out.bit_count() < self.rank:
             low = spare & -spare  # lowest spare dummy
@@ -101,29 +88,14 @@ class Matroid:
         """The table `partner` draws from, for disjoint bases S and B of M
         padded with `free` dummies; build it once per pair of bases.
 
-        Block matroids hold, for each element of B in id order, its class's
-        elements of S and its class's count in B, and the list of spare
-        classes; oracle matroids hold the admissible pairs {u: {s : S - s + u
-        independent}} for u in B, and both bases' ids.
+        It holds the admissible pairs {u: {s : S - s + u independent}} for u
+        in B, and both bases' ids.
         """
         s_ids, b_ids = ids_of(S), ids_of(B)
-        if self.key is None:
-            indep = self._padded_independent
-            adm = {u: {s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))}
-                   for u in b_ids}
-            return adm, s_ids, b_ids
-        key = self.key + [self.dummy_key] * free
-        pools: dict[int, list[int]] = {}  # S by class
-        for s in s_ids:
-            pools.setdefault(key[s], []).append(s)
-        counts: dict[int, int] = {}  # B by class
-        for b in b_ids:
-            counts[key[b]] = counts.get(key[b], 0) + 1
-        rows = [(b, pools.get(key[b], ()), counts[key[b]]) for b in b_ids]
-        # S in class c once per spare element: n_c - m_c times when positive
-        spares = [pool for c, pool in pools.items()
-                  for _ in range(len(pool) - counts.get(c, 0))]
-        return rows, spares
+        indep = self._padded_independent
+        adm = {u: {s for s in s_ids if indep((S & ~(1 << s)) | (1 << u))}
+               for u in b_ids}
+        return adm, s_ids, b_ids
 
     def partner(self, law, x, rng) -> tuple[int, int]:
         """Draw u uniformly from the base B and return (u, g(u)), where g is
@@ -131,49 +103,26 @@ class Matroid:
         S - g(u) + u is independent. `law` is `exchange_law(S, B, free)`
         and x four uniforms in [0, 1).
 
-        For block matroids g is the law that, in each class c with n_c
-        elements of S and m_c of B, pairs min(n_c, m_c) random elements of
-        B with random elements of S, then maps the leftovers of B onto the
-        spare elements of S by a uniform bijection. A leftover u of class c
-        has n_c < m_c <= capacity, so every pair is an exchange. Only the
-        marginal of (u, g(u)) is sampled, from x alone:
-        - u = B[int(x0 k)], with B sorted by id;
-        - if x1 m_c < n_c (always when m_c <= n_c), g(u) is the element
-          int(x2 n_c) of S in class c;
-        - otherwise a spare class c' is drawn with probability
-          (n_c' - m_c') / L from x2, L the sum of the positive
-          n_c' - m_c', and g(u) is the element int(x3 n_c') of S in c'.
-        int(x n) is uniform on range(n) up to a bias below n 2^-53. Given
-        u, g(u) is each element of S in u's class with probability
-        1 / max(n_c, m_c), while an element of another class may have
-        probability 0 even when its swap would improve.
-
-        Oracle matroids take u the same way and g from a maximum matching on
+        u = B[int(x0 k)], with B sorted by id, and g is a maximum matching on
         the exchange graph of the bases shuffled by `rng`, which draws
-        permutation(|S|) and then permutation(|B|); block matroids draw
-        nothing from `rng`.
+        permutation(|S|) and then permutation(|B|).
         """
-        if self.key is None:
-            adm, s_ids, b_ids = law
-            u = b_ids[int(x[0] * len(b_ids))]
-            s_order, b_order = s_ids[:], b_ids[:]
-            # shuffling a list makes exactly the draws of permutation(len(list))
-            rng.shuffle(s_order)
-            rng.shuffle(b_order)
-            return u, _matching_exchange(adm, s_order, b_order)[u]
-        rows, spares = law
-        u, pool, m = rows[int(x[0] * len(rows))]
-        n_c = len(pool)
-        if x[1] * m < n_c:
-            return u, pool[int(x[2] * n_c)]
-        pool = spares[int(x[2] * len(spares))]
-        return u, pool[int(x[3] * len(pool))]
+        adm, s_ids, b_ids = law
+        u = b_ids[int(x[0] * len(b_ids))]
+        s_order, b_order = s_ids[:], b_ids[:]
+        # shuffling a list makes exactly the draws of permutation(len(list))
+        rng.shuffle(s_order)
+        rng.shuffle(b_order)
+        return u, _matching_exchange(adm, s_order, b_order)[u]
 
 
 class PartitionMatroid(Matroid):
     """Disjoint blocks with per-block capacities; every element of
     range(n) lies in exactly one block. A block is a bitmask or an iterable
-    of element ids."""
+    of element ids. `key[u]` is the block of element u, and the dummies of
+    random greedy pair in block `dummy_key`."""
+
+    dummy_key = -1
 
     def __init__(self, n: int, blocks, capacities):
         if len(blocks) != len(capacities):
@@ -188,21 +137,69 @@ class PartitionMatroid(Matroid):
                 if not 0 <= u < n:
                     raise ValueError(f"element {u} of block {j} is outside [0, {n})")
                 if self.key[u] not in (-1, j):
-                    raise ValueError("blocks must be disjoint")
+                    raise ValueError(f"blocks {self.key[u]} and {j} both hold element {u}")
                 self.key[u] = j
             masks.append(mask_of(ids))
         if -1 in self.key:
-            raise ValueError("blocks must cover all elements")
+            raise ValueError(f"element {self.key.index(-1)} is in no block")
+        for j, c in enumerate(capacities):
+            if not (float(c).is_integer() and c >= 0):
+                raise ValueError(f"capacity {c} of block {j} is not an integer >= 0")
         self.n = n
         self.blocks = masks
         self.capacities = [int(c) for c in capacities]
-        if any(c < 0 for c in self.capacities):
-            raise ValueError("capacities must be non-negative")
         self.rank = sum(min(c, b.bit_count()) for b, c in zip(masks, self.capacities))
 
     def is_independent(self, mask: int) -> bool:
-        return all((mask & b).bit_count() <= c
-                   for b, c in zip(self.blocks, self.capacities))
+        # a loop, not all() over a generator: greedy calls this per element
+        for b, c in zip(self.blocks, self.capacities):
+            if (mask & b).bit_count() > c:
+                return False
+        return True
+
+    def exchange_law(self, S: int, B: int, free: int = 0):
+        """`Matroid.exchange_law` in closed form: per element of B in id order,
+        its block's elements of S and count in B; and the spare blocks."""
+        s_ids, b_ids = ids_of(S), ids_of(B)
+        key = self.key + [self.dummy_key] * free
+        pools: dict[int, list[int]] = {}  # S by block
+        for s in s_ids:
+            pools.setdefault(key[s], []).append(s)
+        counts: dict[int, int] = {}  # B by block
+        for b in b_ids:
+            counts[key[b]] = counts.get(key[b], 0) + 1
+        rows = [(b, pools.get(key[b], ()), counts[key[b]]) for b in b_ids]
+        # S in block c once per spare element: n_c - m_c times when positive
+        spares = [pool for c, pool in pools.items()
+                  for _ in range(len(pool) - counts.get(c, 0))]
+        return rows, spares
+
+    def partner(self, law, x, rng) -> tuple[int, int]:
+        """`Matroid.partner` in closed form. g is the law that, in each block
+        c with n_c elements of S and m_c of B, pairs min(n_c, m_c) random
+        elements of B with random elements of S, then maps the leftovers of B
+        onto the spare elements of S by a uniform bijection. A leftover u of
+        block c has n_c < m_c <= capacity, so every pair is an exchange.
+        Only the marginal of (u, g(u)) is sampled, from x alone:
+        - u = B[int(x0 k)], with B sorted by id;
+        - if x1 m_c < n_c (always when m_c <= n_c), g(u) is the element
+          int(x2 n_c) of S in block c;
+        - otherwise a spare block c' is drawn with probability
+          (n_c' - m_c') / L from x2, L the sum of the positive
+          n_c' - m_c', and g(u) is the element int(x3 n_c') of S in c'.
+        int(x n) is uniform on range(n) up to a bias below n 2^-53. Given
+        u, g(u) is each element of S in u's block with probability
+        1 / max(n_c, m_c), while an element of another block may have
+        probability 0 even when its swap would improve. Nothing is drawn
+        from `rng`.
+        """
+        rows, spares = law
+        u, pool, m = rows[int(x[0] * len(rows))]
+        n_c = len(pool)
+        if x[1] * m < n_c:
+            return u, pool[int(x[2] * n_c)]
+        pool = spares[int(x[2] * len(spares))]
+        return u, pool[int(x[3] * len(pool))]
 
     def __repr__(self):
         return f"PartitionMatroid(n={self.n}, blocks={len(self.blocks)}, rank={self.rank})"
@@ -210,7 +207,7 @@ class PartitionMatroid(Matroid):
 
 class UniformMatroid(PartitionMatroid):
     """At most k of n elements: a partition matroid with one block. Its
-    dummies pair in the same class as its elements, since any bijection
+    dummies pair in the same block as its elements, since any bijection
     between two bases of a uniform matroid is an exchange."""
 
     dummy_key = 0

@@ -62,6 +62,8 @@ def ids_of(mask: int) -> list[int]:
 
 def indicator(mask: int, n: int) -> np.ndarray:
     """Characteristic vector in [0,1]^n of the set `mask`."""
+    if mask >> n:  # nonzero for a negative mask too
+        raise ValueError(f"mask {mask} outside the {n}-element ground set")
     x = np.zeros(n)
     for u in ids_of(mask):
         x[u] = 1.0
@@ -72,10 +74,10 @@ def mask_from_indicator(x) -> int:
     """Inverse of `indicator`; raises if any coordinate is not 0/1 within 1e-9."""
     m = 0
     for u, v in enumerate(x):
-        if v > 1.0 - 1e-9:
+        if abs(v - 1.0) <= 1e-9:
             m |= 1 << u
-        elif v > 1e-9:
-            raise ValueError(f"coordinate {u} = {v} is fractional")
+        elif not abs(v) <= 1e-9:  # NaN fails both tests
+            raise ValueError(f"coordinate {u} = {v} is not 0/1 within 1e-9")
     return m
 
 

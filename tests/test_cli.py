@@ -262,6 +262,16 @@ def test_synthetic_objectives_reject_features_csv(capsys, tmp_path, command, obj
     assert err == f"error: --objective {objective} does not take --features-csv\n"
 
 
+def test_run_names_the_element_two_partition_blocks_share(capsys, tmp_path):
+    spec = tmp_path / "overlap.txt"
+    spec.write_text("block: 0,1,2 capacity=1\nblock: 2,3 capacity=1\n")
+    code, out, err = run_cli(capsys, "run", "--alg", "greedy-matroid",
+                             "--objective", "synthetic-mix", "--n", "4",
+                             "--matroid", f"partition:{spec}")
+    assert (code, out) == (2, "")
+    assert err == "error: blocks 0 and 1 both hold element 2\n"
+
+
 def test_run_matroid_algorithms(capsys, tmp_path):
     spec = tmp_path / "matroid.txt"
     spec.write_text("block: 0,1,2,3 capacity=1\nblock: 4,5,6,7 capacity=2\n")

@@ -36,10 +36,19 @@ def test_partition_independence():
     assert not M.is_independent(mask_of([0, 1]))
     assert M.is_independent(mask_of([0, 3]))
     assert M.rank == 2
-    with pytest.raises(ValueError):
-        PartitionMatroid(4, [[0, 1], [1, 2, 3]], [1, 1])  # overlap
-    with pytest.raises(ValueError):
-        PartitionMatroid(4, [[0, 1]], [1])  # not covering
+    with pytest.raises(ValueError, match="^blocks 0 and 1 both hold element 1$"):
+        PartitionMatroid(4, [[0, 1], [1, 2, 3]], [1, 1])
+    with pytest.raises(ValueError, match="^element 2 is in no block$"):
+        PartitionMatroid(4, [[0, 1], [3]], [1, 1])
+
+
+@pytest.mark.parametrize("cap", [1.5, -1, float("nan"), float("inf")])
+def test_partition_rejects_a_capacity_not_a_non_negative_integer(cap):
+    # 1.5 was truncated to capacity 1
+    with pytest.raises(ValueError, match=f"^capacity {cap} of block 1 is not an "
+                       "integer >= 0$"):
+        PartitionMatroid(4, [[0, 1], [2, 3]], [1, cap])
+    assert PartitionMatroid(4, [[0, 1], [2, 3]], [1, 2.0]).capacities == [1, 2]
 
 
 @pytest.mark.parametrize("blocks, message", [

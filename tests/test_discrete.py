@@ -504,6 +504,36 @@ def test_matroid_axioms_and_partner_exchange_property(M, seed):
         assert (B >> u) & 1 and (S >> s) & 1
         assert indep((S & ~(1 << s)) | (1 << u))
         assert rng.bit_generator.state == state  # block matroids draw from x only
+        # integer weights make ties, which must break toward smaller ids
+        w = rng.integers(-1, 3, size=M.n).astype(float).tolist()
+        assert M.greedy(w, S, 2 * M.rank) == full_order_greedy(M, w, S)
+
+
+class K4Forests(Matroid):
+    """The graphic matroid of K4 as a direct subclass of the base class."""
+
+    n, rank = 6, 3
+
+    def __init__(self):
+        self._indep = union_find_forest_indep([(0, 1), (0, 2), (0, 3),
+                                               (1, 2), (1, 3), (2, 3)])
+
+    def is_independent(self, mask):
+        return self._indep(mask)
+
+
+def test_a_direct_matroid_subclass_runs_like_an_oracle_matroid():
+    """The base class is the general matroid: a subclass that defines only
+    n, rank and is_independent runs random greedy for matroids exactly as
+    the oracle matroid with the same independence test."""
+    direct, oracle = K4Forests(), OracleMatroid(6, K4Forests().is_independent)
+    assert oracle.rank == direct.rank
+    for seed in range(8):
+        f, _ = mixture_oracle(6, seed=seed)
+        g, _ = mixture_oracle(6, seed=seed)
+        a = random_greedy_matroid(f, direct, 0.1, seed=seed)
+        b = random_greedy_matroid(g, oracle, 0.1, seed=seed)
+        assert (a.solution, a.value, a.oracle_calls) == (b.solution, b.value, b.oracle_calls)
 
 
 def test_random_greedy_matroid_golden():

@@ -13,7 +13,7 @@ from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
                        SetFunctionOracle, SizeLimitError, UniformMatroid,
                        double_greedy, exact_monotonicity_ratio,
                        greedy_cardinality, greedy_matroid, ids_of,
-                       image_objective, mask_of,
+                       image_objective, indicator, mask_from_indicator, mask_of,
                        measured_continuous_greedy, mixture_objective,
                        movie_objective, multilinear_exact, multilinear_sampled,
                        random_greedy_cardinality, random_greedy_matroid,
@@ -32,6 +32,23 @@ def test_ids_of_rejects_a_negative_mask():
     for mask in (-1, -6, -(1 << 70)):
         with pytest.raises(ValueError, match=f"mask {mask} is negative"):
             ids_of(mask)
+
+
+def test_indicator_round_trip_and_out_of_range_mask():
+    assert indicator(0b101, 4).tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert mask_from_indicator([1.0 - 1e-10, 1e-10, 1.0, 0.0]) == 0b101
+    # numpy's IndexError named neither the mask nor the ground set
+    with pytest.raises(ValueError, match="^mask 32 outside the 3-element ground set$"):
+        indicator(1 << 5, 3)
+
+
+@pytest.mark.parametrize("x, named", [([5.0, -0.5, 0.0], "coordinate 0 = 5.0"),
+                                      ([float("nan")], "coordinate 0 = nan"),
+                                      ([1.0, -0.5], "coordinate 1 = -0.5")])
+def test_mask_from_indicator_rejects_a_coordinate_not_0_or_1(x, named):
+    # 5.0 read as 1, and -0.5 and NaN as 0
+    with pytest.raises(ValueError, match=f"^{named} is not 0/1 within 1e-9$"):
+        mask_from_indicator(x)
 
 
 def test_ground_set_validation():
