@@ -27,10 +27,7 @@ __all__ = [
     "mixture_objective",
     "QuadraticInstance",
     "generate_quadratic_instance",
-    "min_box_quadratic",
 ]
-
-MIN_BOX_LIMIT = 16
 
 
 def load_features_csv(path) -> np.ndarray:
@@ -211,7 +208,10 @@ class QuadraticInstance:
 
     H is symmetric non-positive (so F is DR-submodular), h = -beta H'u, and
     c = -M + alpha|M| for the box minimum M of the c-free part, which makes F
-    non-negative on the box. L bounds the gradient Lipschitz constant and
+    non-negative on the box. M = q(u) < 0 for every generated instance (see
+    `generate_quadratic_instance`), so every generated point's m bound,
+    `quadratic_ratio_bound(alpha, beta, M >= 0)`, is
+    (1-2*beta)*alpha/(1+alpha). L bounds the gradient Lipschitz constant and
     D = |u|_2 bounds the feasible diameter.
     """
 
@@ -244,34 +244,18 @@ class QuadraticInstance:
         return DownClosedPolytope(self.A, self.b, self.u)
 
 
-def min_box_quadratic(H, h, u) -> float:
-    """Global minimum of x'Hx/2 + h'x over the box [0, u], for H with a
-    non-positive diagonal, by a scan of all 2^n box vertices.
-
-    With H[j, j] <= 0 every coordinate slice is concave, so a minimum over
-    the box sits at a vertex; a positive diagonal entry raises ValueError.
-    """
-    H = np.asarray(H, dtype=float)
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    if n > MIN_BOX_LIMIT:
-        raise ValueError(f"vertex enumeration capped at n={MIN_BOX_LIMIT}")
-    for j in range(n):
-        if H[j, j] > 0.0:
-            raise ValueError(f"H[{j}, {j}] = {H[j, j]:g} > 0: coordinate {j} "
-                             f"is not concave, so the vertex scan is not exact")
-    masks = np.arange(1 << n)
-    X = ((masks[:, None] >> np.arange(n)) & 1) * u  # one vertex per row
-    return float((0.5 * np.einsum("ij,ij->i", X @ H, X) + X @ h).min())
-
-
 def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
                                 seed: int = 0) -> QuadraticInstance:
-    """Draw a random instance: H symmetric with entries uniform on [-1,0],
+    """Draw a random instance: H symmetric with entries uniform on [-1,0),
     A positive with entries uniform on [v, v+1] for v = 0.01, b all ones,
     u_j = min_i b_i / A_{ij}, h = -beta H'u, and c = -M + alpha|M| for the
-    box minimum M (making F non-negative on the whole box)."""
+    box minimum M (making F non-negative on the whole box).
+
+    M is the value of q(x) = x'Hx/2 + h'x at the top corner u. For x in the
+    box write d = u - x >= 0; then
+        q(u) - q(x) = (1-beta) x'Hd + (1/2-beta) d'Hd <= 0,
+    since H <= 0 entrywise, x, d >= 0 and beta < 1/2. So
+    M = q(u) = (1/2-beta) u'Hu < 0 at every n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < beta < 0.5:
@@ -286,7 +270,7 @@ def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
     b = np.ones(n)
     u = (b[:, None] / A).min(axis=0)
     h = -beta * (H.T @ u)
-    M = min_box_quadratic(H, h, u)
+    M = float(0.5 * u @ H @ u + h @ u)  # QuadraticInstance.value without c
     c = -M + alpha * abs(M)
     L = 1.01 * float(np.linalg.norm(H, 2))
     D = float(np.linalg.norm(u))

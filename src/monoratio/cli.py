@@ -65,8 +65,7 @@ def _build_objective(args, default_n) -> SetFunctionOracle:
 
 def cmd_ratio(args) -> int:
     if args.weak and args.k is None:
-        print("error: --weak requires --k", file=sys.stderr)
-        return 2
+        raise ValueError("--weak requires --k")
     f = _build_objective(args, 8)
     # the certifiers own their size limits: a SizeLimitError is a ValueError,
     # which main reports with exit code 2
@@ -170,34 +169,22 @@ def cmd_experiment(args) -> int:
     if args.spec:
         flagged = sorted(set(vars(args)) & _SPEC_FIELDS)
         if flagged:
-            print(f"error: --spec takes no spec fields as flags; put them in the "
-                  f"spec file: {', '.join(flagged)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--spec takes no spec fields as flags; put them in "
+                             f"the spec file: {', '.join(flagged)}")
         with open(args.spec) as fh:
             given = json.load(fh)
         if not isinstance(given, dict):
-            print("error: the spec file must hold a JSON object", file=sys.stderr)
-            return 2
+            raise ValueError("the spec file must hold a JSON object")
         unknown = sorted(set(given) - _SPEC_FIELDS)
         if unknown:
-            print(f"error: unknown spec fields: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown spec fields: {', '.join(unknown)}")
     else:
         given = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
         if "grid" in given:
             given["grid"] = [float(g) for g in given["grid"].split(",") if g.strip()]
     if not {"objective", "sweep", "grid"} <= given.keys():
-        print("error: need --objective, --sweep and --grid (or a --spec with all three)",
-              file=sys.stderr)
-        return 2
-    spec = ExperimentSpec(**given)
-    try:
-        result = run_experiment(spec)
-    except SpecValidationError as exc:
-        for p in exc.problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 2
+        raise ValueError("need --objective, --sweep and --grid (or a --spec with all three)")
+    result = run_experiment(ExperimentSpec(**given))
     text = result.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -291,12 +278,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError) as exc:
+        # a spec's validation problems go one to a line
+        problems = exc.problems if isinstance(exc, SpecValidationError) else [exc]
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -338,17 +338,16 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
     n = f.n
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n (k={k}, n={n})")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
     rng, seed = _rng(seed)
     start = f.eval_count
-    sample_size = math.ceil((n / k) * math.log(1.0 / eps))
     A = 0
     fA = f.value(0)
     held = {}  # f(A + u) for the current A
     for _ in range(k):
         cands = [u for u in range(n) if not (A >> u) & 1]
-        take = min(sample_size, len(cands))
+        take = min(math.ceil((n / k) * math.log(1.0 / eps)), len(cands))
         sample = sorted(int(cands[j]) for j in
                         rng.choice(len(cands), size=take, replace=False))
         held.update(_scan(f, A, [u for u in sample if u not in held]))

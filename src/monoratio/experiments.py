@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import _svg
-from .apps import (MIN_BOX_LIMIT, generate_quadratic_instance, image_objective,
+from .apps import (generate_quadratic_instance, image_objective,
                    inner_product_similarity, movie_objective, random_feature_matrix)
 from .bounds import guarantee, upper_bound_from_output
 from .constraints import PartitionMatroid
@@ -170,9 +170,7 @@ _OBJECTIVES = {
               [("k", lambda k, s: k >= 0, "k must be >= 0")]),
     "quadratic": (_quadratic_point, "polytope", ("alpha", "beta", "n"), ["frank_wolfe"],
                   [("beta", lambda beta, s: 0 < beta < 0.5, "beta must be in (0,0.5)"),
-                   ("alpha", lambda alpha, s: alpha > 0, "alpha must be positive"),
-                   ("n", lambda n, s: n <= MIN_BOX_LIMIT, f"n must be at most "
-                    f"{MIN_BOX_LIMIT} for quadratic sweeps, got {{bad}}")]),
+                   ("alpha", lambda alpha, s: alpha > 0, "alpha must be positive")]),
 }
 
 

@@ -171,6 +171,25 @@ def continuous_ratio_grid_bound(F, u, points_per_axis: int = 5) -> float:
     return best
 
 
+def naive_quadratic(H, h, x) -> float:
+    """x'Hx/2 + h'x by a plain double loop."""
+    n = len(x)
+    return (sum(0.5 * x[i] * H[i][j] * x[j] for i in range(n) for j in range(n))
+            + sum(h[j] * x[j] for j in range(n)))
+
+
+def naive_box_quadratic_min(H, h, u) -> float:
+    """Minimum of x'Hx/2 + h'x over the 2^n vertices of the box [0, u].
+
+    When H's diagonal is non-positive every coordinate slice is concave, so
+    this is also the minimum over the whole box.
+    """
+    n = len(u)
+    return min(naive_quadratic(H, h, [u[j] if (mask >> j) & 1 else 0.0
+                                      for j in range(n)])
+               for mask in range(1 << n))
+
+
 def naive_greedy_trajectory(table, k):
     """Replay of the textbook greedy (argmax marginal, accept when >= 0,
     smaller id on ties); returns the list of solution masks per iteration."""

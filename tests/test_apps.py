@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_matrix, continuous_ratio_grid_bound, psd_similarity
+from helpers import (as_matrix, continuous_ratio_grid_bound, naive_box_quadratic_min,
+                     naive_quadratic, psd_similarity)
 from monoratio import (exact_monotonicity_ratio, exact_weak_monotonicity_ratio,
                        generate_quadratic_instance, ids_of, image_objective,
                        image_weak_ratio_bound, inner_product_similarity,
                        is_submodular, load_features_csv, mask_of,
-                       min_box_quadratic, movie_objective, movie_ratio_bound,
+                       movie_objective, movie_ratio_bound,
                        quadratic_ratio_bound, random_feature_matrix)
 from monoratio.apps import validate_similarity
 
@@ -199,31 +200,18 @@ def test_image_weak_ratio_certificate():
 
 # ------------------------------------------------------------------- quadratics
 
-def test_min_box_quadratic_examples():
-    assert min_box_quadratic(-np.eye(3), np.zeros(3), np.ones(3)) \
-        == pytest.approx(-1.5)
-    assert min_box_quadratic(np.zeros((2, 2)), np.array([1.0, 2.0]),
-                             np.ones(2)) == pytest.approx(0.0)
-    # a convex coordinate slice can have its minimum inside the box
-    with pytest.raises(ValueError, match=r"H\[1, 1\] = 0.5 > 0"):
-        min_box_quadratic(np.diag([-1.0, 0.5]), np.array([0.0, -0.5]), np.ones(2))
-
-
-def test_min_box_quadratic_matches_grid():
-    # the grid holds every vertex, and a minimum sits at one (every
-    # coordinate slice is concave), so the scan equals the grid minimum
-    rng = np.random.default_rng(9)
-    for n, points in ((2, 401), (3, 61)):
-        for seed in range(5):
-            upper = np.random.default_rng(seed).uniform(-1, 0, (n, n))
-            H = np.triu(upper) + np.triu(upper, 1).T
-            h = rng.normal(size=n) * 0.5
-            u = rng.random(n) + 0.5
-            axes = [np.linspace(0, u[j], points) for j in range(n)]
-            X = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
-            vals = 0.5 * np.einsum("ij,jk,ik->i", X, H, X) + X @ h
-            assert min_box_quadratic(H, h, u) \
-                == pytest.approx(vals.min(), rel=1e-12, abs=1e-12), (n, seed)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10),
+       beta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_box_minimum_is_the_top_corner(n, beta, seed):
+    inst = generate_quadratic_instance(n, beta=beta, seed=seed)
+    tol = max(1.0, abs(inst.M))
+    H, h, u = inst.H.tolist(), inst.h.tolist(), inst.u.tolist()
+    assert abs(inst.M - naive_box_quadratic_min(H, h, u)) <= 1e-13 * tol
+    # the closed form holds on the whole box, not only at its vertices
+    for t in np.random.default_rng(seed).random((20, n)):
+        assert naive_quadratic(H, h, (t * inst.u).tolist()) >= inst.M - 1e-12 * tol
 
 
 def test_generate_quadratic_instance_structure():

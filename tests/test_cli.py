@@ -561,20 +561,24 @@ def test_experiment_checks_every_swept_value_and_reads_no_swept_spec_value(capsy
     assert out.splitlines()[1].startswith("lambda,0.6,")
 
 
-def test_quadratic_sweeps_above_the_vertex_scan_cap_fail_before_any_work(capsys,
-                                                                        monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("generated an instance")
-
-    monkeypatch.setattr("monoratio.experiments.generate_quadratic_instance", unreachable)
-    for flags, bad in ((["--sweep", "n", "--grid", "3,17"], "[17.0]"),
-                       # a beta sweep at the spec default n = 50
-                       (["--sweep", "beta", "--grid", "0.1"], "[50]")):
+def test_quadratic_sweeps_run_above_n_16_and_at_the_default_n(capsys):
+    for flags, points in ((["--sweep", "n", "--grid", "3,17"], [["n", "3"], ["n", "17"]]),
+                          # a beta sweep at the spec default n = 50
+                          (["--sweep", "beta", "--grid", "0.1"], [["beta", "0.1"]])):
         code, out, err = run_cli(capsys, "experiment", "--objective", "quadratic",
                                  *flags, "--trials", "1")
-        assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            f"error: n must be at most 16 for quadratic sweeps, got {bad}"]
+        assert (code, err) == (0, "")
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == points
+
+
+def test_sample_greedy_sweeps_at_k_zero(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--objective", "movie",
+                             "--sweep", "lambda", "--grid", "0.6,0.7", "--n", "8",
+                             "--k", "0", "--trials", "1", "--alg", "greedy",
+                             "--alg", "sample-greedy")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[:6] for line in out.splitlines()[1:]] == [
+        ["lambda", v, "0", "0", "0", "0"] for v in ("0.6", "0.7")]
 
 
 def test_experiment_accepts_both_spellings(capsys):

@@ -223,6 +223,15 @@ def test_sample_greedy_matches_exact_when_sample_covers():
     assert r.solution == greedy_cardinality(f, 2).solution
 
 
+def test_sample_greedy_takes_k_from_zero_to_n():
+    f, _ = mixture_oracle(6, seed=71)
+    r = sample_greedy(f, 0, 0.5, seed=1)
+    assert (r.solution, r.value, r.oracle_calls) == (0, f.value(0), 1)
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            sample_greedy(f, k, 0.5, seed=0)
+
+
 def test_accelerated_variants_near_greedy_on_movie_fixture():
     s = psd_similarity(50, seed=1, d=25)
     k = 10
@@ -724,12 +733,12 @@ def rescanning_threshold_greedy(f, k, eps):
 
 def rescanning_sample_greedy(f, k, eps, rng):
     n = f.n
-    size = math.ceil((n / k) * math.log(1.0 / eps))
     A, fA = 0, f.value(0)
     for _ in range(k):
         cands = [u for u in range(n) if not (A >> u) & 1]
         if not cands:
             break
+        size = math.ceil((n / k) * math.log(1.0 / eps))
         sample = sorted(cands[j] for j in
                         rng.choice(len(cands), size=min(size, len(cands)), replace=False))
         marg = {u: f.value(A | (1 << u)) - fA for u in sample}
@@ -833,10 +842,9 @@ def test_query_once_algorithms_match_the_rescanning_references(case, seed):
          lambda f, g: rescanning_threshold_random_greedy(f, k, eps, g)),
         (lambda f, g: random_greedy_matroid(f, M, eps, g, trace=True),
          lambda f, g: rescanning_random_greedy_matroid(f, M, eps, g)),
+        (lambda f, g: sample_greedy(f, k, eps, g),
+         lambda f, g: rescanning_sample_greedy(f, k, eps, g)),
     ]
-    if k:  # sample greedy needs k >= 1
-        pairs.append((lambda f, g: sample_greedy(f, k, eps, g),
-                      lambda f, g: rescanning_sample_greedy(f, k, eps, g)))
     for run, reference in pairs:
         f, g = make(), np.random.default_rng(seed)
         got = run(f, g)
@@ -886,8 +894,6 @@ def test_every_run_evaluates_each_set_at_most_once(case, seed):
         if alg.experiment_only:
             continue
         for c in constraints[alg.constraint]:
-            if name == "sample_greedy" and k == 0:  # it needs k >= 1
-                continue
             base = make()
             f, log = recording_oracle(base)
             r = alg.call(f, c, seed, opts)

@@ -185,12 +185,6 @@ def test_validate_spec_rejects_out_of_range_budgets_dims_and_k(monkeypatch):
              "beta must be in (0,0.5)"),
             (dict(objective="quadratic", sweep="alpha", grid=[0.3, -1]),
              "alpha must be positive"),
-            # the box minimum's vertex scan caps every n a quadratic point
-            # gets, the spec default n = 50 included
-            (dict(objective="quadratic", sweep="n", grid=[3, 17, 16, 20]),
-             "n must be at most 16 for quadratic sweeps, got [17, 20]"),
-            (dict(objective="quadratic", sweep="beta", grid=[0.1]),
-             "n must be at most 16 for quadratic sweeps, got [50]"),
             (dict(objective="quadratic", sweep="alpha", grid=[0.3], n=16), None),
             # nor does a swept lambda read spec.lam
             (dict(objective="movie", sweep="lambda", grid=[0.5], lam=2), None),
