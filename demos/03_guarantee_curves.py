@@ -12,7 +12,7 @@ approximation ratio lives.
 import math
 import pathlib
 
-from monoratio import evaluate_curve
+from monoratio import curves_csv, evaluate_curve
 from monoratio._svg import line_chart
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -27,10 +27,7 @@ CHARTS = {
 for chart, exprs in CHARTS.items():
     curves = [evaluate_curve(e, num_points=41) for e in exprs]
     csv_path = OUT / f"curves_{chart}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(curves[0].CSV_HEADER + "\n")
-        for c in curves:
-            fh.write("".join(line + "\n" for line in c.to_csv().splitlines()[1:]))
+    csv_path.write_text(curves_csv(curves))
     series = [(c.expression_id, [m for m, _ in c.points], [v for _, v in c.points])
               for c in curves]
     if chart == "matroid":  # the inherited monotone ceiling

@@ -3,9 +3,11 @@
 Draws random instances F(x) = x'Hx/2 + h'x + c with H <= 0 over a packing
 polytope, sweeps beta (which controls how non-monotone F is), and maximizes
 with the Frank-Wolfe ascent. The instance-specific monotonicity-ratio bound
-(1-2b)a/(1+a), upgraded to (1-2b) whenever the box minimum is non-negative,
-tightens the upper bound on the optimum; the jump in the band when the sign
-of the minimum flips is visible in the CSV.
+(1-2b)a/(1+a) tightens the upper bound on the optimum. A generated
+instance's box minimum is always negative (see
+`generate_quadratic_instance`), so the larger (1-2b) bound for a
+non-negative minimum never applies, and the m bound in the CSV falls
+linearly in beta, with no jump.
 """
 
 import pathlib

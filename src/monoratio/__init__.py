@@ -11,7 +11,7 @@ application objectives with their upper-bound-on-OPT experiment harness.
 from .apps import (QuadraticInstance, generate_quadratic_instance, image_objective,
                    inner_product_similarity, load_features_csv, mixture_objective,
                    movie_objective, random_feature_matrix)
-from .bounds import (GuaranteeCurve, cardinality_hardness, evaluate_curve,
+from .bounds import (GuaranteeCurve, cardinality_hardness, curves_csv, evaluate_curve,
                      guarantee, matroid_hardness, smallest_grid_crossing,
                      symmetry_gap_unconstrained, upper_bound_from_output)
 from .constraints import (DownClosedPolytope, Matroid, OracleMatroid,

@@ -49,6 +49,7 @@ __all__ = [
     "symmetry_gap_unconstrained",
     "upper_bound_from_output",
     "GuaranteeCurve",
+    "curves_csv",
     "evaluate_curve",
     "CURVE_IDS",
     "smallest_grid_crossing",
@@ -267,20 +268,17 @@ class GuaranteeCurve:
     expression_id: str
     points: list[tuple[float, float]]
 
-    CSV_HEADER = "m,value,expression_id"
 
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for m, v in self.points:
-            lines.append(f"{m:.10g},{v:.12g},{self.expression_id}")
-        return "\n".join(lines) + "\n"
+def curves_csv(curves) -> str:
+    """One CSV of every curve's points: m (10 significant digits), the value
+    (12 significant digits) and the expression id, under one header."""
+    return "".join(["m,value,expression_id\n"] + [
+        f"{m:.10g},{v:.12g},{c.expression_id}\n" for c in curves for m, v in c.points])
 
 
 def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     """Evaluate one expression on a uniform m-grid of num_points >= 1 in
-    [0,1] (the mcg curve at time horizon T = 1). Its CSV has three columns:
-    m (10 significant digits), the value (12 significant digits) and the
-    expression id."""
+    [0,1] (the mcg curve at time horizon T = 1)."""
     if num_points < 1:
         raise ValueError(f"num_points must be >= 1, got {num_points}")
     fn = GUARANTEE_KINDS.get(expression_id) or _HARDNESS_IDS.get(expression_id)

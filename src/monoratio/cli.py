@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 from dataclasses import fields
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import _svg
 from .apps import (image_objective, inner_product_similarity, load_features_csv,
                    mixture_objective, movie_objective, random_feature_matrix)
-from .bounds import CURVE_IDS, evaluate_curve
+from .bounds import CURVE_IDS, curves_csv, evaluate_curve
 from .constraints import UniformMatroid, partition_matroid_from_text
 from .experiments import (_OBJECTIVES, _SWEEP_FIELDS, ALGORITHMS, ExperimentSpec,
                           SpecValidationError, _mean_stderr, algorithm,
@@ -48,6 +49,8 @@ def _build_objective(args, default_n) -> SetFunctionOracle:
     args.n = default_n if args.n is None else args.n
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if name == "synthetic-cut":
         return _directed_cut_chain(args.n)
     if name == "synthetic-mix":
@@ -66,6 +69,8 @@ def _build_objective(args, default_n) -> SetFunctionOracle:
 def cmd_ratio(args) -> int:
     if args.weak and args.k is None:
         raise ValueError("--weak requires --k")
+    if args.weak and args.k < 0:
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     f = _build_objective(args, 8)
     # the certifiers own their size limits: a SizeLimitError is a ValueError,
     # which main reports with exit code 2
@@ -78,23 +83,22 @@ def cmd_ratio(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    curves = [evaluate_curve(expr, num_points=args.points) for expr in args.expr]
-    lines = [curves[0].CSV_HEADER]
-    for c in curves:
-        lines.extend(c.to_csv().splitlines()[1:])
-    text = "\n".join(lines) + "\n"
+def _write_outputs(args, text: str, chart) -> None:
+    """Write `text` to --out, or to stdout without it, and with --svg the
+    chart that `chart()` draws there."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        pathlib.Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if args.svg:
-        series = [(c.expression_id, [m for m, _ in c.points],
-                   [v for _, v in c.points]) for c in curves]
-        with open(args.svg, "w") as fh:
-            fh.write(_svg.line_chart(series, title="guarantee curves",
-                                     xlabel="m", ylabel="ratio"))
+        pathlib.Path(args.svg).write_text(chart())
+
+
+def cmd_bounds(args) -> int:
+    curves = [evaluate_curve(expr, num_points=args.points) for expr in args.expr]
+    _write_outputs(args, curves_csv(curves), lambda: _svg.line_chart(
+        [(c.expression_id, [m for m, _ in c.points], [v for _, v in c.points])
+         for c in curves], title="guarantee curves", xlabel="m", ylabel="ratio"))
     return 0
 
 
@@ -181,19 +185,15 @@ def cmd_experiment(args) -> int:
     else:
         given = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
         if "grid" in given:
-            given["grid"] = [float(g) for g in given["grid"].split(",") if g.strip()]
+            try:
+                given["grid"] = [float(g) for g in args.grid.split(",") if g.strip()]
+            except ValueError:
+                raise ValueError(f"--grid must be comma-separated numbers, "
+                                 f"got {args.grid!r}") from None
     if not {"objective", "sweep", "grid"} <= given.keys():
         raise ValueError("need --objective, --sweep and --grid (or a --spec with all three)")
     result = run_experiment(ExperimentSpec(**given))
-    text = result.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(result.to_svg())
+    _write_outputs(args, result.to_csv(), result.to_svg)
     return 0
 
 

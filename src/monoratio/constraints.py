@@ -214,7 +214,7 @@ class UniformMatroid(PartitionMatroid):
 
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
+            raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
         super().__init__(n, [(1 << n) - 1], [k])
         self.k = k
 

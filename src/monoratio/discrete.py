@@ -221,10 +221,7 @@ def _greedy(f: SetFunctionOracle, M: Matroid, trace: bool) -> RunResult:
 def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> RunResult:
     """Classic greedy under at most k elements: greedy on the uniform matroid
     of rank k, so it stops at k elements or at the first negative marginal."""
-    n = f.n
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
-    return _greedy(f, UniformMatroid(n, k), trace)
+    return _greedy(f, UniformMatroid(f.n, k), trace)
 
 
 def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,

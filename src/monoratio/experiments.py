@@ -125,7 +125,7 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-# sweep -> the ExperimentSpec field each of its points sets (k and n to an int)
+# sweep -> the ExperimentSpec field each of its points sets
 _SWEEP_FIELDS = {"lambda": "lam", "k": "k", "alpha": "alpha", "beta": "beta", "n": "n"}
 
 
@@ -244,7 +244,7 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     swept, grid = _SWEEP_FIELDS.get(spec.sweep), spec.grid
     if swept in ("k", "n"):  # each bad value is reported here alone
         bad = [g for g in grid if not (g >= 1 and g == int(g))]
-        grid = [g for g in grid if g not in bad]
+        grid = [int(g) for g in grid if g not in bad]  # ints in the returned copy
         if bad:
             problems.append(f"{spec.sweep} sweep grid values must be positive "
                             f"integers, got {bad}")
@@ -254,6 +254,8 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
                  "feature_dim"):
         if any(v < 1 for v in given(name)):
             problems.append(f"{name} must be >= 1")
+    if spec.seed < 0:
+        problems.append(f"seed must be >= 0, got {spec.seed}")
     if not 0 < spec.eps < 1:
         problems.append("eps must be in (0,1)")
     if not 0 < spec.fw_eps < 1:
@@ -274,7 +276,7 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
             problems.append(problem.format(spec=spec, bad=bad))
     if problems:
         raise SpecValidationError(problems)
-    return replace(spec, algorithms=algs)
+    return replace(spec, grid=grid, algorithms=algs)
 
 
 @dataclass
@@ -285,11 +287,7 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         def cell(v):
-            if isinstance(v, float):
-                if math.isinf(v):
-                    return "inf"
-                return f"{v:.10g}"
-            return str(v)
+            return f"{v:.10g}" if isinstance(v, float) else str(v)
 
         lines = [",".join(self.columns)]
         for row in self.rows:
@@ -322,7 +320,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     swept = _SWEEP_FIELDS[spec.sweep]
     for p, value in enumerate(spec.grid):  # each point is the spec, one field set
-        pt = replace(spec, **{swept: int(value) if swept in ("k", "n") else value})
+        pt = replace(spec, **{swept: value})
         f, constraint, m_bound = point(pt, p)
         row = {"sweep": spec.sweep, "sweep_value": value, "m_bound": m_bound,
                "ub_prev": math.inf, "ub_new": math.inf}

@@ -242,8 +242,8 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError("need samples >= 2 for a standard error")
 
 
 def multilinear_exact(f: SetFunctionOracle, x) -> float:
@@ -331,8 +331,6 @@ def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[flo
     probability x_u) and returns (mean, stderr). Bit-reproducible for a fixed
     seed.
     """
-    if cfg.samples < 2:
-        raise ValueError("need samples >= 2 for a standard error")
     n = f.n
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(cfg.seed)

@@ -86,21 +86,19 @@ def exact_monotonicity_ratio(f: SetFunctionOracle) -> RatioReport:
     full = 1 << n
 
     g = fv.copy()
-    tptr = np.arange(full, dtype=np.int64)
     for u in range(n):
         # [:, 0] holds the masks without bit u, [:, 1] the same masks with
-        # it. Both pointers differ from their mask only in bits below u, so
-        # the one with bit u is the larger: a tie keeps the smaller T.
-        gv, tv = g.reshape(-1, 2, 1 << u), tptr.reshape(-1, 2, 1 << u)
-        better = gv[:, 1] < gv[:, 0]
-        np.copyto(gv[:, 0], gv[:, 1], where=better)
-        np.copyto(tv[:, 0], tv[:, 1], where=better)
+        # it; the strict < never lets a -0.0 replace a 0.0
+        gv = g.reshape(-1, 2, 1 << u)
+        np.copyto(gv[:, 0], gv[:, 1], where=gv[:, 1] < gv[:, 0])
 
     pos = fv > 0.0
     r = np.divide(g, fv, out=np.ones(full), where=pos)  # 1 where f(S) = 0
     wS = int(np.argmin(r))  # first minimum: the smallest S
-    # f >= 0, so where f(S) = 0 the superset minimum is S itself
-    wT = int(tptr[wS])
+    # the smallest superset of S where f attains g(S): S itself when
+    # f(S) = 0, since f >= 0
+    masks = np.arange(full)
+    wT = int(np.flatnonzero(((masks & wS) == wS) & (fv == g[wS]))[0])
     return RatioReport(ratio=float(r[wS]), witness_S=wS, witness_T=wT,
                        eval_count=f.eval_count - start_calls)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import gap_oracle
-from monoratio import (GuaranteeCurve, bounds, cardinality_hardness, evaluate_curve,
+from monoratio import (bounds, cardinality_hardness, curves_csv, evaluate_curve,
                        guarantee, matroid_hardness, multilinear_exact,
                        smallest_grid_crossing, symmetry_gap_unconstrained,
                        upper_bound_from_output)
@@ -119,7 +119,7 @@ def test_evaluate_curve_and_csv():
     c = evaluate_curve("unconstrained_hard", num_points=11)
     assert c.points[0] == (0.0, 0.5)
     assert c.points[-1] == (1.0, 1.0)
-    text = c.to_csv()
+    text = curves_csv([c])
     lines = text.splitlines()
     assert lines[0] == "m,value,expression_id"
     assert len(lines) == 12
@@ -139,9 +139,9 @@ def test_evaluate_curve_and_csv():
 @pytest.mark.parametrize("expression_id", CURVE_IDS)
 def test_every_curve_csv_row_is_m_value_and_id(expression_id):
     c = evaluate_curve(expression_id, num_points=7)
-    assert c.to_csv().splitlines() == [GuaranteeCurve.CSV_HEADER] + [
+    assert curves_csv([c]).splitlines() == ["m,value,expression_id"] + [
         f"{m:.10g},{v:.12g},{expression_id}" for m, v in c.points]
-    assert all(line.count(",") == 2 for line in c.to_csv().splitlines())
+    assert all(line.count(",") == 2 for line in curves_csv([c]).splitlines())
 
 
 def test_smallest_grid_crossing():

@@ -589,3 +589,25 @@ def test_experiment_accepts_both_spellings(capsys):
     code, under, _ = run_cli(capsys, *base, "--alg", "threshold_random_greedy")
     assert code == 0 and hyphen == under
     assert hyphen.startswith("sweep,sweep_value,threshold_random_greedy_mean,")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "--objective", "movie", "--sweep", "lambda", "--grid", "0.5,x",
+      "--n", "8", "--k", "2", "--trials", "1"],
+     "--grid must be comma-separated numbers, got '0.5,x'"),
+    (["ratio", "--objective", "image", "--n", "10", "--weak", "--k", "-1"],
+     "--k must be >= 0, got -1"),
+    (["ratio", "--objective", "movie", "--n", "6", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["run", "--alg", "greedy", "--objective", "movie", "--n", "6", "--k", "2",
+      "--seed", "-1"], "--seed must be >= 0, got -1"),
+    # checked with the spec, before the first point runs
+    (["experiment", "--objective", "quadratic", "--sweep", "beta", "--grid", "0.1,0.2",
+      "--n", "3", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["run", "--alg", "greedy-matroid", "--objective", "movie", "--n", "8", "--k", "-1"],
+     "need 0 <= k <= n (k=-1, n=8)"),
+])
+def test_refused_inputs_name_their_value(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
