@@ -223,7 +223,6 @@ class QuadraticInstance:
     c: float
     alpha: float
     beta: float
-    seed: int
     M: float
     L: float
     D: float
@@ -275,4 +274,4 @@ def generate_quadratic_instance(n: int, beta: float = 0.1, alpha: float = 0.3,
     L = 1.01 * float(np.linalg.norm(H, 2))
     D = float(np.linalg.norm(u))
     return QuadraticInstance(H=H, A=A, b=b, u=u, h=h, c=c, alpha=alpha,
-                             beta=beta, seed=seed, M=M, L=L, D=D)
+                             beta=beta, M=M, L=L, D=D)

@@ -288,34 +288,33 @@ def evaluate_curve(expression_id: str, num_points: int = 101) -> GuaranteeCurve:
     return GuaranteeCurve(expression_id, [(float(m), fn(float(m))) for m in ms])
 
 
-def smallest_grid_crossing(fn, threshold: float, step: float = 0.001,
-                           lo: float = 0.0, hi: float = 1.0) -> float:
-    """Smallest grid point m = lo + i*step with fn(m) >= threshold.
+def smallest_grid_crossing(fn, threshold: float, step: float = 0.001) -> float:
+    """Smallest grid point m = i*step in [0, 1] with fn(m) >= threshold.
 
     Assumes fn is nondecreasing (verified locally: the returned point passes
     the threshold while its left neighbor does not). Bisects over grid
     indices rather than scanning.
     """
-    steps = int(round((hi - lo) / step))
-    if fn(lo) >= threshold:
-        return lo
+    steps = int(round(1.0 / step))
+    if fn(0.0) >= threshold:
+        return 0.0
     # anchor the bisection at some grid point above the threshold; a coarse
     # scan tolerates float dust right at the top of the range
     b = None
     for i in range(steps, 0, -max(1, steps // 16)):
-        if fn(lo + i * step) >= threshold:
+        if fn(i * step) >= threshold:
             b = i
             break
     if b is None:
         raise ValueError("fn never reaches the threshold on the grid")
-    a = 0  # invariant: fn(lo + a*step) < threshold <= fn(lo + b*step)
+    a = 0  # invariant: fn(a*step) < threshold <= fn(b*step)
     while b - a > 1:
         mid = (a + b) // 2
-        if fn(lo + mid * step) >= threshold:
+        if fn(mid * step) >= threshold:
             b = mid
         else:
             a = mid
-    m_star = lo + b * step
+    m_star = b * step
     if fn(m_star) < threshold or fn(m_star - step) >= threshold:
         raise RuntimeError("fn is not monotone around the crossing point")
     return m_star

@@ -51,6 +51,8 @@ def _build_objective(args, default_n) -> SetFunctionOracle:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not 0.0 <= args.lam <= 1.0:
+        raise ValueError(f"--lambda must be in [0,1], got {args.lam}")
     if name == "synthetic-cut":
         return _directed_cut_chain(args.n)
     if name == "synthetic-mix":
@@ -69,6 +71,8 @@ def _build_objective(args, default_n) -> SetFunctionOracle:
 def cmd_ratio(args) -> int:
     if args.weak and args.k is None:
         raise ValueError("--weak requires --k")
+    if args.k is not None and not args.weak:
+        raise ValueError("--k requires --weak")
     if args.weak and args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     f = _build_objective(args, 8)
@@ -123,6 +127,8 @@ def _check_run_flags(args, alg) -> None:
         raise ValueError("--trials must be >= 1")
     if args.eps is not None and not alg.takes_eps:
         raise ValueError(f"--alg {args.alg} does not take --eps")
+    if args.eps is not None and not 0.0 < args.eps < 1.0:
+        raise ValueError(f"--eps must be in (0,1), got {args.eps}")
     if alg.constraint == "none":
         for flag, given in (("--k", args.k), ("--matroid", args.matroid)):
             if given is not None:

@@ -118,9 +118,9 @@ class Matroid:
 
 class PartitionMatroid(Matroid):
     """Disjoint blocks with per-block capacities; every element of
-    range(n) lies in exactly one block. A block is a bitmask or an iterable
-    of element ids. `key[u]` is the block of element u, and the dummies of
-    random greedy pair in block `dummy_key`."""
+    range(n) lies in exactly one block. A block is an iterable of element
+    ids. `key[u]` is the block of element u, and the dummies of random
+    greedy pair in block `dummy_key`."""
 
     dummy_key = -1
 
@@ -130,9 +130,10 @@ class PartitionMatroid(Matroid):
         self.key = [-1] * n
         masks = []
         for j, b in enumerate(blocks):
-            if isinstance(b, int) and b < 0:
-                raise ValueError(f"block {j} is a negative bitmask")
-            ids = ids_of(b) if isinstance(b, int) else list(b)
+            try:
+                ids = list(b)
+            except TypeError:
+                raise ValueError(f"block {j} is not an iterable of element ids") from None
             for u in ids:
                 if not 0 <= u < n:
                     raise ValueError(f"element {u} of block {j} is outside [0, {n})")
@@ -215,7 +216,7 @@ class UniformMatroid(PartitionMatroid):
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
-        super().__init__(n, [(1 << n) - 1], [k])
+        super().__init__(n, [range(n)], [k])
         self.k = k
 
     def is_independent(self, mask: int) -> bool:
@@ -246,8 +247,9 @@ class OracleMatroid(Matroid):
         return bool(self._indep(mask))
 
 
-def partition_matroid_from_text(text: str, n: int | None = None) -> PartitionMatroid:
-    """Parse a partition matroid from lines `block: id,id,... capacity=c`."""
+def partition_matroid_from_text(text: str, n: int) -> PartitionMatroid:
+    """Parse a partition matroid on range(n) from lines
+    `block: id,id,... capacity=c`."""
     blocks, caps = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -265,8 +267,6 @@ def partition_matroid_from_text(text: str, n: int | None = None) -> PartitionMat
             raise ValueError(f"bad partition spec on line {lineno}: {raw!r} ({exc})") from exc
     if not blocks:
         raise ValueError("no blocks in partition spec")
-    if n is None:
-        n = max(max(b, default=-1) for b in blocks) + 1
     return PartitionMatroid(n, blocks, caps)
 
 

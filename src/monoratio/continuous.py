@@ -117,7 +117,7 @@ def measured_continuous_greedy(f: SetFunctionOracle, constraint,
     of evaluating every row of every step.
     """
     n = f.n
-    rng, _ = _rng(cfg.seed)
+    rng = _rng(cfg.seed)
     delta = cfg.T / cfg.steps
     if not isinstance(constraint, (Matroid, DownClosedPolytope)):
         raise ValueError(f"unsupported constraint {constraint!r}")
@@ -175,7 +175,7 @@ def swap_rounding(y, M: Matroid, seed=None) -> int:
     which is exact because these matroids are direct sums of uniform ones).
     Integral input rounds to its own set deterministically.
     """
-    rng, _ = _rng(seed)
+    rng = _rng(seed)
     if not isinstance(M, PartitionMatroid):
         raise ValueError("swap rounding supports uniform and partition matroids")
     y = _finite_vector(y, M.n, "y")
@@ -200,8 +200,8 @@ class FWConfig:
     the reported additive loss eps*L*D^2."""
 
     eps: float
-    L: float | None = None
-    D: float | None = None
+    L: float
+    D: float
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -210,14 +210,15 @@ class FWConfig:
 
 @dataclass
 class FWResult:
-    """Final point and value, plus the per-iteration trace of the Frank-Wolfe
-    gap <s - z, w> of the LP weights w = (1-z) * g (box-normalized
-    coordinates): the gain the linear model promises from z towards s."""
+    """Final point and value, the additive loss eps*L*D^2 at the rounded step
+    size eps = 1/steps, and the per-iteration trace of the Frank-Wolfe gap
+    <s - z, w> of the LP weights w = (1-z) * g (box-normalized coordinates):
+    the gain the linear model promises from z towards s."""
 
     y: np.ndarray
     value: float
     steps: int
-    additive_loss_bound: float | None
+    additive_loss_bound: float
     trace: list[float] | None = None
 
 
@@ -246,8 +247,5 @@ def frank_wolfe_nonmonotone(grad, value, P: DownClosedPolytope,
         gaps.append(float((s - z) @ w))
         z = z + eps * room * s
     y = scale * z
-    loss = None
-    if cfg.L is not None and cfg.D is not None:
-        loss = eps * cfg.L * cfg.D ** 2
     return FWResult(y=y, value=float(value(y)), steps=steps,
-                    additive_loss_bound=loss, trace=gaps)
+                    additive_loss_bound=eps * cfg.L * cfg.D ** 2, trace=gaps)

@@ -60,7 +60,6 @@ class RunResult:
     solution: int
     value: float
     oracle_calls: int
-    seed: int | None = None
     trace: tuple[TraceRow, ...] | None = None
 
     @property
@@ -72,19 +71,19 @@ class RunResult:
         return self.solution.bit_count()
 
 
-def _rng(seed) -> tuple[np.random.Generator, int | None]:
-    """The generator of a run and the seed it reports: a caller's Generator
-    is used as is (seed None); any other seed makes a fresh generator whose
-    stream and state equal those of `np.random.default_rng(seed)`.
+def _rng(seed) -> np.random.Generator:
+    """The generator of a run: a caller's Generator is used as is; any other
+    seed makes a fresh generator whose stream and state equal those of
+    `np.random.default_rng(seed)`.
 
     A non-negative Python int seed skips the seed hashing: PCG64 reads the
     cached words of `SeedSequence(seed)` (`_seed_words`).
     """
     if isinstance(seed, np.random.Generator):
-        return seed, None
+        return seed
     if type(seed) is int and seed >= 0:
-        return np.random.Generator(np.random.PCG64(_seed_words(seed))), seed
-    return np.random.default_rng(seed), seed
+        return np.random.Generator(np.random.PCG64(_seed_words(seed)))
+    return np.random.default_rng(seed)
 
 
 @cache
@@ -113,9 +112,9 @@ def _seed_words(seed: int):
 
 
 def _finish(f: SetFunctionOracle, solution: int, value: float,
-            start_calls: int, seed: int | None, trace) -> RunResult:
+            start_calls: int, trace) -> RunResult:
     return RunResult(solution=solution, value=value,
-                     oracle_calls=f.eval_count - start_calls, seed=seed,
+                     oracle_calls=f.eval_count - start_calls,
                      trace=tuple(trace) if trace is not None else None)
 
 
@@ -137,7 +136,7 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
     makes 2n oracle calls: f(empty) and f(N), then f(X+u) and f(Y-u) for
     each element but the last, where X+u = Y and Y-u = X.
     """
-    rng, seed = _rng(seed)
+    rng = _rng(seed)
     start = f.eval_count
     rows = [] if trace else None
     n = f.n
@@ -170,7 +169,7 @@ def double_greedy(f: SetFunctionOracle, seed=None, trace: bool = False) -> RunRe
             rows.append(TraceRow(u + 1, u, a, take))
     if X != Y:
         raise RuntimeError(f"double greedy ended with X={X} != Y={Y}")
-    return _finish(f, X, fX, start, seed, rows)
+    return _finish(f, X, fX, start, rows)
 
 
 def _scan(f: SetFunctionOracle, A: int, candidates):
@@ -215,7 +214,7 @@ def _greedy(f: SetFunctionOracle, M: Matroid, trace: bool) -> RunResult:
         fA = val
         if rows is not None:
             rows.append(TraceRow(i, u, marg, True))
-    return _finish(f, A, fA, start, None, rows)
+    return _finish(f, A, fA, start, rows)
 
 
 def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> RunResult:
@@ -241,7 +240,7 @@ def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
     n = f.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
-    rng, seed = _rng(seed)
+    rng = _rng(seed)
     start = f.eval_count
     states = f._states
     rows = [] if trace else None
@@ -266,7 +265,7 @@ def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
                 rows.append(TraceRow(i, u, marg, True))
         elif rows is not None:
             rows.append(TraceRow(i, None, None, False))
-    return _finish(f, A, fA, start, seed, rows)
+    return _finish(f, A, fA, start, rows)
 
 
 def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
@@ -320,7 +319,7 @@ def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
                     fA = val
                     held.clear()
             w *= 1.0 - eps
-    return _finish(f, A, fA, start, None, None)
+    return _finish(f, A, fA, start, None)
 
 
 def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunResult:
@@ -337,7 +336,7 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
         raise ValueError("eps must be in (0,1)")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
-    rng, seed = _rng(seed)
+    rng = _rng(seed)
     start = f.eval_count
     A = 0
     fA = f.value(0)
@@ -353,7 +352,7 @@ def sample_greedy(f: SetFunctionOracle, k: int, eps: float, seed=None) -> RunRes
             A |= 1 << u
             fA = val
             held.clear()
-    return _finish(f, A, fA, start, seed, None)
+    return _finish(f, A, fA, start, None)
 
 
 def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
@@ -432,14 +431,14 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
     _same_ground_set(f.n, M)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    rng, seed = _rng(seed)
+    rng = _rng(seed)
     start = f.eval_count
     states = f._states
     rows = [] if trace else None
     k = M.rank
     n = M.n
     if k == 0:
-        return _finish(f, 0, f.value(0), start, seed, rows)
+        return _finish(f, 0, f.value(0), start, rows)
     free = 2 * k
     real_mask = (1 << n) - 1
     draws = rng.random((math.ceil(k / eps), 4)).tolist()
@@ -479,14 +478,14 @@ def random_greedy_matroid(f: SetFunctionOracle, M: Matroid, eps: float,
             law = None
         if rows is not None:
             rows.append(TraceRow(i, u if u < n else None, delta, improved))
-    return _finish(f, S & real_mask, fS, start, seed, rows)
+    return _finish(f, S & real_mask, fS, start, rows)
 
 
 def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
     """Scarecrow baseline: a uniformly random feasible set of maximal allowed
     size (k elements; or a full random pick per block for partition
     matroids)."""
-    rng, seed = _rng(seed)
+    rng = _rng(seed)
     start = f.eval_count
     n = f.n
     if isinstance(constraint, int):
@@ -507,4 +506,4 @@ def random_baseline(f: SetFunctionOracle, constraint, seed=None) -> RunResult:
             cand = sol | (1 << int(u))
             if constraint.is_independent(cand):
                 sol = cand
-    return _finish(f, sol, f.value(sol), start, seed, None)
+    return _finish(f, sol, f.value(sol), start, None)

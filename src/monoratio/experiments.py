@@ -62,7 +62,7 @@ def _mcg_rounding(f, M, seed, spec) -> RunResult:
     cfg = MCGConfig(T=1.0, steps=spec.mcg_steps, samples=spec.mcg_samples,
                     seed=seed)
     sol = swap_rounding(measured_continuous_greedy(f, M, cfg).y, M, seed=seed + 1)
-    return RunResult(sol, f.value(sol), f.eval_count - start, seed)
+    return RunResult(sol, f.value(sol), f.eval_count - start)
 
 
 # Every entry reaches its function through a module-global name at call

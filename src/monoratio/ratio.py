@@ -106,24 +106,16 @@ def exact_monotonicity_ratio(f: SetFunctionOracle) -> RatioReport:
 def exact_weak_monotonicity_ratio(f: SetFunctionOracle, feasible) -> RatioReport:
     """Exact weak monotonicity ratio: min over feasible S, T of f(S|T)/f(S).
 
-    `feasible` is a predicate over masks, or an iterable of feasible masks,
-    each in [0, 2^n) (else ValueError, before any evaluation). With
-    everything feasible this equals the monotonicity ratio, since every
-    superset of S is S|T for some T. Raises ValueError when f is negative
+    `feasible` is a predicate over the masks in [0, 2^n); a list of masks
+    `fam` passes as `set(fam).__contains__`. With everything feasible this
+    equals the monotonicity ratio, since every superset of S is S|T for
+    some T. Raises ValueError when no mask is feasible or f is negative
     anywhere, and SizeLimitError above WEAK_RATIO_LIMIT elements.
     """
     n = f.n
     if n > WEAK_RATIO_LIMIT:
         raise SizeLimitError(f"weak ratio scan capped at n={WEAK_RATIO_LIMIT}, got n={n}")
-    if callable(feasible):
-        fam = np.array([m for m in range(1 << n) if feasible(m)], dtype=np.int64)
-    else:
-        masks = sorted(set(int(m) for m in feasible))
-        for m in masks:
-            if not 0 <= m < 1 << n:
-                raise ValueError(f"feasible mask {m} is outside [0, 2^{n}) "
-                                 f"for the {n}-element ground set")
-        fam = np.array(masks, dtype=np.int64)
+    fam = np.array([m for m in range(1 << n) if feasible(m)], dtype=np.int64)
     if fam.size == 0:
         raise ValueError("feasible family is empty")
     start_calls = f.eval_count

@@ -472,8 +472,5 @@ def reference_frank_wolfe(grad, value, P, cfg):
         gaps.append(float((s - z) @ w))
         z = z + eps * (1.0 - z) * s
     y = scale * z
-    loss = None
-    if cfg.L is not None and cfg.D is not None:
-        loss = eps * cfg.L * cfg.D ** 2
     return FWResult(y=y, value=float(value(y)), steps=steps,
-                    additive_loss_bound=loss, trace=gaps)
+                    additive_loss_bound=eps * cfg.L * cfg.D ** 2, trace=gaps)

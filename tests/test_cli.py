@@ -606,6 +606,14 @@ def test_experiment_accepts_both_spellings(capsys):
       "--n", "3", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["run", "--alg", "greedy-matroid", "--objective", "movie", "--n", "8", "--k", "-1"],
      "need 0 <= k <= n (k=-1, n=8)"),
+    # checked before the objective or the algorithm is built
+    (["ratio", "--objective", "movie", "--n", "6", "--k", "3"], "--k requires --weak"),
+    (["run", "--alg", "threshold-greedy", "--objective", "movie", "--n", "8", "--k", "2",
+      "--eps", "2"], "--eps must be in (0,1), got 2.0"),
+    (["ratio", "--objective", "movie", "--n", "6", "--lambda", "2"],
+     "--lambda must be in [0,1], got 2.0"),
+    (["run", "--alg", "greedy", "--objective", "movie", "--n", "6", "--k", "2",
+      "--lambda", "-1"], "--lambda must be in [0,1], got -1.0"),
 ])
 def test_refused_inputs_name_their_value(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -295,10 +295,10 @@ def test_fw_zero_budget_polytope():
     P = DownClosedPolytope([[1.0]], [0.0], [1.0])  # x <= 0: only the origin
     grad = lambda x: np.array([1.0])
     value = lambda x: float(x[0] + 1.0)
-    res = frank_wolfe_nonmonotone(grad, value, P, FWConfig(eps=0.25))
+    res = frank_wolfe_nonmonotone(grad, value, P, FWConfig(eps=0.25, L=1.0, D=1.0))
     assert res.y[0] == 0.0
     assert res.value == 1.0
-    assert res.additive_loss_bound is None
+    assert res.additive_loss_bound == 0.25 * 1.0 * 1.0 ** 2
 
 
 def test_fw_quadratic_instance_feasible_and_monotone_iterates():
@@ -310,7 +310,8 @@ def test_fw_quadratic_instance_feasible_and_monotone_iterates():
         seen.append(np.array(x))
         return inst.grad(x)
 
-    res = frank_wolfe_nonmonotone(grad, inst.value, P, FWConfig(eps=0.05))
+    res = frank_wolfe_nonmonotone(grad, inst.value, P,
+                                  FWConfig(eps=0.05, L=inst.L, D=inst.D))
     assert np.all(P.A @ res.y <= P.b + 1e-9)
     assert np.all(res.y <= P.u + 1e-12) and np.all(res.y >= -1e-12)
     for a, b in zip(seen, seen[1:]):
@@ -332,7 +333,7 @@ def test_fw_trace_gaps_cost_no_extra_calls(monkeypatch):
                         count("lp", continuous.linear_maximize_polytope))
     res = frank_wolfe_nonmonotone(count("grad", inst.grad),
                                   count("value", inst.value), inst.polytope(),
-                                  FWConfig(eps=0.05))
+                                  FWConfig(eps=0.05, L=inst.L, D=inst.D))
     assert calls == {"grad": 20, "value": 1, "lp": 20}
     assert len(res.trace) == res.steps == 20
     assert all(math.isfinite(g) for g in res.trace)
@@ -357,6 +358,6 @@ def test_fw_matches_the_reference_loop(n, seed, eps):
 
 def test_fw_config_validation():
     with pytest.raises(ValueError):
-        FWConfig(eps=0.0)
+        FWConfig(eps=0.0, L=1.0, D=1.0)
     with pytest.raises(ValueError):
-        FWConfig(eps=1.0)
+        FWConfig(eps=1.0, L=1.0, D=1.0)

@@ -667,7 +667,6 @@ def test_run_result_value_is_the_value_of_the_solution():
     r = random_greedy_cardinality(f, 2, seed=0)
     assert r.value == table[r.solution]
     assert r.oracle_calls > 0
-    assert r.seed == 0
 
 
 # ------------------------------------------------- query-once differential
@@ -877,8 +876,8 @@ def test_random_greedy_matroid_int_seed_matches_the_reference(case, seed):
     f_ref = make()
     solution, rows = rescanning_random_greedy_matroid(
         f_ref, M, eps, np.random.default_rng(seed))
-    assert (got.solution, got.value, got.trace, got.seed) == (
-        solution, f_ref.value(solution), tuple(rows), seed)
+    assert (got.solution, got.value, got.trace) == (
+        solution, f_ref.value(solution), tuple(rows))
 
 
 @settings(max_examples=80, deadline=None)
@@ -943,8 +942,8 @@ def test_runs_on_a_shared_oracle_equal_runs_on_fresh_oracles(case, runs):
         ref = run_on(f, a, g_ref, *opts)
         fresh_calls += f.eval_count
         got = run_on(shared, a, g, *opts)
-        assert ((got.solution, got.value, got.oracle_calls, got.seed, got.trace)
-                == (ref.solution, ref.value, ref.oracle_calls, ref.seed, ref.trace))
+        assert ((got.solution, got.value, got.oracle_calls, got.trace)
+                == (ref.solution, ref.value, ref.oracle_calls, ref.trace))
         if as_generator:
             assert g.bit_generator.state == g_ref.bit_generator.state
     assert shared.eval_count == fresh_calls
@@ -960,9 +959,8 @@ def test_runs_on_a_shared_oracle_equal_runs_on_fresh_oracles(case, runs):
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, np.int64(12345), None])
 def test_rng_matches_default_rng(seed):
     for _ in range(2):  # the second int call reads the cached seed words
-        g, reported = _rng(seed)
+        g = _rng(seed)
         ref = np.random.default_rng(seed)
-        assert reported is seed
         if seed is None:
             continue
         assert g.bit_generator.state == ref.bit_generator.state
@@ -970,6 +968,6 @@ def test_rng_matches_default_rng(seed):
         assert g.integers(1 << 40, size=5).tolist() == ref.integers(1 << 40, size=5).tolist()
         assert g.bit_generator.state == ref.bit_generator.state
     own = np.random.default_rng(3)
-    assert _rng(own) == (own, None)
+    assert _rng(own) is own
     with pytest.raises(ValueError):
         _rng(-1)

@@ -29,7 +29,8 @@ CHECKS = [
     (lambda tmp: _features(tmp, ""), "features.csv: empty file"),
     (lambda tmp: _features(tmp, "label,f1\na,1\nb,inf\n"), "non-finite feature values"),
     (lambda tmp: PartitionMatroid(4, [[0, 1], [2, 3]], [1]), "one capacity per block"),
-    (lambda tmp: PartitionMatroid(4, [-1], [1]), "block 0 is a negative bitmask"),
+    (lambda tmp: PartitionMatroid(4, [[0, 1], 2], [1, 1]),
+     "block 1 is not an iterable of element ids"),
     (lambda tmp: partition_matroid_from_text("blocks: 0,1,2,3 capacity=1", n=4),
      "expected 'block:'"),
     (lambda tmp: DownClosedPolytope([[1.0, 1.0]], [1.0, 1.0], [1.0, 1.0]),
@@ -48,7 +49,8 @@ CHECKS = [
     (lambda tmp: multilinear_exact(F4, [0.5, 0.5]), "x must have shape (4,)"),
     (lambda tmp: multilinear_exact(F4, [0.5, 0.5, 0.5, 1.5]),
      "coordinates must lie in [0,1]"),
-    (lambda tmp: exact_weak_monotonicity_ratio(F4, []), "feasible family is empty"),
+    (lambda tmp: exact_weak_monotonicity_ratio(F4, lambda m: False),
+     "feasible family is empty"),
     (lambda tmp: is_submodular(modular_oracle([1.0] * 13)),
      "submodularity check capped at n=12, got n=13"),
     (lambda tmp: line_chart([]), "nothing to plot"),

@@ -146,22 +146,11 @@ def test_weak_ratio_identity_when_everything_feasible():
 def test_weak_ratio_monotone_and_family_argument():
     f = modular_oracle([1.0, 2.0, 3.0])
     assert exact_weak_monotonicity_ratio(f, lambda m: True).ratio == 1.0
-    # iterable family form
+    # a listed family passes as its membership test
     fam = [0b001, 0b010, 0b011]
     f2, table = mixture_oracle(4, seed=77)
-    rep = exact_weak_monotonicity_ratio(f2, [m for m in range(16) if m in fam])
+    rep = exact_weak_monotonicity_ratio(f2, set(fam).__contains__)
     assert rep.ratio == pytest.approx(naive_weak_ratio(table, fam))
-
-
-def test_weak_ratio_rejects_a_family_mask_outside_the_ground_set():
-    # a negative mask used to wrap around to f(N) and certify ratio 0.5
-    # with witness_T = -1; a mask above the table raised a bare IndexError
-    f = table_oracle([0.0, 1.0, 2.0, 0.5])
-    for bad in (-1, 9, 4):
-        with pytest.raises(ValueError, match=rf"feasible mask {bad} is outside \[0, 2\^2\)"):
-            exact_weak_monotonicity_ratio(f, [bad, 1])
-    assert f.eval_count == 0  # rejected before the table is evaluated
-    assert exact_weak_monotonicity_ratio(f, [0, 3]).ratio == 1.0
 
 
 def test_weak_ratio_image_objective_bound():
