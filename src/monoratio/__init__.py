@@ -23,12 +23,11 @@ from .continuous import (FWConfig, FWResult, MCGConfig, MCGResult,
                          swap_rounding)
 from .discrete import (RunResult, TraceRow, double_greedy, greedy_cardinality,
                        greedy_matroid, random_baseline, random_greedy_cardinality,
-                       random_greedy_matroid, sample_greedy, threshold_greedy,
-                       threshold_random_greedy, trace_to_csv)
+                       random_greedy_matroid, random_greedy_trials, sample_greedy,
+                       threshold_greedy, threshold_random_greedy, trace_to_csv)
 from .experiments import ExperimentSpec, run_experiment
-from .oracle import (GroundSet, SampleConfig, SetFunctionOracle, SizeLimitError,
-                     ids_of, indicator, mask_of, mask_from_indicator,
-                     multilinear_exact, multilinear_sampled)
+from .oracle import (GroundSet, SetFunctionOracle, SizeLimitError, ids_of,
+                     indicator, mask_of, mask_from_indicator, multilinear_exact)
 from .ratio import (RatioReport, exact_monotonicity_ratio,
                     exact_weak_monotonicity_ratio, image_weak_ratio_bound,
                     is_submodular, movie_ratio_bound, quadratic_ratio_bound)

@@ -99,6 +99,8 @@ def _write_outputs(args, text: str, chart) -> None:
 
 
 def cmd_bounds(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     curves = [evaluate_curve(expr, num_points=args.points) for expr in args.expr]
     _write_outputs(args, curves_csv(curves), lambda: _svg.line_chart(
         [(c.expression_id, [m for m, _ in c.points], [v for _, v in c.points])
@@ -124,7 +126,7 @@ def _check_run_flags(args, alg) -> None:
     if alg.experiment_only:
         raise ValueError(f"algorithm {args.alg!r} runs only in experiment sweeps")
     if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.eps is not None and not alg.takes_eps:
         raise ValueError(f"--alg {args.alg} does not take --eps")
     if args.eps is not None and not 0.0 < args.eps < 1.0:
@@ -159,15 +161,14 @@ def cmd_run(args) -> int:
         constraint = args.k
     if args.eps is None:
         args.eps = 0.1
-    run_one = lambda seed: alg.call(f, constraint, seed, args)
 
     if args.trials == 1:
-        r = run_one(args.seed)
+        r = alg.call(f, constraint, args.seed, args)
         print("alg,value,size,oracle_calls,seed,solution")
         ids = "|".join(str(u) for u in r.solution_ids)
         print(f"{args.alg},{r.value:.10g},{r.size},{r.oracle_calls},{args.seed},{ids}")
     else:
-        vals = np.array(trial_values(alg, run_one, args.trials, args.seed))
+        vals = np.array(trial_values(alg, f, constraint, args, args.trials, args.seed))
         mean, stderr = _mean_stderr(vals)
         print("alg,trials,mean_value,stderr,min_value,max_value")
         print(f"{args.alg},{args.trials},{mean:.10g},{stderr:.10g},"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +31,7 @@ __all__ = [
     "threshold_greedy",
     "sample_greedy",
     "threshold_random_greedy",
+    "random_greedy_trials",
     "greedy_matroid",
     "random_greedy_matroid",
     "random_baseline",
@@ -223,40 +223,82 @@ def greedy_cardinality(f: SetFunctionOracle, k: int, trace: bool = False) -> Run
     return _greedy(f, UniformMatroid(f.n, k), trace)
 
 
-def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
-                   trace: bool) -> RunResult:
-    """Random greedy: per iteration build the candidate set M_i of at most k
-    elements, then add a uniform element of M_i with probability |M_i|/k (so
-    each member joins with probability exactly 1/k).
+def _random_greedy(f: SetFunctionOracle, k: int, seeds: list, rule,
+                   trace: bool) -> list[RunResult]:
+    """Random greedy, one run per seed: per iteration build the candidate
+    set M_i of at most k elements, then add a uniform element of M_i with
+    probability |M_i|/k (so each member joins with probability exactly 1/k).
 
-    `collect` builds M_i from the (marginal, u, f(A + u)) triples of the
-    positive-marginal elements u, in id order, and returns a list of them;
-    `rule` is a tuple naming `collect` and its parameters. M_i depends on A
-    alone, so the marginals are scanned at the start and after each added
-    element; an iteration that adds nothing reuses M_i. Runs on one oracle
-    share M_i through its state cache under the key (rule, A): a run that
-    finds it there counts the n - |A| calls of the scan it skips.
+    `rule` names how M_i is picked from the positive-marginal elements:
+    ("top", k) or ("buckets", k, eps) (see `_pick`). M_i depends on A
+    alone, so it is built at the start and after each added element; an
+    iteration that adds nothing reuses it. Each run is a `_run` generator
+    that draws from its own seed. The runs advance together in rounds: a
+    round scans every distinct set A whose M_i some run lacks, in one
+    `f._scan_outside` call, and picks all their M_i at once.
+
+    M_i is shared under the key (rule, A): for the oracle's lifetime in its
+    state cache (n <= `_STATE_MAX_N`), else for this call. Every run counts
+    f(empty) and the n - |A| calls of each scan whose M_i it uses, on
+    `f.eval_count` too, whether it made that scan or not. So results and
+    counts equal those of the runs made one after the other on fresh
+    oracles.
     """
     n = f.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n (k={k}, n={n})")
+    if not seeds:
+        return []
+    memo = {} if f._states is None else f._states
+    fA = f.value(0)
+    f.eval_count += len(seeds) - 1  # every run counts f(empty)
+    results = [None] * len(seeds)
+    if len(seeds) == 1:  # a lone run needs no rounds: serve each ask as it comes
+        for A, fA in _run(f, k, rule, memo, seeds[0], fA, trace, results, 0):
+            memo[rule, A] = _pick_all(f, [A], [fA], rule)[0]
+        return results
+    runs = [_run(f, k, rule, memo, seed, fA, trace, results, r)
+            for r, seed in enumerate(seeds)]
+    while runs:
+        asks = {}  # A -> (f(A), the runs that wait for its M_i)
+        for run in runs:
+            ask = next(run, None)
+            if ask is not None:
+                asks.setdefault(ask[0], (ask[1], []))[1].append(run)
+        runs = []
+        if asks:
+            sets = sorted(asks, key=int.bit_count)  # sets of one size adjacent
+            for A, top in zip(sets, _pick_all(f, sets, [asks[A][0] for A in sets], rule)):
+                memo[rule, A] = top
+                waiting = asks[A][1]
+                f.eval_count += (len(waiting) - 1) * (n - A.bit_count())
+                runs += waiting
+    return results
+
+
+def _run(f: SetFunctionOracle, k: int, rule, memo: dict, seed, fA: float,
+         trace: bool, results: list, r: int):
+    """Run r of `_random_greedy`, from the empty set, whose value is fA.
+
+    A generator: it takes M_i of its current A from `memo`, counting that
+    scan's calls on `f`; when M_i is not there it yields (A, f(A)) and,
+    once resumed, finds M_i there. It stores its RunResult in results[r].
+    """
     rng = _rng(seed)
-    start = f.eval_count
-    states = f._states
+    n = f.n
     rows = [] if trace else None
     A = 0
-    fA = f.value(0)
+    calls = 1
     top = None  # M_i of the current A; None after A changed
     for i in range(1, k + 1):
         if top is None:
-            top = None if states is None else states.get((rule, A))
+            top = memo.get((rule, A))
             if top is None:
-                top = collect([(val - fA, u, val) for u, val in _scan(f, A, range(n))
-                               if val - fA > 0.0])
-                if states is not None:
-                    states[rule, A] = top
+                yield A, fA
+                top = memo[rule, A]
             else:
                 f.eval_count += n - A.bit_count()
+            calls += n - A.bit_count()
         if top and rng.random() < len(top) / k:
             marg, u, fA = top[int(rng.integers(len(top)))]
             A |= 1 << u
@@ -265,7 +307,82 @@ def _random_greedy(f: SetFunctionOracle, k: int, seed, rule, collect,
                 rows.append(TraceRow(i, u, marg, True))
         elif rows is not None:
             rows.append(TraceRow(i, None, None, False))
-    return _finish(f, A, fA, start, rows)
+    results[r] = RunResult(A, fA, calls, None if rows is None else tuple(rows))
+
+
+def _pick_all(f: SetFunctionOracle, sets: list[int], values: list[float], rule):
+    """M_i of each set A of `sets` (whose values are `values`) under `rule`:
+    a list of (marginal, u, f(A + u)) triples per set, from one scan of
+    every element outside every set."""
+    g, ids, vals = f._scan_outside(sets)
+    marg = vals - np.array(values)[g]
+    take = _pick(g, marg, rule)
+    triples = list(zip(marg[take].tolist(), ids[take].tolist(), vals[take].tolist()))
+    cuts = g[take].searchsorted(range(len(sets) + 1)).tolist()
+    return [triples[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _pick(g: np.ndarray, marg: np.ndarray, rule) -> np.ndarray:
+    """Indices of the entries making up M_i, set by set, each M_i in its
+    order, for flat entries of marginal marg[j] in set g[j] (g ascending,
+    ids ascending within a set).
+
+    Only positive marginals count. Each set's entries sort by a key, ties
+    by id, and M_i is the first k: the key is -marginal for ("top", k), so
+    M_i holds the k best; for ("buckets", k, eps) it is the threshold band
+    (see `_bands`), so M_i takes whole bands in order, each by id.
+    """
+    pos = (marg > 0.0).nonzero()[0]
+    if rule[0] == "top":
+        key = -marg[pos]
+    else:
+        band, kept = _bands(g[pos], marg[pos], *rule[1:])
+        pos, key = pos[kept], band[kept]
+    gs = g[pos]  # also the sets of `order`, which permutes within sets
+    order = pos[np.lexsort((key, gs))]  # lexsort is stable: ties by id
+    return order[np.arange(len(order)) - gs.searchsorted(gs) < rule[1]]
+
+
+def _bands(g: np.ndarray, marg: np.ndarray, k: int, eps: float):
+    """(band, kept) of each positive marginal marg[j] of set g[j] (g
+    ascending), under a descending threshold scan per set.
+
+    A set's thresholds are w_0 = d, its best marginal, and w_t = w_{t-1}
+    (1 - eps), rounded step by step as the scalar loop rounds them
+    (np.multiply.accumulate), down to the floor eps * d / k. An element's
+    band is the first t with marg >= w_t, and it is kept when w_t is at
+    least the floor.
+    """
+    if not len(g):
+        return g, g.astype(bool)
+    first = np.empty(len(g), dtype=bool)
+    first[0] = True
+    np.not_equal(g[1:], g[:-1], out=first[1:])
+    at = np.cumsum(first) - 1  # row of each entry's set
+    d = np.maximum.reduceat(marg, np.flatnonzero(first))
+    floor = eps * d / k
+    steps = max(1, math.ceil(math.log(eps / k) / math.log1p(-eps)))
+    # until every set's last threshold lies below its floor, or no longer
+    # falls (subnormal thresholds that round to themselves)
+    while True:
+        w = np.full((len(d), steps + 1), 1.0 - eps)
+        w[:, 0] = d
+        np.multiply.accumulate(w, axis=1, out=w)
+        if not ((w[:, -1] >= floor) & (w[:, -1] < w[:, -2])).any():
+            break
+        steps *= 2
+    # the band is the count of thresholds above marg; bands are mostly small,
+    # so count 8 columns at a time for the entries above all counted so far
+    band = np.zeros(len(g), dtype=np.intp)
+    rest = np.arange(len(g))
+    for lo in range(0, steps + 1, 8):
+        cols = w[:, lo:lo + 8]
+        above = (cols[at[rest]] > marg[rest, None]).sum(axis=1)
+        band[rest] += above
+        rest = rest[above == cols.shape[1]]
+        if not len(rest):
+            break
+    return band, band < (w >= floor[:, None]).sum(axis=1)[at]
 
 
 def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
@@ -276,10 +393,29 @@ def random_greedy_cardinality(f: SetFunctionOracle, k: int, seed=None,
     Restricting M_i to positive marginals never lowers its total marginal,
     so the argmax semantics are preserved.
     """
-    def top_k(pos):
-        return sorted(pos, key=lambda t: -t[0])[:k]  # stable: ties by id
+    return _random_greedy(f, k, [seed], ("top", k), trace)[0]
 
-    return _random_greedy(f, k, seed, ("top", k), top_k, trace)
+
+def random_greedy_trials(f: SetFunctionOracle, k: int, seeds: list,
+                         eps: float | None = None) -> list[RunResult]:
+    """One run per seed of `random_greedy_cardinality` (eps None) or of
+    `threshold_random_greedy` (eps given), in seed order, advanced together.
+
+    Each result equals that of the single-seed function at its seed, and
+    `f.eval_count` grows by the sum of their calls. The runs share each M_i
+    for the call's duration, and each round scans, in one batch, every set
+    whose M_i a run lacks. A run draws from its own generator, so a
+    Generator may appear only once among the seeds.
+    """
+    gens = [seed for seed in seeds if isinstance(seed, np.random.Generator)]
+    if len(set(map(id, gens))) < len(gens):
+        raise ValueError("a Generator appears twice among the seeds; "
+                         "each run draws from its own")
+    if eps is None:
+        return _random_greedy(f, k, seeds, ("top", k), False)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be in (0,1)")
+    return _random_greedy(f, k, seeds, ("buckets", k, eps), False)
 
 
 def threshold_greedy(f: SetFunctionOracle, k: int, eps: float) -> RunResult:
@@ -366,24 +502,7 @@ def threshold_random_greedy(f: SetFunctionOracle, k: int, eps: float,
     modular objectives the buckets collapse and the run coincides with exact
     random greedy under the same seed.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0,1)")
-
-    def buckets(pos):
-        bucket = []
-        if pos:
-            desc = sorted(pos, key=itemgetter(0), reverse=True)  # ties by id
-            w = desc[0][0]
-            floor, i = eps * w / k, 0
-            while len(bucket) < k and w >= floor:
-                j = i  # desc[i:j]: the elements first reaching w, taken by id
-                while j < len(desc) and desc[j][0] >= w:
-                    j += 1
-                bucket += sorted(desc[i:j], key=itemgetter(1))
-                i, w = j, w * (1.0 - eps)
-        return bucket[:k]
-
-    return _random_greedy(f, k, seed, ("buckets", k, eps), buckets, False)
+    return random_greedy_trials(f, k, [seed], eps)[0]
 
 
 def greedy_matroid(f: SetFunctionOracle, M: Matroid, trace: bool = False) -> RunResult:

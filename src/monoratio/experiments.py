@@ -27,7 +27,8 @@ from .continuous import FWConfig, MCGConfig, frank_wolfe_nonmonotone, \
 from .discrete import (RunResult, double_greedy, greedy_cardinality,
                        greedy_matroid, random_baseline,
                        random_greedy_cardinality, random_greedy_matroid,
-                       sample_greedy, threshold_greedy, threshold_random_greedy)
+                       random_greedy_trials, sample_greedy, threshold_greedy,
+                       threshold_random_greedy)
 from .ratio import image_weak_ratio_bound, movie_ratio_bound, quadratic_ratio_bound
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "run_experiment",
@@ -46,7 +47,9 @@ class Algorithm:
     the algorithms that take one; experiment-only algorithms also read their
     budget (MCG steps and samples, Frank-Wolfe eps) from the ExperimentSpec
     `opts`. `guarantee` is the `bounds.GUARANTEE_KINDS` entry its output is
-    divided by to bound OPT, None when it bounds nothing.
+    divided by to bound OPT, None when it bounds nothing. `trials(f, c,
+    seeds, opts)`, when given, returns the results of `call` at each seed,
+    from runs advanced together.
     """
 
     call: Callable
@@ -55,6 +58,7 @@ class Algorithm:
     seeded: bool
     takes_eps: bool = False
     experiment_only: bool = False
+    trials: Callable | None = None
 
 
 def _mcg_rounding(f, M, seed, spec) -> RunResult:
@@ -65,14 +69,16 @@ def _mcg_rounding(f, M, seed, spec) -> RunResult:
     return RunResult(sol, f.value(sol), f.eval_count - start)
 
 
-# Every entry reaches its function through a module-global name at call
-# time, so a wrapper rebound on this module's attribute sees every run.
+# Every entry reaches its functions through module-global names at call
+# time, so a wrapper rebound on this module's attribute sees every call. The
+# trials of the two random greedies go through `random_greedy_trials`.
 ALGORITHMS = {
     "greedy": Algorithm(lambda f, k, seed, o: greedy_cardinality(f, k),
                         "cardinality", "greedy_card", seeded=False),
     "random_greedy": Algorithm(
         lambda f, k, seed, o: random_greedy_cardinality(f, k, seed=seed),
-        "cardinality", "random_greedy_card", seeded=True),
+        "cardinality", "random_greedy_card", seeded=True,
+        trials=lambda f, k, seeds, o: random_greedy_trials(f, k, seeds)),
     "threshold_greedy": Algorithm(
         lambda f, k, seed, o: threshold_greedy(f, k, o.eps),
         "cardinality", "greedy_card", seeded=False, takes_eps=True),
@@ -81,7 +87,8 @@ ALGORITHMS = {
         "cardinality", "greedy_card", seeded=True, takes_eps=True),
     "threshold_random_greedy": Algorithm(
         lambda f, k, seed, o: threshold_random_greedy(f, k, o.eps, seed=seed),
-        "cardinality", "random_greedy_card", seeded=True, takes_eps=True),
+        "cardinality", "random_greedy_card", seeded=True, takes_eps=True,
+        trials=lambda f, k, seeds, o: random_greedy_trials(f, k, seeds, o.eps)),
     "double_greedy": Algorithm(lambda f, c, seed, o: double_greedy(f, seed=seed),
                                "none", "unconstrained_alg", seeded=True),
     "greedy_matroid": Algorithm(lambda f, M, seed, o: greedy_matroid(f, M),
@@ -110,12 +117,17 @@ def algorithm(name: str) -> Algorithm:
         raise ValueError(f"unknown algorithm {name!r}") from None
 
 
-def trial_values(alg: Algorithm, run_one, trials: int, seed: int) -> list[float]:
-    """Values of `trials` runs, trial t seeded with seed + t. A seedless
-    algorithm repeats the same run, so it runs once and fills every trial."""
+def trial_values(alg: Algorithm, f, c, opts, trials: int, seed: int) -> list[float]:
+    """Values of `trials` runs of `alg` on (f, c) with `opts`, trial t
+    seeded with seed + t, through `alg.trials` when it has one. A seedless
+    algorithm repeats the same run, so it runs once and fills every trial.
+    The runs share f, each counting its own calls."""
     if not alg.seeded:
-        return [run_one(seed).value] * trials
-    return [run_one(seed + t).value for t in range(trials)]
+        return [alg.call(f, c, seed, opts).value] * trials
+    seeds = list(range(seed, seed + trials))
+    if alg.trials is not None:
+        return [r.value for r in alg.trials(f, c, seeds, opts)]
+    return [alg.call(f, c, s, opts).value for s in seeds]
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -326,10 +338,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                "ub_prev": math.inf, "ub_new": math.inf}
         for name in spec.algorithms:
             alg = ALGORITHMS[name]
-            # the point's runs share its oracle, each counting its own calls
-            # as an eval_count delta; trial t owns seed + t
-            run_one = lambda seed: alg.call(f, constraint, seed, pt)
-            vals = np.array(trial_values(alg, run_one, spec.trials, spec.seed))
+            vals = np.array(trial_values(alg, f, constraint, pt, spec.trials, spec.seed))
             mean, row[f"{name}_stderr"] = _mean_stderr(vals)
             row[f"{name}_mean"] = mean
             if alg.guarantee is None:

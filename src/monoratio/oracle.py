@@ -7,22 +7,20 @@ set size; the exact enumeration routines enforce their own caps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 __all__ = [
     "GroundSet",
     "SetFunctionOracle",
-    "SampleConfig",
     "SizeLimitError",
     "mask_of",
     "ids_of",
     "indicator",
     "mask_from_indicator",
     "multilinear_exact",
-    "multilinear_sampled",
 ]
 
 EXACT_MULTILINEAR_LIMIT = 20
@@ -117,11 +115,12 @@ class SetFunctionOracle:
     candidate rule), and random greedy for matroids' exchange law and
     scanned values per (matroid, base). The oracle keeps these states as
     long as it lives, in a dict `_states` that exists on at most
-    `_STATE_MAX_N` elements and is None above. A run that finds its state
-    there adds to `eval_count` the calls that building it would have made,
-    so outputs and counts do not depend on the sharing. A key holds the
-    matroid object, so a matroid must not be mutated after a run on the
-    oracle has used it.
+    `_STATE_MAX_N` elements and is None above; the runs of one
+    `random_greedy_trials` call share their M_i at every n for the call's
+    duration. A run that finds its state there adds to `eval_count` the
+    calls that building it would have made, so outputs and counts do not
+    depend on the sharing. A key holds the matroid object, so a matroid must
+    not be mutated after a run on the oracle has used it.
     """
 
     def __init__(self, ground: GroundSet, fn, name: str = "f", ids_fn=None):
@@ -177,6 +176,53 @@ class SetFunctionOracle:
                     out, lambda i: A | (1 << int(candidates[i]))).tolist()
         value = self.value
         return [value(A | (1 << u)) for u in candidates]
+
+    def _scan_outside(self, sets: list[int]):
+        """(g, ids, vals): f(A + u) for every set A of `sets` and every
+        element u outside A, counting one evaluation each; the scans of
+        several sets in one call.
+
+        The flat arrays hold the scans one after the other in the order of
+        `sets`, each in increasing id order: entry j is f(A + ids[j]) for A
+        = sets[g[j]]. The sets must lie in the ground set. With an `ids_fn`,
+        the sorted id rows are built directly, and each run of adjacent sets
+        of one size goes to it in one call per `_block_rows` block; without
+        one, the scans loop over `value`.
+        """
+        n = self.n
+        if self._ids_fn is None:
+            value = self.value
+            g, ids, vals = [], [], []
+            for j, A in enumerate(sets):
+                for u in range(n):
+                    if not (A >> u) & 1:
+                        g.append(j)
+                        ids.append(u)
+                        vals.append(value(A | (1 << u)))
+            return (np.array(g, dtype=np.intp), np.array(ids, dtype=np.intp),
+                    np.array(vals, dtype=float))
+        width = (n + 7) // 8
+        member = np.unpackbits(  # (sets, n) boolean membership
+            np.frombuffer(b"".join(A.to_bytes(width, "little") for A in sets), np.uint8),
+            bitorder="little").reshape(len(sets), 8 * width)[:, :n].view(bool)
+        g, ids = np.nonzero(~member)  # every (set, element outside it)
+        self.eval_count += len(ids)
+        vals = np.empty(len(ids))
+        first = lo = 0  # the run's first set and first entry
+        for L, run in groupby(A.bit_count() for A in sets):
+            last = first + len(list(run))
+            hi = lo + (last - first) * (n - L)
+            rows = np.empty((hi - lo, L + 1), dtype=np.int64)
+            if L:
+                inside = np.nonzero(member[first:last])[1].reshape(last - first, L)
+                rows[:, :L] = np.repeat(inside, n - L, axis=0)
+            rows[:, L] = ids[lo:hi]
+            rows.sort(axis=1)
+            out, step = vals[lo:hi], _block_rows(L + 1, n)
+            for j in range(0, hi - lo, step):
+                out[j:j + step] = self._kernel(rows[j:j + step])
+            first, lo = last, hi
+        return g, ids, self._finite(vals, lambda i: sets[g[i]] | (1 << int(ids[i])))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Evaluate a batch of sets, counting one evaluation per set.
@@ -234,29 +280,17 @@ class SetFunctionOracle:
         return f"SetFunctionOracle({self.name}, n={self.n}, calls={self.eval_count})"
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Monte-Carlo control: sample count and RNG seed."""
-
-    samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("need samples >= 2 for a standard error")
-
-
 def multilinear_exact(f: SetFunctionOracle, x) -> float:
     """Exact multilinear extension F(x) = sum_S f(S) prod x_u prod (1-x_u).
 
     Enumerates all 2^n subsets, so the ground set must have at most
-    EXACT_MULTILINEAR_LIMIT elements; use `multilinear_sampled` beyond that.
+    EXACT_MULTILINEAR_LIMIT elements.
     """
     n = f.n
     if n > EXACT_MULTILINEAR_LIMIT:
         raise SizeLimitError(
-            f"exact multilinear enumeration capped at n={EXACT_MULTILINEAR_LIMIT}; "
-            f"use multilinear_sampled for n={n}"
+            f"exact multilinear enumeration capped at n={EXACT_MULTILINEAR_LIMIT}, "
+            f"got n={n}"
         )
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -322,23 +356,3 @@ def _size_groups(X: np.ndarray):
                 rows = order[lo:min(lo + step, first + count)]
                 yield rows, np.nonzero(X[rows])[1].reshape(len(rows), size)
         first += count
-
-
-def multilinear_sampled(f: SetFunctionOracle, x, cfg: SampleConfig) -> tuple[float, float]:
-    """Monte-Carlo estimate of F(x) with its standard error.
-
-    Draws cfg.samples independent sets R(x) (element u included with
-    probability x_u) and returns (mean, stderr). Bit-reproducible for a fixed
-    seed.
-    """
-    n = f.n
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(cfg.seed)
-    bits = rng.random((cfg.samples, n)) < x
-    vals = f.values(bits)
-    if vals.min() == vals.max():  # degenerate sample: mean is exact
-        return float(vals[0]), 0.0
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(cfg.samples))
-    return est, stderr
-

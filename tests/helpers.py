@@ -190,6 +190,33 @@ def naive_box_quadratic_min(H, h, u) -> float:
                for mask in range(1 << n))
 
 
+# The candidate rules of the random greedies as they were before the
+# vectorized selection (`discrete._pick`), kept as its reference. Each takes
+# the (marginal, u, f(A + u)) triples of the positive-marginal elements u of
+# one set A, in id order, and returns M_i in its order.
+def top_k(pos, k):
+    """The k best triples, ties by id."""
+    return sorted(pos, key=lambda t: -t[0])[:k]  # stable: ties by id
+
+
+def buckets(pos, k, eps):
+    """A descending threshold scan from the best marginal d (decay 1 - eps,
+    floor eps * d / k): each threshold takes the triples first reaching it,
+    by id, until k are taken."""
+    bucket = []
+    if pos:
+        desc = sorted(pos, key=lambda t: t[0], reverse=True)  # ties by id
+        w = desc[0][0]
+        floor, i = eps * w / k, 0
+        while len(bucket) < k and w >= floor:
+            j = i  # desc[i:j]: the elements first reaching w, taken by id
+            while j < len(desc) and desc[j][0] >= w:
+                j += 1
+            bucket += sorted(desc[i:j], key=lambda t: t[1])
+            i, w = j, w * (1.0 - eps)
+    return bucket[:k]
+
+
 def naive_greedy_trajectory(table, k):
     """Replay of the textbook greedy (argmax marginal, accept when >= 0,
     smaller id on ties); returns the list of solution masks per iteration."""

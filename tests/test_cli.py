@@ -108,7 +108,7 @@ def test_bounds_rejects_fewer_than_one_point(capsys, tmp_path, points):
     code, out, err = run_cli(capsys, "bounds", "--expr", "rgm", "--points",
                              points, "--out", str(out_csv))
     assert (code, out) == (2, "")
-    assert err == f"error: num_points must be >= 1, got {points}\n"
+    assert err == f"error: --points must be >= 1, got {points}\n"
     assert not out_csv.exists()
 
 
@@ -347,6 +347,18 @@ def test_run_trials_golden(capsys):
     assert code == 0
     assert out.splitlines()[1] == ("random-greedy,5,251.4183404,0.536767903,"
                                    "249.9475349,253.0502968")
+
+
+def test_run_trials_golden_above_the_state_cache_limit(capsys):
+    # at n = 30 the oracle keeps no states, so the trials share M_i through
+    # their one batched call; computed when each trial ran on its own
+    code, out, err = run_cli(capsys, "run", "--alg", "threshold-random-greedy",
+                             "--objective", "movie", "--n", "30", "--k", "5",
+                             "--trials", "20")
+    assert (code, err) == (0, "")
+    assert out == ("alg,trials,mean_value,stderr,min_value,max_value\n"
+                   "threshold-random-greedy,20,970.9564608,5.236185028,"
+                   "929.062718,1007.1046\n")
 
 
 @pytest.mark.parametrize("alg,flags,named", [

@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_opt, directed_cut_edge, exact_double_greedy_expectation,
-                     gap_oracle, mixture_oracle, modular_oracle,
-                     naive_greedy_trajectory, psd_similarity, recording_oracle,
-                     table_oracle, union_find_forest_indep)
-from monoratio import (Matroid, OracleMatroid, PartitionMatroid, TraceRow,
-                       UniformMatroid, double_greedy, exact_monotonicity_ratio,
-                       greedy_cardinality, greedy_matroid, ids_of,
-                       image_objective, mask_of, movie_objective, random_baseline,
-                       random_greedy_cardinality, random_greedy_matroid,
-                       sample_greedy, threshold_greedy, threshold_random_greedy,
-                       trace_to_csv)
+from helpers import (brute_opt, buckets, directed_cut_edge,
+                     exact_double_greedy_expectation, gap_oracle, mixture_oracle,
+                     modular_oracle, naive_greedy_trajectory, psd_similarity,
+                     recording_oracle, table_oracle, top_k, union_find_forest_indep)
+from monoratio import (GroundSet, Matroid, OracleMatroid, PartitionMatroid,
+                       SetFunctionOracle, TraceRow, UniformMatroid, double_greedy,
+                       exact_monotonicity_ratio, greedy_cardinality, greedy_matroid,
+                       ids_of, image_objective, mask_of, movie_objective,
+                       random_baseline, random_greedy_cardinality,
+                       random_greedy_matroid, random_greedy_trials, sample_greedy,
+                       threshold_greedy, threshold_random_greedy, trace_to_csv)
 from monoratio.constraints import _matching_exchange
-from monoratio.discrete import _rng
+from monoratio.discrete import _pick, _random_greedy, _rng
 from monoratio.experiments import ALGORITHMS
 
 INV_E = math.exp(-1.0)
@@ -952,6 +952,114 @@ def test_runs_on_a_shared_oracle_equal_runs_on_fresh_oracles(case, runs):
     for a, seed, as_generator, opts in jobs:
         run_on(shared, a, seed_of(seed, as_generator), *opts)
     assert states == snapshot
+
+
+# --------------------------------------------------------------- batched trials
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 12), eps=st.sampled_from([0.05, 0.3, 0.7]))
+def test_vectorized_selection_equals_the_python_rules(data, k, eps):
+    """`_pick` picks from flat entries of several sets, of several sizes,
+    the M_i that the Python rules pick from each set's positive marginals,
+    in their order, ties included."""
+    counts = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=5), label="sizes")
+    marginal = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                         st.floats(0.001, 2.0), st.floats(-2.0, -0.001))
+    marg = np.array(data.draw(st.lists(marginal, min_size=sum(counts),
+                                       max_size=sum(counts)), label="marginals"))
+    g = np.repeat(np.arange(len(counts)), counts)
+    ids = np.concatenate([np.arange(c) for c in counts]).astype(int)
+    for rule, ref in ((("top", k), lambda pos: top_k(pos, k)),
+                      (("buckets", k, eps), lambda pos: buckets(pos, k, eps))):
+        take = _pick(g, marg, rule).tolist()
+        for j in range(len(counts)):
+            pos = [(m, u, m) for m, u in zip(marg[g == j].tolist(), ids[g == j].tolist())
+                   if m > 0.0]
+            got = [(marg[t], ids[t], marg[t]) for t in take if g[t] == j]
+            assert got == ref(pos), (rule, j)
+
+
+def test_threshold_buckets_end_on_subnormal_marginals():
+    # the floor eps * d / k underflows to 0 and the thresholds stop falling
+    # at 3 * 5e-324, so the scalar scan never ended; the buckets take band 0
+    tiny = 5e-324
+    marg = np.array([tiny, 3 * tiny, -1.0, 2 * tiny])
+    assert _pick(np.zeros(4, dtype=np.intp), marg, ("buckets", 3, 0.1)).tolist() == [1]
+
+
+@st.composite
+def trial_cases(draw):
+    """An oracle factory on n = 20 or 21 elements, on either side of the
+    state cache's size limit: a modular function with tie-rich integer
+    weights, with or without a kernel, or a movie objective. Few positive
+    weights give M_i fewer than k elements. Also k (0 included) and the
+    rule's eps (None for the top-k rule)."""
+    n = draw(st.sampled_from([20, 21]))
+    kind = draw(st.sampled_from(["modular", "modular kernel", "movie"]))
+    if kind == "movie":
+        s, lam = psd_similarity(n, draw(st.integers(0, 1000))), draw(st.sampled_from([0.3, 0.9]))
+        make = lambda: movie_objective(s, lam)
+    else:
+        w = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.0]),
+                                   min_size=n, max_size=n)))
+        ids_fn = (lambda ids: w[ids].sum(axis=1)) if kind == "modular kernel" else None
+        make = lambda: SetFunctionOracle(GroundSet(n), lambda m: float(w[ids_of(m)].sum()),
+                                         ids_fn=ids_fn)
+    return make, draw(st.integers(0, 8)), draw(st.sampled_from([None, 0.1, 0.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=trial_cases(),
+       calls=st.lists(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans()),
+                               min_size=1, max_size=6), min_size=1, max_size=2))
+def test_batched_trials_equal_sequential_single_seed_runs(case, calls):
+    """R seeds in one call return what R single-seed runs made one after
+    the other return: solution, value, trace and calls, the same final
+    state of each passed Generator and the same total oracle calls. A
+    second call on the same oracle starts from the states of the first at
+    n <= 20, so its runs may ask for sets of several sizes in one round."""
+    make, k, eps = case
+    rule = ("top", k) if eps is None else ("buckets", k, eps)
+    seeds = [[np.random.default_rng(s) if gen else s for s, gen in call] for call in calls]
+    f = make()
+    got = [r for call in seeds for r in _random_greedy(f, k, call, rule, True)]
+    ref_seeds = [[np.random.default_rng(s) if gen else s for s, gen in call] for call in calls]
+    f_ref = make()
+    want = [_random_greedy(f_ref, k, [s], rule, True)[0] for call in ref_seeds for s in call]
+    assert got == want
+    assert f.eval_count == f_ref.eval_count
+    for a, b in zip(sum(seeds, []), sum(ref_seeds, [])):
+        if isinstance(a, np.random.Generator):
+            assert a.bit_generator.state == b.bit_generator.state
+    # the public entry points agree as well
+    f, f_ref = make(), make()
+    ints = [s for s, _ in calls[0]]
+    single = ((lambda s: random_greedy_cardinality(f_ref, k, s)) if eps is None
+              else (lambda s: threshold_random_greedy(f_ref, k, eps, s)))
+    assert random_greedy_trials(f, k, ints, eps) == [single(s) for s in ints]
+    assert f.eval_count == f_ref.eval_count
+
+
+def test_a_round_can_scan_sets_of_several_sizes():
+    """Runs that take M_i from the states of an earlier call skip scans, so
+    one round of a later call scans sets of several sizes, in one batch."""
+    w = np.array([2.0, 1.0, 1.0, 0.0, -1.0] * 4)
+    f = SetFunctionOracle(GroundSet(20), lambda m: float(w[ids_of(m)].sum()),
+                          ids_fn=lambda ids: w[ids].sum(axis=1))
+    random_greedy_trials(f, 8, list(range(4)))
+    sizes, scan = [], f._scan_outside
+    f._scan_outside = lambda sets: sizes.append([A.bit_count() for A in sets]) or scan(sets)
+    random_greedy_trials(f, 8, list(range(4, 40)))
+    assert any(len(set(round_sizes)) > 1 for round_sizes in sizes)
+    assert all(round_sizes == sorted(round_sizes) for round_sizes in sizes)
+
+
+def test_a_generator_may_appear_once_among_the_seeds():
+    f = modular_oracle([1.0, 2.0, 3.0])
+    g = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="a Generator appears twice among the seeds"):
+        random_greedy_trials(f, 2, [g, 1, g])
+    assert random_greedy_trials(f, 2, []) == [] and f.eval_count == 0
 
 
 # ----------------------------------------------------------------- seeded draws

@@ -54,13 +54,16 @@ def test_quadratic_sweep_generates_each_instance_once(monkeypatch):
 def test_seedless_algorithms_run_once_per_point(monkeypatch):
     greedy, random_greedy = [], []
     counting(monkeypatch, "greedy_cardinality", greedy)
-    counting(monkeypatch, "random_greedy_cardinality", random_greedy)
+    trials = experiments.random_greedy_trials
+    monkeypatch.setattr(experiments, "random_greedy_trials", lambda f, k, seeds, *a:
+                        random_greedy.append(seeds) or trials(f, k, seeds, *a))
     spec = ExperimentSpec(objective="movie", sweep="k", grid=[2, 3], n=10,
                           trials=3, seed=4,
                           algorithms=["greedy", "random_greedy"])
     assert run_experiment(spec).to_csv() == MOVIE_CSV
     assert len(greedy) == 2
-    assert random_greedy == [4, 5, 6, 4, 5, 6]
+    # a seeded algorithm with batched trials gets all seeds of a point at once
+    assert random_greedy == [[4, 5, 6], [4, 5, 6]]
 
 
 def test_movie_and_image_sweeps_build_one_objective_per_point(monkeypatch):

@@ -14,6 +14,7 @@ from monoratio import (DownClosedPolytope, MCGConfig, OracleMatroid, PartitionMa
                        random_greedy_cardinality, random_greedy_matroid, swap_rounding,
                        threshold_greedy)
 from monoratio._svg import line_chart
+from monoratio.cli import main
 
 F4 = modular_oracle([1.0, 2.0, 3.0, 4.0])
 FREE = OracleMatroid(4, lambda mask: True)  # a matroid of neither compact kind
@@ -61,3 +62,18 @@ CHECKS = [
 def test_each_input_check_refuses_its_input(tmp_path, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tmp_path)
+
+
+# command-line range checks: each names its flag and the value it got
+CLI_CHECKS = [
+    (["run", "--alg", "greedy", "--objective", "movie", "--n", "6", "--k", "2",
+      "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["bounds", "--expr", "mcg", "--points", "0"], "--points must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_CHECKS, ids=[m for _, m in CLI_CHECKS])
+def test_each_cli_range_check_names_its_flag_and_value(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

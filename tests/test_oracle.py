@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 from helpers import (as_matrix, gap_oracle, mixture_oracle,
                      modular_oracle, product_expectation, psd_similarity,
                      recording_oracle, table_oracle)
-from monoratio import (GroundSet, MCGConfig, PartitionMatroid, SampleConfig,
+from monoratio import (GroundSet, MCGConfig, PartitionMatroid,
                        SetFunctionOracle, SizeLimitError, UniformMatroid,
                        double_greedy, exact_monotonicity_ratio,
                        greedy_cardinality, greedy_matroid, ids_of,
                        image_objective, indicator, mask_from_indicator, mask_of,
                        measured_continuous_greedy, mixture_objective,
-                       movie_objective, multilinear_exact, multilinear_sampled,
+                       movie_objective, multilinear_exact,
                        random_greedy_cardinality, random_greedy_matroid,
                        sample_greedy, threshold_greedy, threshold_random_greedy)
-from monoratio.oracle import _KERNEL_BLOCK_BYTES, _size_groups
+from monoratio.oracle import _KERNEL_BLOCK_BYTES, _block_rows, _size_groups
 
 
 def test_mask_helpers():
@@ -90,37 +91,10 @@ def test_multilinear_exact_gap_function_closed_form():
             assert multilinear_exact(f, [xu, xv]) == pytest.approx(expect)
 
 
-def test_multilinear_exact_size_error_mentions_sampling():
+def test_multilinear_exact_size_error_names_n():
     f = SetFunctionOracle(GroundSet(21), lambda m: 0.0)
-    with pytest.raises(SizeLimitError, match="multilinear_sampled"):
+    with pytest.raises(SizeLimitError, match="capped at n=20, got n=21"):
         multilinear_exact(f, np.zeros(21))
-
-
-def test_multilinear_sampled_degenerate_and_reproducible():
-    f, table = mixture_oracle(4, seed=1)
-    x = [1.0, 0.0, 1.0, 0.0]
-    est, se = multilinear_sampled(f, x, SampleConfig(samples=50, seed=9))
-    assert est == pytest.approx(table[0b0101])
-    assert se == 0.0
-
-    x = [0.4, 0.8, 0.1, 0.6]
-    a = multilinear_sampled(f, x, SampleConfig(samples=400, seed=7))
-    b = multilinear_sampled(f, x, SampleConfig(samples=400, seed=7))
-    assert a == b  # bit-reproducible
-
-
-def test_multilinear_sampled_agrees_with_exact():
-    f = modular_oracle([1.0, 1.0])
-    est, se = multilinear_sampled(f, [0.5, 0.5], SampleConfig(10000, seed=1))
-    assert abs(est - 1.0) <= 5 * se
-
-    g0 = gap_oracle(0.0)
-    exact = multilinear_exact(g0, [0.5, 0.5])
-    est, se = multilinear_sampled(g0, [0.5, 0.5], SampleConfig(10000, seed=2))
-    assert abs(est - exact) <= 5 * se
-
-    with pytest.raises(ValueError):
-        multilinear_sampled(g0, [0.5, 0.5], SampleConfig(1, seed=0))
 
 
 def test_union_with_random_set_lower_bound():
@@ -433,9 +407,6 @@ def test_algorithms_agree_with_and_without_kernel(n):
         assert got.trace == ref.trace
         assert got.discretization_bound == ref.discretization_bound
 
-        x = np.random.default_rng(n).random(n)
-        cfg = SampleConfig(samples=50, seed=12)
-        assert multilinear_sampled(f, x, cfg) == multilinear_sampled(plain, x, cfg)
         assert f.eval_count == plain.eval_count
 
 
@@ -494,6 +465,42 @@ def test_id_row_scan_equals_scalar_value_property(data, n, seed, lam):
                 assert g.eval_count == count
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.0, 1.0))
+def test_scans_of_several_sets_equal_scalar_values_property(data, n, seed, lam):
+    """`_scan_outside` gives f(A + u) for every element u outside every set
+    A, set by set and id by id, bit for bit as `value` gives them, and
+    counts one call each; the sets come in any order of size, repeated, the
+    empty and the full set included."""
+    s = psd_similarity(n, seed, d=max(2, n // 2))
+    sets = data.draw(st.lists(st.one_of(st.integers(0, (1 << n) - 1),
+                                        st.sampled_from([0, (1 << n) - 1])),
+                              min_size=1, max_size=8), label="sets")
+    pairs = [(j, u) for j, A in enumerate(sets) for u in range(n) if not (A >> u) & 1]
+    for f in (movie_objective(s, lam), image_objective(s)):
+        plain = scalar_twin(f)
+        ref = [plain.value(sets[j] | (1 << u)) for j, u in pairs]
+        for g in (f, plain):
+            where, ids, vals = g._scan_outside(sets)
+            assert list(zip(where.tolist(), ids.tolist())) == pairs
+            np.testing.assert_array_equal(vals.view(np.int64),
+                                          np.array(ref, dtype=float).view(np.int64))
+        assert f.eval_count == len(pairs) and plain.eval_count == 2 * len(pairs)
+    # sets sorted by size: one `ids_fn` call per size and block, each block
+    # within the byte cap
+    shapes = []
+    rec = SetFunctionOracle(f.ground, f._fn, ids_fn=lambda ids: shapes.append(ids.shape)
+                            or f._ids_fn(ids))
+    rec._scan_outside(sorted(sets, key=int.bit_count))
+    rows = Counter()
+    for A in sets:
+        rows[A.bit_count() + 1] += n - A.bit_count()
+    assert len(shapes) == sum(-(-count // _block_rows(L, n))
+                              for L, count in rows.items() if count)
+    assert all(B == 1 or B * L * n * 8 <= _KERNEL_BLOCK_BYTES for B, L in shapes)
+
+
 # ------------------------------------------------------- non-finite values
 
 def test_non_finite_values_raise_and_name_the_mask():
@@ -541,3 +548,6 @@ def test_scan_non_finite_values_raise_and_name_the_mask():
         assert f.scan(1, [1]) == [2.0]
         with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
             f.scan(1, [1, 2])
+        assert f._scan_outside([2])[2].tolist() == [2.0, 2.0]
+        with pytest.raises(ValueError, match=r"oracle holey .* mask 5 \(elements \[0, 2\]\)"):
+            f._scan_outside([2, 4])
